@@ -18,16 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 from .errors import ClaimViolationError
+from .graph import Graph
 from .residual import (
     BLUE_SHADES,
     Color,
+    Component,
     ComponentKind,
     ResidualState,
     apply_move,
     f_decrease,
     legal_moves,
+    split_components,
     white_degree,
 )
 
@@ -60,6 +64,11 @@ class XCycleRegistry:
                 m |= 1 << v
         return m
 
+    @cached_property
+    def cycle_of(self) -> dict[int, int]:
+        """Registry position of the cycle holding each member vertex."""
+        return {v: i for i, cyc in enumerate(self.cycles) for v in cyc}
+
     def cycle_edges(self, i: int) -> tuple[tuple[int, int], ...]:
         cyc = self.cycles[i]
         k = len(cyc)
@@ -75,7 +84,6 @@ class PhaseContext:
     """
 
     phase: int = 1
-    moves_made: int = 0
     registry: XCycleRegistry | None = None
     f_at_phase2_end: int | None = None
     F_at_phase3_start: int | None = None
@@ -105,7 +113,7 @@ def max_f_decrease(s: ResidualState) -> int:
 
 def phase2_active(s: ResidualState) -> bool:
     """True while some move still drops f by at least 11 (dark shading)."""
-    return max_f_decrease(s) >= 11
+    return any(f_decrease(s, v, Color.DARK_BLUE) >= 11 for v in legal_moves(s))
 
 
 def _end_of_phase2_violation(s: ResidualState) -> str | None:
@@ -201,16 +209,24 @@ def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:
     """Closed: every cycle edge retained. Open: some member is a blue leaf in
     a component of order >= 4. Finished: every member is red or sits in a
     BWB component. Other: none of these."""
-    cyc = reg.cycles[i]
-    colors = s.colors
-    if all(colors[u] is Color.WHITE or colors[w] is Color.WHITE for u, w in reg.cycle_edges(i)):
-        return CycleStatus.CLOSED
     comps = s.components()
     idx = s.component_index()
-    if any(colors[v] in BLUE_SHADES and white_degree(s, v) == 1 and comps[idx[v]].order >= 4
+    return _status(reg, i, s.graph, s.colors, lambda v: comps[idx[v]])
+
+
+def _status(reg: XCycleRegistry, i: int, g: Graph, colors: tuple[Color, ...],
+            component_of: Callable[[int], Component]) -> CycleStatus:
+    """cycle_status read off a color sequence and a vertex -> Component map."""
+    cyc = reg.cycles[i]
+    white = Color.WHITE
+    if all(colors[u] is white or colors[w] is white for u, w in reg.cycle_edges(i)):
+        return CycleStatus.CLOSED
+    if any(colors[v] in BLUE_SHADES
+           and sum(1 for w in g.adjacency[v] if colors[w] is white) == 1
+           and component_of(v).order >= 4
            for v in cyc):
         return CycleStatus.OPEN
-    if all(colors[v] is Color.RED or comps[idx[v]].kind is ComponentKind.BWB for v in cyc):
+    if all(colors[v] is Color.RED or component_of(v).kind is ComponentKind.BWB for v in cyc):
         return CycleStatus.FINISHED
     return CycleStatus.OTHER
 
@@ -220,22 +236,58 @@ def open_cycle_count(s: ResidualState, reg: XCycleRegistry) -> int:
                if cycle_status(reg, i, s) is CycleStatus.OPEN)
 
 
+def _penalty(kind: ComponentKind) -> int:
+    """A component's share of F's discount: 1 for WB+, 3 for BWB."""
+    return 1 if kind is ComponentKind.WB_PLUS else 3 if kind is ComponentKind.BWB else 0
+
+
 def F_value(s: ResidualState, reg: XCycleRegistry) -> int:
     """f minus open X-cycles, minus WB+ components, minus 3x BWB components.
 
-    Zero exactly on the all-red state.
+    Zero exactly on the all-red state. Recomputed in full from s's
+    components and every cycle_status, once per state and registry.
     """
-    c2 = c3 = 0
-    for comp in s.components():
-        if comp.kind is ComponentKind.WB_PLUS:
-            c2 += 1
-        elif comp.kind is ComponentKind.BWB:
-            c3 += 1
-    return s.f - open_cycle_count(s, reg) - c2 - 3 * c3
+    return _F_parts(s, reg)[0]
+
+
+def _F_parts(s: ResidualState, reg: XCycleRegistry) -> tuple[int, tuple[bool, ...]]:
+    """(F, open flag of each registry cycle), memoized on s for reg."""
+    memo = s.F_memo
+    if memo is None or memo[0] is not reg:
+        is_open = tuple(cycle_status(reg, i, s) is CycleStatus.OPEN
+                        for i in range(len(reg.cycles)))
+        F = s.f - sum(is_open) - sum(_penalty(c.kind) for c in s.components())
+        memo = s.F_memo = (reg, F, is_open)
+    return memo[1], memo[2]
 
 
 def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
-    return F_value(s, reg) - F_value(apply_move(s, v, Color.DARK_BLUE), reg)
+    """F(s) - F(s after v, shaded dark), computed on C(v) alone.
+
+    Every vertex the move recolors lies in C(v), the retained-edge
+    component of v in s, and the components after the move refine those
+    before it. So only C(v) is split again under the post-move colors: the
+    WB+/BWB discounts change by those of its pieces minus its own, and only
+    the X-cycles with a member in C(v) are classified again.
+    """
+    _, is_open = _F_parts(s, reg)
+    post = apply_move(s, v, Color.DARK_BLUE)
+    comps, idx = s.components(), s.component_index()
+    comp = comps[idx[v]]
+    pieces = split_components(s.graph, post.colors, comp.vertices)
+    dec = s.f - post.f - _penalty(comp.kind) + sum(_penalty(c.kind) for c in pieces)
+    cycle_of = reg.cycle_of
+    touched = {cycle_of[u] for u in comp.vertices if u in cycle_of}
+    if touched:
+        piece_of = {u: c for c in pieces for u in c.vertices}
+
+        def component_of(u: int) -> Component:
+            return piece_of.get(u) or comps[idx[u]]
+
+        for i in touched:
+            dec -= is_open[i] - (_status(reg, i, s.graph, post.colors, component_of)
+                                 is CycleStatus.OPEN)
+    return dec
 
 
 def max_F_decrease(s: ResidualState, reg: XCycleRegistry) -> int:
@@ -244,7 +296,7 @@ def max_F_decrease(s: ResidualState, reg: XCycleRegistry) -> int:
 
 def phase3_active(s: ResidualState, reg: XCycleRegistry) -> bool:
     """True while some move still drops F by at least 10."""
-    return max_F_decrease(s, reg) >= 10
+    return any(F_decrease(s, reg, v) >= 10 for v in legal_moves(s))
 
 
 def maybe_advance(ctx: PhaseContext, s: ResidualState) -> PhaseContext:

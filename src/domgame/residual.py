@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import Iterable
 
 from .errors import IllegalMoveError
 from .graph import Graph
@@ -55,28 +56,36 @@ class Component:
 class ResidualState:
     """Immutable snapshot of the game: per-vertex colors plus the played order.
 
-    The dominated mask and weight sum are computed once at construction;
-    components are computed on first use and memoized. Callers treat
-    instances as values: apply_move returns a new state.
+    The dominated mask and weight sum are computed from the colors at
+    construction (apply_move instead carries them over from its parent and
+    adjusts them by the move's delta); components are computed on first use
+    and memoized. ``F_memo`` is where phases memoizes the potential F per
+    registry. Callers treat instances as values: apply_move returns a new
+    state.
     """
 
     __slots__ = ("graph", "colors", "played", "dominated_mask", "f",
-                 "_components", "_comp_index")
+                 "_components", "_comp_index", "F_memo")
 
     def __init__(self, graph: Graph, colors: tuple[Color, ...], played: tuple[int, ...]):
-        self.graph = graph
-        self.colors = colors
-        self.played = played
         dom = 0
         f = 0
         for v, c in enumerate(colors):
             if c is not Color.WHITE:
                 dom |= 1 << v
             f += WEIGHT[c]
-        self.dominated_mask = dom
+        self._set(graph, colors, played, dom, f)
+
+    def _set(self, graph: Graph, colors: tuple[Color, ...], played: tuple[int, ...],
+             dominated_mask: int, f: int) -> None:
+        self.graph = graph
+        self.colors = colors
+        self.played = played
+        self.dominated_mask = dominated_mask
         self.f = f
         self._components: tuple[Component, ...] | None = None
         self._comp_index: tuple[int, ...] | None = None
+        self.F_memo: tuple | None = None
 
     def components(self) -> tuple[Component, ...]:
         if self._components is None:
@@ -90,47 +99,13 @@ class ResidualState:
         return self._comp_index
 
     def _build_components(self) -> None:
-        g, colors = self.graph, self.colors
-        comp_id = [-1] * g.n
-        comps: list[Component] = []
-        for start in range(g.n):
-            if comp_id[start] >= 0:
-                continue
-            cid = len(comps)
-            comp_id[start] = cid
-            members = [start]
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                u_white = colors[u] is Color.WHITE
-                for w in g.adjacency[u]:
-                    # only edges touching a white vertex are retained
-                    if comp_id[w] < 0 and (u_white or colors[w] is Color.WHITE):
-                        comp_id[w] = cid
-                        members.append(w)
-                        stack.append(w)
-            members.sort()
-            comps.append(self._make_component(tuple(members)))
+        comps = split_components(self.graph, self.colors, range(self.graph.n))
+        comp_id = [0] * self.graph.n
+        for cid, comp in enumerate(comps):
+            for v in comp.vertices:
+                comp_id[v] = cid
         self._components = tuple(comps)
         self._comp_index = tuple(comp_id)
-
-    def _make_component(self, vertices: tuple[int, ...]) -> Component:
-        colors = self.colors
-        wc = sum(1 for v in vertices if colors[v] is Color.WHITE)
-        bc = sum(1 for v in vertices if colors[v] in BLUE_SHADES)
-        order = len(vertices)
-        if order == 1:
-            kind = ComponentKind.ISOLATED_RED if colors[vertices[0]] is Color.RED else ComponentKind.OTHER
-        elif order == 2 and wc == 2:
-            kind = ComponentKind.WW
-        elif order == 2 and wc == 1 and bc == 1:
-            b = vertices[0] if colors[vertices[0]] in BLUE_SHADES else vertices[1]
-            kind = ComponentKind.WB_PLUS if colors[b] is Color.LIGHT_BLUE else ComponentKind.WB_MINUS
-        elif order == 3 and wc == 1 and bc == 2:
-            kind = ComponentKind.BWB
-        else:
-            kind = ComponentKind.OTHER
-        return Component(vertices, kind, wc, bc)
 
     def snapshot(self) -> str:
         """One line per vertex: "<id> <W|LB|DB|R>"."""
@@ -138,6 +113,56 @@ class ResidualState:
 
     def snapshot_hash(self) -> str:
         return hashlib.sha256(self.snapshot().encode()).hexdigest()[:12]
+
+
+def split_components(g: Graph, colors: tuple[Color, ...],
+                     vertices: Iterable[int]) -> list[Component]:
+    """Components over retained edges (those touching a white vertex) of the
+    vertices in `vertices`, in order of their first member there.
+
+    `vertices` must be closed under retained edges: all of V, or one
+    component of an earlier state, since a later state retains a subset of
+    the edges.
+    """
+    adjacency = g.adjacency
+    white = Color.WHITE
+    seen: set[int] = set()
+    comps: list[Component] = []
+    for start in vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        members = [start]
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            u_white = colors[u] is white
+            for w in adjacency[u]:
+                if w not in seen and (u_white or colors[w] is white):
+                    seen.add(w)
+                    members.append(w)
+                    stack.append(w)
+        members.sort()
+        comps.append(_make_component(tuple(members), colors))
+    return comps
+
+
+def _make_component(vertices: tuple[int, ...], colors: tuple[Color, ...]) -> Component:
+    wc = sum(1 for v in vertices if colors[v] is Color.WHITE)
+    bc = sum(1 for v in vertices if colors[v] in BLUE_SHADES)
+    order = len(vertices)
+    if order == 1:
+        kind = ComponentKind.ISOLATED_RED if colors[vertices[0]] is Color.RED else ComponentKind.OTHER
+    elif order == 2 and wc == 2:
+        kind = ComponentKind.WW
+    elif order == 2 and wc == 1 and bc == 1:
+        b = vertices[0] if colors[vertices[0]] in BLUE_SHADES else vertices[1]
+        kind = ComponentKind.WB_PLUS if colors[b] is Color.LIGHT_BLUE else ComponentKind.WB_MINUS
+    elif order == 3 and wc == 1 and bc == 2:
+        kind = ComponentKind.BWB
+    else:
+        kind = ComponentKind.OTHER
+    return Component(vertices, kind, wc, bc)
 
 
 def init_state(g: Graph) -> ResidualState:
@@ -169,11 +194,14 @@ def is_over(s: ResidualState) -> bool:
     return s.f == 0  # weight 0 iff every vertex is red iff nothing is playable
 
 
-def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
-    """Play v: the dominated set grows by N[v], colors are recomputed.
+def move_delta(s: ResidualState, v: int, shade: Color) -> tuple[int, list[tuple[int, Color]]]:
+    """(dominated mask after playing v, [(u, new color)] for every vertex
+    whose color the move changes).
 
-    Vertices turning blue with this move take `shade`; already-blue vertices
-    keep theirs. Colors only ever move forward (white -> blue -> red).
+    Only the newly dominated vertices, N[v] minus the dominated set (white
+    to blue or red), and the non-red vertices of N[newly] (which may turn
+    red) can change, so the scan stays inside N^2[v]. Raises
+    IllegalMoveError for a red or out-of-range v.
     """
     if shade not in BLUE_SHADES:
         raise ValueError("shade must be LIGHT_BLUE or DARK_BLUE")
@@ -181,18 +209,48 @@ def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
     if not 0 <= v < s.graph.n or colors[v] is Color.RED:
         raise IllegalMoveError(f"vertex {v} cannot be played")
     masks = s.graph.closed_masks
-    new_dom = s.dominated_mask | masks[v]
-    new_colors = []
-    for u in range(s.graph.n):
-        if not (new_dom >> u) & 1:
-            new_colors.append(Color.WHITE)
-        elif masks[u] & ~new_dom == 0:
-            new_colors.append(Color.RED)
-        elif colors[u] is Color.WHITE:
-            new_colors.append(shade)
-        else:
-            new_colors.append(colors[u])
-    return ResidualState(s.graph, tuple(new_colors), s.played + (v,))
+    newly = masks[v] & ~s.dominated_mask
+    dom = s.dominated_mask | newly
+    touched = 0
+    m = newly
+    while m:
+        low = m & -m
+        touched |= masks[low.bit_length() - 1]
+        m ^= low
+    red = Color.RED
+    changes = []
+    m = touched
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        m ^= low
+        if colors[u] is red:
+            continue
+        if masks[u] & ~dom == 0:
+            changes.append((u, red))
+        elif low & newly:
+            changes.append((u, shade))
+    return dom, changes
+
+
+def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
+    """Play v: the dominated set grows by N[v].
+
+    Vertices turning blue with this move take `shade`; already-blue vertices
+    keep theirs. Colors only ever move forward (white -> blue -> red). The
+    new state copies the color tuple and patches the entries move_delta
+    lists, all inside N^2[v]; its dominated mask and f are the parent's
+    adjusted by the same delta.
+    """
+    dom, changes = move_delta(s, v, shade)
+    colors = list(s.colors)
+    f = s.f
+    for u, c in changes:
+        f += WEIGHT[c] - WEIGHT[colors[u]]
+        colors[u] = c
+    new = ResidualState.__new__(ResidualState)
+    new._set(s.graph, tuple(colors), s.played + (v,), dom, f)
+    return new
 
 
 def f_value(s: ResidualState) -> int:
@@ -200,8 +258,13 @@ def f_value(s: ResidualState) -> int:
 
 
 def f_decrease(s: ResidualState, v: int, shade: Color) -> int:
-    """Weight-sum drop if v were played now; strictly positive for legal v."""
-    return s.f - apply_move(s, v, shade).f
+    """Weight-sum drop if v were played now; strictly positive for legal v.
+
+    Sums the weight changes move_delta lists (all inside N^2[v]) without
+    building the next state.
+    """
+    colors = s.colors
+    return sum(WEIGHT[colors[u]] - WEIGHT[c] for u, c in move_delta(s, v, shade)[1])
 
 
 def white_degree(s: ResidualState, v: int) -> int:

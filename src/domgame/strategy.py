@@ -158,7 +158,7 @@ def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") ->
     records: list[MoveRecord] = []
 
     def run_move(mover: str, policy: Policy, idx: int) -> bool:
-        nonlocal state, ctx
+        nonlocal state
         v = policy(ctx, state)
         if not isinstance(v, int) or not 0 <= v < g.n or state.colors[v] is Color.RED:
             name = getattr(policy, "policy_name", "policy")
@@ -171,8 +171,6 @@ def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") ->
         records.append(MoveRecord(idx, mover, v, ctx.phase, potential_kind(ctx.phase),
                                   dec, new_state.snapshot_hash()))
         state = new_state
-        ctx = PhaseContext(ctx.phase, ctx.moves_made + 1, ctx.registry,
-                           ctx.f_at_phase2_end, ctx.F_at_phase3_start)
         return not is_over(state)
 
     alive = True

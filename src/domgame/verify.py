@@ -11,6 +11,7 @@ mutated transcripts are rejected with a replayable witness.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -834,13 +835,6 @@ def _verify_item(label: str, g: Graph, seeds: tuple[int, ...], checks: list[str]
                        ratio_d, ratio_s, n_tr)
 
 
-def _verify_item_payload(payload: tuple) -> GraphReport:
-    from .graph import parse_edge_list
-
-    label, graph_text, seeds, checks, caps = payload
-    return _verify_item(label, parse_edge_list(graph_text), seeds, list(checks), caps)
-
-
 @dataclass
 class AggregateReport:
     checks: list[str]
@@ -905,17 +899,20 @@ class AggregateReport:
 def run_corpus(spec: CorpusSpec, jobs: int = 1) -> AggregateReport:
     """Verify every corpus graph; deterministic for a fixed spec.
 
-    Items are independent, so jobs > 1 fans them out to worker processes;
-    the reducer keeps corpus order regardless.
+    Items are independent, so jobs > 1 fans them out to worker processes,
+    at most one per CPU; each worker receives the pickled Graph. The
+    reducer keeps corpus order regardless. jobs < 1 raises ConfigError.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     items = corpus_items(spec)
     if jobs > 1 and len(items) > 1:
         import multiprocessing
 
-        payloads = [(label, write_edge_list(g), seeds, tuple(spec.checks), spec.caps)
-                    for label, g, seeds in items]
+        payloads = [(label, g, seeds, spec.checks, spec.caps) for label, g, seeds in items]
         with multiprocessing.Pool(jobs) as pool:
-            graphs = pool.map(_verify_item_payload, payloads)
+            graphs = pool.starmap(_verify_item, payloads)
     else:
         graphs = [_verify_item(label, g, seeds, spec.checks, spec.caps)
                   for label, g, seeds in items]

@@ -1,10 +1,14 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
-Everything here works on plain Python sets with no memoization or bitmask
-tricks, deliberately mirroring the definitions rather than the engine.
+Everything here follows the definitions rather than the engine's shortcuts:
+plain Python sets with no memoization, or a full recomputation over all n
+vertices where the engine patches a local delta.
 """
 
 from math import comb
+
+from domgame.errors import IllegalMoveError
+from domgame.residual import BLUE_SHADES, Color, ResidualState
 
 
 def closed_neighborhood(g, v):
@@ -51,3 +55,27 @@ def is_connected(g):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
+
+
+def apply_move_full(s, v, shade):
+    """The move with every one of the n colors recomputed from closed_masks,
+    and the dominated mask and f recounted from the colors by the state's
+    constructor; apply_move's local patch must agree with it."""
+    if shade not in BLUE_SHADES:
+        raise ValueError("shade must be LIGHT_BLUE or DARK_BLUE")
+    colors = s.colors
+    if not 0 <= v < s.graph.n or colors[v] is Color.RED:
+        raise IllegalMoveError(f"vertex {v} cannot be played")
+    masks = s.graph.closed_masks
+    new_dom = s.dominated_mask | masks[v]
+    new_colors = []
+    for u in range(s.graph.n):
+        if not (new_dom >> u) & 1:
+            new_colors.append(Color.WHITE)
+        elif masks[u] & ~new_dom == 0:
+            new_colors.append(Color.RED)
+        elif colors[u] is Color.WHITE:
+            new_colors.append(shade)
+        else:
+            new_colors.append(colors[u])
+    return ResidualState(s.graph, tuple(new_colors), s.played + (v,))

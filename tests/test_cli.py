@@ -135,6 +135,15 @@ def test_verify_spec_file_and_csv(tmp_path, capsys):
     assert len(csv.splitlines()) == 1 + 7
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_exits_2(jobs, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "smoke", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert f"jobs must be at least 1, got {jobs}" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_bad_spec_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"families": [{"name": "nope"}]}), encoding="utf-8")

@@ -1,0 +1,36 @@
+"""Byte-for-byte CLI output on fixed inputs.
+
+The expected files under tests/golden/ were written by the same commands
+before the residual core switched to local move deltas; any change in
+transcripts, snapshots or verifier reports shows up here. The simulate
+cases cover a Staller-start game through phases 1, 2 and 4 (tree30), a
+phase-3/4 game on a union of cycles (cycles24) and a worst-case search
+(gnp10).
+"""
+
+from pathlib import Path
+
+import pytest
+
+from domgame.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "simulate_tree30": ["simulate", "tree30.g", "--staller", "random", "--seed", "5",
+                        "--first", "s", "--json", "--trace"],
+    "simulate_cycles24": ["simulate", "cycles24.g", "--staller", "random", "--seed", "3",
+                          "--first", "d", "--json", "--trace"],
+    "simulate_gnp10": ["simulate", "gnp10.g", "--staller", "worst", "--first", "d",
+                       "--json", "--trace"],
+    "verify_smoke": ["verify", "smoke", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # a failing verify writes its witnesses here
+    argv = [str(GOLDEN / a) if a.endswith(".g") else a for a in CASES[name]]
+    assert main(argv) == 0
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

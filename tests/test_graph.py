@@ -179,3 +179,16 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
     assert not Graph.from_edges(3, [(0, 1)]).is_isolate_free()
+
+
+def test_graph_pickles_with_its_cached_fields():
+    import pickle
+
+    g = gen_random_tree(9, 3)
+    cached = {"edges": g.edges, "closed_masks": g.closed_masks, "graph_hash": g.graph_hash}
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g
+    assert {name: back.__dict__[name] for name in cached} == cached
+    unused = pickle.loads(pickle.dumps(gen_random_tree(9, 3)))
+    assert "closed_masks" not in unused.__dict__
+    assert {name: getattr(unused, name) for name in cached} == cached

@@ -222,6 +222,37 @@ def test_jobs_parallel_matches_serial():
     assert serial.to_json() == parallel.to_json()
 
 
+def test_jobs_are_clamped_to_cpu_count(monkeypatch):
+    import itertools
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in this process: no worker is forked."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, payloads):
+            return list(itertools.starmap(fn, payloads))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    spec = spec_from_json({"families": [{"name": "paths", "params": {"n_max": 5}}]})
+    serial = run_corpus(spec, jobs=1)
+    assert run_corpus(spec, jobs=3).to_json() == serial.to_json()
+    assert run_corpus(spec, jobs=2).to_json() == serial.to_json()
+    assert sizes == [2, 2]
+
+
 def test_failure_reports_carry_witnesses_into_json():
     g = gen_path(4)
     t = play_game(g, dominator_greedy, make_staller_random(0), "D")
