@@ -44,9 +44,7 @@ from .residual import (
     ComponentKind,
     ResidualState,
     apply_move,
-    classify_components,
     f_decrease,
-    f_value,
     init_state,
     is_over,
     legal_moves,

@@ -247,18 +247,19 @@ def F_value(s: ResidualState, reg: XCycleRegistry) -> int:
     Zero exactly on the all-red state. Recomputed in full from s's
     components and every cycle_status, once per state and registry.
     """
-    return _F_parts(s, reg)[0]
+    return _F_memo(s, reg)[1]
 
 
-def _F_parts(s: ResidualState, reg: XCycleRegistry) -> tuple[int, tuple[bool, ...]]:
-    """(F, open flag of each registry cycle), memoized on s for reg."""
+def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
+    """(reg, F, open flag of each registry cycle, {v: F_decrease}), memoized
+    on s for reg."""
     memo = s.F_memo
     if memo is None or memo[0] is not reg:
         is_open = tuple(cycle_status(reg, i, s) is CycleStatus.OPEN
                         for i in range(len(reg.cycles)))
         F = s.f - sum(is_open) - sum(_penalty(c.kind) for c in s.components())
-        memo = s.F_memo = (reg, F, is_open)
-    return memo[1], memo[2]
+        memo = s.F_memo = (reg, F, is_open, {})
+    return memo
 
 
 def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
@@ -268,9 +269,14 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     component of v in s, and the components after the move refine those
     before it. So only C(v) is split again under the post-move colors: the
     WB+/BWB discounts change by those of its pieces minus its own, and only
-    the X-cycles with a member in C(v) are classified again.
+    the X-cycles with a member in C(v) are classified again. The result is
+    memoized per state and registry, so the phase-3 predicate and the greedy
+    scan that follows it share one scan.
     """
-    _, is_open = _F_parts(s, reg)
+    _, _, is_open, decreases = _F_memo(s, reg)
+    dec = decreases.get(v)
+    if dec is not None:
+        return dec
     post = apply_move(s, v, Color.DARK_BLUE)
     comps, idx = s.components(), s.component_index()
     comp = comps[idx[v]]
@@ -287,6 +293,7 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
         for i in touched:
             dec -= is_open[i] - (_status(reg, i, s.graph, post.colors, component_of)
                                  is CycleStatus.OPEN)
+    decreases[v] = dec
     return dec
 
 

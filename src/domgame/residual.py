@@ -59,13 +59,13 @@ class ResidualState:
     The dominated mask and weight sum are computed from the colors at
     construction (apply_move instead carries them over from its parent and
     adjusts them by the move's delta); components are computed on first use
-    and memoized. ``F_memo`` is where phases memoizes the potential F per
-    registry. Callers treat instances as values: apply_move returns a new
-    state.
+    and memoized, and so is every f_decrease. ``F_memo`` is where phases
+    memoizes the potential F and its decreases per registry. Callers treat
+    instances as values: apply_move returns a new state.
     """
 
     __slots__ = ("graph", "colors", "played", "dominated_mask", "f",
-                 "_components", "_comp_index", "F_memo")
+                 "_components", "_comp_index", "_f_decreases", "F_memo")
 
     def __init__(self, graph: Graph, colors: tuple[Color, ...], played: tuple[int, ...]):
         dom = 0
@@ -85,9 +85,11 @@ class ResidualState:
         self.f = f
         self._components: tuple[Component, ...] | None = None
         self._comp_index: tuple[int, ...] | None = None
+        self._f_decreases: dict[tuple[int, Color], int] = {}
         self.F_memo: tuple | None = None
 
     def components(self) -> tuple[Component, ...]:
+        """Components over retained edges; red vertices come back as singletons."""
         if self._components is None:
             self._build_components()
         return self._components
@@ -253,28 +255,26 @@ def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
     return new
 
 
-def f_value(s: ResidualState) -> int:
-    return s.f
-
-
 def f_decrease(s: ResidualState, v: int, shade: Color) -> int:
     """Weight-sum drop if v were played now; strictly positive for legal v.
 
     Sums the weight changes move_delta lists (all inside N^2[v]) without
-    building the next state.
+    building the next state, once per (v, shade) and state: the phase
+    predicates and the greedy scan that follows them share the result.
     """
-    colors = s.colors
-    return sum(WEIGHT[colors[u]] - WEIGHT[c] for u, c in move_delta(s, v, shade)[1])
+    memo = s._f_decreases
+    key = (v, shade)
+    dec = memo.get(key)
+    if dec is None:
+        colors = s.colors
+        dec = memo[key] = sum(WEIGHT[colors[u]] - WEIGHT[c]
+                              for u, c in move_delta(s, v, shade)[1])
+    return dec
 
 
 def white_degree(s: ResidualState, v: int) -> int:
     colors = s.colors
     return sum(1 for w in s.graph.adjacency[v] if colors[w] is Color.WHITE)
-
-
-def classify_components(s: ResidualState) -> tuple[Component, ...]:
-    """Components over retained edges; red vertices come back as singletons."""
-    return s.components()
 
 
 def retained_edges(s: ResidualState) -> tuple[tuple[int, int], ...]:

@@ -204,9 +204,14 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
     """Longest game any Staller can force against the greedy Dominator.
 
     Exhaustive depth-first branching over Staller moves only (Dominator's
-    replies are forced); no memoization, since shading and the frozen
-    registry make states history-dependent. Returns (length, witness),
-    the witness being the first maximizing line in ascending-id order.
+    replies are forced). Play after a move depends only on the colors, the
+    phase and the registry, and the phase context is shared by the moves of
+    one node, so a move whose successor colors equal those of a smaller
+    vertex's move is skipped: that subtree was just searched and cannot
+    give a longer line. There is no table across nodes; the cutoff on
+    `made + |undominated|` would turn its values into bounds. Returns
+    (length, witness), the witness being the first maximizing line in
+    ascending-id order.
     """
     if first not in ("D", "S"):
         raise ValueError("first must be 'D' or 'S'")
@@ -226,8 +231,12 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
             options = [dominator_greedy(ctx, state)]
         else:
             options = legal_moves(state)
+        seen: set[tuple[Color, ...]] = set()
         for v in options:
             nxt = apply_move(state, v, shade_for_phase(ctx.phase))
+            if nxt.colors in seen:
+                continue
+            seen.add(nxt.colors)
             nscript = script + (v,) if idx % 2 == 0 else script
             if is_over(nxt):
                 if made + 1 > best_len:

@@ -33,8 +33,8 @@ from .phases import (
     XCycleRegistry,
     _end_of_phase2_violation,
     cycle_status,
+    F_decrease,
     F_value,
-    max_F_decrease,
     maybe_advance,
     open_cycle_count,
     potential_kind,
@@ -48,6 +48,7 @@ from .residual import (
     apply_move,
     init_state,
     is_over,
+    legal_moves,
     white_degree,
 )
 from .solver import DEFAULT_SOLVER_CAP, solve_game
@@ -345,25 +346,36 @@ def _nonspecial_blue_leaf(state: ResidualState) -> int | None:
     return None
 
 
+def _ph2_leaf_holds(m: _Move, reg: XCycleRegistry) -> bool:
+    """Some move at m's pre-move state drops F by at least 11. The move
+    played is tried first: its replayed decrease is its F_decrease (phases
+    3-4 shade dark), so only when it falls short are the others scanned,
+    up to the first that qualifies."""
+    if m.decrease >= 11:
+        return True
+    state = m.pre_state
+    return any(F_decrease(state, reg, v) >= 11 for v in legal_moves(state))
+
+
 def _check_ph2_leaf(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
     """Wherever phase 3 still has a blue leaf in a non-special component,
     some move must drop F by at least 11."""
-    states = [(m.pre_state, i) for i, m in enumerate(rep.moves) if m.phase == 3]
+    picked = [(i, m) for i, m in enumerate(rep.moves) if m.phase == 3]
     for i, m in enumerate(rep.moves):
         if m.phase == 4:
-            states.append((m.pre_state, i))
+            picked.append((i, m))
             break
-    if not states:
+    if not picked:
         return ClaimReport("PH2_LEAF", VACUOUS, "phase 3 never reached")
     hits = 0
-    for state, after in states:
-        v = _nonspecial_blue_leaf(state)
+    for i, m in picked:
+        v = _nonspecial_blue_leaf(m.pre_state)
         if v is not None:
             hits += 1
-            if max_F_decrease(state, rep.registry) < 11:
-                return _state_fail("PH2_LEAF", g, t, state, after,
+            if not _ph2_leaf_holds(m, rep.registry):
+                return _state_fail("PH2_LEAF", g, t, m.pre_state, i,
                                    f"blue leaf {v} in a non-special component but no move drops F by 11")
-    return ClaimReport("PH2_LEAF", PASS, f"{hits} of {len(states)} states exhibited the precondition")
+    return ClaimReport("PH2_LEAF", PASS, f"{hits} of {len(picked)} states exhibited the precondition")
 
 
 def _check_xcycle_finish(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
@@ -575,16 +587,29 @@ def verify_transcript(g: Graph, t: Transcript) -> list[ClaimReport]:
     ]
 
 
+WorstCases = tuple[tuple[int, Transcript], tuple[int, Transcript]]
+
+
+def _worst_cases(g: Graph, worst_cap: int) -> WorstCases | None:
+    """staller_worst_case with Dominator and with Staller starting, or None
+    when n exceeds the cap."""
+    if g.n > worst_cap:
+        return None
+    return staller_worst_case(g, worst_cap, "D"), staller_worst_case(g, worst_cap, "S")
+
+
 def verify_bounds(g: Graph, solver_cap: int = DEFAULT_SOLVER_CAP,
                   worst_cap: int = DEFAULT_WORST_CASE_CAP) -> list[ClaimReport]:
     """Exact and greedy-worst-case length bounds plus the start-gap property."""
+    return _bound_reports(g, solver_cap, _worst_cases(g, worst_cap))
+
+
+def _bound_reports(g: Graph, solver_cap: int, worst: WorstCases | None) -> list[ClaimReport]:
+    """verify_bounds on worst-case search results computed by the caller."""
     bound_d = 5 * g.n // 8
     bound_s = (5 * g.n + 2) // 8
     gv = solve_game(g, solver_cap) if g.n <= solver_cap else None
-    wc_d = wc_s = None
-    if g.n <= worst_cap:
-        wc_d = staller_worst_case(g, worst_cap, "D")
-        wc_s = staller_worst_case(g, worst_cap, "S")
+    wc_d, wc_s = (None, None) if worst is None else worst
     gtext = write_edge_list(g)
     reports = []
 
@@ -764,11 +789,11 @@ def corpus_items(spec: CorpusSpec) -> list[tuple[str, Graph, tuple[int, ...]]]:
     return items
 
 
-def _transcripts_for(g: Graph, seeds: tuple[int, ...], caps: Caps) -> list[Transcript]:
+def _transcripts_for(g: Graph, seeds: tuple[int, ...],
+                     worst: WorstCases | None) -> list[Transcript]:
     ts: list[Transcript] = []
-    if g.n <= caps.worst_case_n:
-        ts.append(staller_worst_case(g, caps.worst_case_n, "D")[1])
-        ts.append(staller_worst_case(g, caps.worst_case_n, "S")[1])
+    if worst is not None:
+        ts.extend(witness for _, witness in worst)
     for seed in seeds:
         ts.append(play_game(g, dominator_greedy, make_staller_random(seed), "D"))
         ts.append(play_game(g, dominator_greedy, make_staller_random(seed), "S"))
@@ -815,12 +840,14 @@ def _verify_item(label: str, g: Graph, seeds: tuple[int, ...], checks: list[str]
     by_claim: dict[str, list[ClaimReport]] = {}
     ratio_d = ratio_s = None
     n_tr = 0
+    # the bound reports and the transcript audits share one search per start
+    worst = _worst_cases(g, caps.worst_case_n) if checks else None
     if any(c in BOUND_CHECKS for c in checks):
-        for r in verify_bounds(g, caps.solver_n, caps.worst_case_n):
+        for r in _bound_reports(g, caps.solver_n, worst):
             if r.claim in checks:
                 by_claim.setdefault(r.claim, []).append(r)
     if any(c in TRANSCRIPT_CHECKS for c in checks):
-        for t in _transcripts_for(g, seeds, caps):
+        for t in _transcripts_for(g, seeds, worst):
             n_tr += 1
             ratio = t.total_moves / g.n
             if t.first_player == "D":

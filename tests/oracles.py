@@ -1,14 +1,25 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 Everything here follows the definitions rather than the engine's shortcuts:
-plain Python sets with no memoization, or a full recomputation over all n
-vertices where the engine patches a local delta.
+plain Python sets with no memoization, a full recomputation over all n
+vertices where the engine patches a local delta, or a search that branches
+on every Staller move where the engine merges equal successors.
 """
 
 from math import comb
 
 from domgame.errors import IllegalMoveError
-from domgame.residual import BLUE_SHADES, Color, ResidualState
+from domgame.phases import PhaseContext, maybe_advance, shade_for_phase
+from domgame.residual import (
+    BLUE_SHADES,
+    Color,
+    ResidualState,
+    apply_move,
+    init_state,
+    is_over,
+    legal_moves,
+)
+from domgame.strategy import dominator_greedy, make_scripted_staller, play_game
 
 
 def closed_neighborhood(g, v):
@@ -79,3 +90,38 @@ def apply_move_full(s, v, shade):
         else:
             new_colors.append(colors[u])
     return ResidualState(s.graph, tuple(new_colors), s.played + (v,))
+
+
+def staller_worst_case_unmerged(g, first="D"):
+    """(length, witness) of the longest game against the greedy Dominator,
+    searching every Staller move, also those whose successor equals that of
+    a smaller vertex; the witness is the first maximizing line in
+    ascending-id order."""
+    full = (1 << g.n) - 1
+    best_len = -1
+    best_script = ()
+
+    def search(state, ctx, idx, made, script):
+        nonlocal best_len, best_script
+        # each move dominates at least one new (white) vertex
+        if made + (full & ~state.dominated_mask).bit_count() <= best_len:
+            return
+        options = [dominator_greedy(ctx, state)] if idx % 2 == 1 else legal_moves(state)
+        for v in options:
+            nxt = apply_move(state, v, shade_for_phase(ctx.phase))
+            nscript = script + (v,) if idx % 2 == 0 else script
+            if is_over(nxt):
+                if made + 1 > best_len:
+                    best_len, best_script = made + 1, nscript
+                continue
+            nctx = maybe_advance(ctx, nxt) if idx % 2 == 0 else ctx
+            search(nxt, nctx, idx + 1, made + 1, nscript)
+
+    state0 = init_state(g)
+    if first == "S":
+        search(state0, PhaseContext(), 0, 0, ())
+    else:
+        search(state0, maybe_advance(PhaseContext(), state0), 1, 0, ())
+    witness = play_game(g, dominator_greedy,
+                        make_scripted_staller(best_script, name="worst_case"), first)
+    return best_len, witness

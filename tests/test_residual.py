@@ -7,10 +7,9 @@ from domgame import (
     ComponentKind,
     Graph,
     IllegalMoveError,
+    ResidualState,
     apply_move,
-    classify_components,
     f_decrease,
-    f_value,
     gen_cycle,
     gen_gnp_isolate_free,
     gen_path,
@@ -55,7 +54,7 @@ def test_init_weights():
 @settings(max_examples=30)
 def test_init_is_5n(n, seed):
     g = small_random_graph(n, seed)
-    assert f_value(init_state(g)) == 5 * n
+    assert init_state(g).f == 5 * n
 
 
 def test_init_rejects_isolates():
@@ -131,22 +130,22 @@ def test_snapshot_roundtrip_and_format():
 
 def test_components_bwb_by_definition():
     s = parse_snapshot(gen_path(3), "0 DB\n1 W\n2 LB")
-    comps = classify_components(s)
+    comps = s.components()
     assert [c.kind for c in comps] == [ComponentKind.BWB]
 
 
 def test_components_wb_pairs():
     s = parse_snapshot(gen_path(2), "0 W\n1 LB")
-    assert classify_components(s)[0].kind is ComponentKind.WB_PLUS
+    assert s.components()[0].kind is ComponentKind.WB_PLUS
     s = parse_snapshot(gen_path(2), "0 W\n1 DB")
-    assert classify_components(s)[0].kind is ComponentKind.WB_MINUS
+    assert s.components()[0].kind is ComponentKind.WB_MINUS
     s = init_state(gen_path(2))
-    assert classify_components(s)[0].kind is ComponentKind.WW
+    assert s.components()[0].kind is ComponentKind.WW
 
 
 def test_components_p4_after_center():
     s = apply_move(init_state(gen_path(4)), 1, LIGHT)
-    comps = classify_components(s)
+    comps = s.components()
     assert [(c.vertices, c.kind) for c in comps] == [
         ((0,), ComponentKind.ISOLATED_RED),
         ((1,), ComponentKind.ISOLATED_RED),
@@ -173,8 +172,8 @@ def test_component_kinds_stable_under_relabeling(n, seed):
         shade = LIGHT if i % 2 else DARK
         s = apply_move(s, v, shade)
         s_p = apply_move(s_p, perm[v], shade)
-    kinds = sorted(c.kind.value for c in classify_components(s))
-    kinds_p = sorted(c.kind.value for c in classify_components(s_p))
+    kinds = sorted(c.kind.value for c in s.components())
+    kinds_p = sorted(c.kind.value for c in s_p.components())
     assert kinds == kinds_p
 
 
@@ -209,9 +208,22 @@ def test_playout_invariants(n, seed):
 def test_components_partition_vertices(n, seed):
     g = small_random_graph(n, seed)
     for s in random_playout(g, seed):
-        comps = classify_components(s)
+        comps = s.components()
         seen = sorted(v for c in comps for v in c.vertices)
         assert seen == list(range(n))
         for c in comps:
             if c.order == 1:
                 assert s.colors[c.vertices[0]] is Color.RED
+
+
+def test_f_decrease_memo_is_keyed_by_shade():
+    g = gen_path(6)
+    s = apply_move(init_state(g), 0, LIGHT)  # 0 red, 1 light blue, 2..5 white
+    for v in legal_moves(s):
+        light, dark = f_decrease(s, v, LIGHT), f_decrease(s, v, DARK)
+        fresh = ResidualState(g, s.colors, s.played)
+        assert light == f_decrease(fresh, v, LIGHT)
+        fresh = ResidualState(g, s.colors, s.played)
+        assert dark == f_decrease(fresh, v, DARK)
+    # playing 3 turns 1, 2, 3 red and 4 blue (weight 4 if light, 3 if dark)
+    assert f_decrease(s, 3, DARK) == f_decrease(s, 3, LIGHT) + 1

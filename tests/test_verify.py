@@ -6,6 +6,8 @@ import pytest
 from domgame import (
     CLAIM_IDS,
     ConfigError,
+    Graph,
+    ResidualState,
     builtin_spec,
     corpus_items,
     dominator_greedy,
@@ -13,6 +15,7 @@ from domgame import (
     gen_path,
     gen_random_tree,
     make_staller_random,
+    philox_rng,
     play_game,
     replay_states,
     run_corpus,
@@ -176,11 +179,13 @@ def test_empty_spec_is_empty_success():
 
 
 def test_bad_specs_raise_config_errors():
+    # spec_from_json accepts an unknown family name; the runner rejects it
+    spec = spec_from_json({"families": [{"name": "dodecahedra", "params": {"n_max": 4}}]})
     with pytest.raises(ConfigError):
-        spec_from_json({"families": [{"name": "dodecahedra", "params": {"n_max": 4}}]})
-        run_corpus(spec_from_json({"families": [{"name": "dodecahedra", "params": {"n_max": 4}}]}))
+        run_corpus(spec)
+    spec = spec_from_json({"families": [{"name": "nope", "params": {}}]})
     with pytest.raises(ConfigError):
-        corpus_items(spec_from_json({"families": [{"name": "nope", "params": {}}]}))
+        corpus_items(spec)
     with pytest.raises(ConfigError):
         spec_from_json({"families": [], "checks": ["BOUND_5N8"]})
     with pytest.raises(ConfigError):
@@ -263,3 +268,59 @@ def test_failure_reports_carry_witnesses_into_json():
     doc = failing[0].to_json_dict()
     assert doc["status"] == "fail" and "witness" in doc
     json.dumps(doc)  # serializable as-is
+
+
+def test_one_worst_case_search_per_start(monkeypatch):
+    import domgame.verify as verify
+
+    calls = []
+    search = verify.staller_worst_case
+
+    def counted(g, cap, first):
+        calls.append(first)
+        return search(g, cap, first)
+
+    monkeypatch.setattr(verify, "staller_worst_case", counted)
+    spec = spec_from_json({"families": [{"name": "trees", "params": {"n_min": 9, "n_max": 9}}]})
+    report = run_corpus(spec)
+    assert report.ok and len(report.graphs) == 1
+    assert sorted(calls) == ["D", "S"]
+    # the worst-case witnesses are among the audited transcripts
+    assert report.graphs[0].transcripts_checked == 2 + 2 + 2
+
+
+def cycle_union(lengths):
+    edges, off = [], 0
+    for k in lengths:
+        edges.extend((off + i, off + (i + 1) % k) for i in range(k))
+        off += k
+    return Graph.from_edges(off, edges)
+
+
+def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
+    """PH2_LEAF tries the played move before scanning. Its verdict must
+    equal the full scan's at every state that meets the precondition, and
+    also at the other phase-3/4 states, where the scan can come out false
+    (a correct game never fails the claim itself)."""
+    from domgame.phases import max_F_decrease
+    from domgame.verify import _nonspecial_blue_leaf, _ph2_leaf_holds, _replay
+
+    graphs = [gen_cycle(n) for n in range(4, 25)]
+    rng = philox_rng(5)
+    for _ in range(40):
+        graphs.append(cycle_union([int(k) for k in rng.integers(4, 11, size=int(rng.integers(2, 5)))]))
+    seen = set()
+    for i, g in enumerate(graphs):
+        for staller in (staller_min_decrease, make_staller_random(i)):
+            rep = _replay(g, play_game(g, dominator_greedy, staller, "D"))
+            for m in rep.moves:
+                if m.phase < 3:
+                    continue
+                fresh = ResidualState(g, m.pre_state.colors, m.pre_state.played)
+                want = max_F_decrease(fresh, rep.registry) >= 11
+                assert _ph2_leaf_holds(m, rep.registry) == want
+                leaf = _nonspecial_blue_leaf(m.pre_state) is not None
+                seen.add((leaf, m.decrease >= 11, want))
+    # the played move decides, the scan decides either way, and both occur
+    # where the precondition holds
+    assert {(True, True, True), (True, False, True), (False, False, False)} <= seen
