@@ -49,7 +49,6 @@ from .residual import (
     is_over,
     legal_moves,
     parse_snapshot,
-    retained_edges,
     white_degree,
 )
 from .solver import (

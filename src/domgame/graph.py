@@ -83,6 +83,11 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
+    @cached_property
+    def leaves(self) -> tuple[int, ...]:
+        """Vertices of degree 1, in ascending order."""
+        return tuple(v for v in range(self.n) if len(self.adjacency[v]) == 1)
+
     @property
     def min_degree(self) -> int:
         return min(self.degree(v) for v in range(self.n))

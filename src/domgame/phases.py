@@ -97,18 +97,14 @@ def phase1_active(s: ResidualState) -> bool:
     is exactly "some leaf lies in a component of order at least 3".
     """
     g, colors = s.graph, s.colors
-    for u in range(g.n):
-        if g.degree(u) == 1 and colors[u] is Color.WHITE:
+    for u in g.leaves:
+        if colors[u] is Color.WHITE:
             v = g.adjacency[u][0]
             if colors[v] is not Color.WHITE:
                 continue
             if any(w != u and colors[w] is Color.WHITE for w in g.adjacency[v]):
                 return True
     return False
-
-
-def max_f_decrease(s: ResidualState) -> int:
-    return max((f_decrease(s, v, Color.DARK_BLUE) for v in legal_moves(s)), default=0)
 
 
 def phase2_active(s: ResidualState) -> bool:
@@ -124,13 +120,10 @@ def _end_of_phase2_violation(s: ResidualState) -> str | None:
     vertices, single edges, or cycles of length >= 4; and no white vertex
     whose neighbors are all blue touches a blue vertex with 3 white neighbors.
     """
+    violation = _white_degree_violation(s)
+    if violation is not None:
+        return violation
     g, colors = s.graph, s.colors
-    for v in range(g.n):
-        dw = white_degree(s, v)
-        if colors[v] is Color.WHITE and dw > 2:
-            return f"white vertex {v} has {dw} white neighbors"
-        if colors[v] in BLUE_SHADES and dw > 3:
-            return f"blue vertex {v} has {dw} white neighbors"
     seen: set[int] = set()
     for v in range(g.n):
         if colors[v] is not Color.WHITE or v in seen:
@@ -148,6 +141,21 @@ def _end_of_phase2_violation(s: ResidualState) -> str | None:
             for w in g.adjacency[v]:
                 if colors[w] in BLUE_SHADES and white_degree(s, w) == 3:
                     return f"edge between all-blue-neighborhood white {v} and 3-white-degree blue {w}"
+    return None
+
+
+def _white_degree_violation(s: ResidualState) -> str | None:
+    """A white vertex with more than 2 white neighbors or a blue one with more
+    than 3, as a description, else None; phase-2 end and every later state.
+    Red vertices are skipped: they have no white neighbor."""
+    for v, c in enumerate(s.colors):
+        if c is Color.RED:
+            continue
+        dw = white_degree(s, v)
+        if c is Color.WHITE and dw > 2:
+            return f"white vertex {v} has {dw} white neighbors"
+        if c in BLUE_SHADES and dw > 3:
+            return f"blue vertex {v} has {dw} white neighbors"
     return None
 
 
@@ -295,10 +303,6 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
                                  is CycleStatus.OPEN)
     decreases[v] = dec
     return dec
-
-
-def max_F_decrease(s: ResidualState, reg: XCycleRegistry) -> int:
-    return max((F_decrease(s, reg, v) for v in legal_moves(s)), default=0)
 
 
 def phase3_active(s: ResidualState, reg: XCycleRegistry) -> bool:

@@ -275,9 +275,3 @@ def f_decrease(s: ResidualState, v: int, shade: Color) -> int:
 def white_degree(s: ResidualState, v: int) -> int:
     colors = s.colors
     return sum(1 for w in s.graph.adjacency[v] if colors[w] is Color.WHITE)
-
-
-def retained_edges(s: ResidualState) -> tuple[tuple[int, int], ...]:
-    colors = s.colors
-    return tuple((u, w) for u, w in s.graph.edges
-                 if colors[u] is Color.WHITE or colors[w] is Color.WHITE)

@@ -144,49 +144,61 @@ def make_scripted_staller(moves: Sequence[int], name: str = "scripted") -> Polic
     return staller_scripted
 
 
-def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") -> Transcript:
-    """Run one full game and return its transcript.
+def opening(g: Graph, first: str) -> tuple[ResidualState, PhaseContext, int]:
+    """(state, phase context, index) before the first move of a game.
 
-    Dominator moves at odd indices. With first="S" the opening move has
-    index 0, counts as phase 1, and shades its new blues light. Phase
-    boundaries are evaluated before move 1 and after even moves.
+    Dominator moves at odd indices: with first="S" the opening move has
+    index 0 and is played in phase 1; with first="D" the phase machine is
+    evaluated before move 1.
     """
     if first not in ("D", "S"):
         raise ValueError("first must be 'D' or 'S'")
     state = init_state(g)
-    ctx = PhaseContext()
-    records: list[MoveRecord] = []
+    if first == "S":
+        return state, PhaseContext(), 0
+    return state, maybe_advance(PhaseContext(), state), 1
 
-    def run_move(mover: str, policy: Policy, idx: int) -> bool:
-        nonlocal state
+
+def step(ctx: PhaseContext, state: ResidualState, idx: int,
+         v: int) -> tuple[ResidualState, PhaseContext]:
+    """Play v as move idx: (state after it, phase context for the next move).
+
+    New blues are light only in phase 1. The phase machine is evaluated
+    after even-indexed moves that leave the game running, never after the
+    last move.
+    """
+    post = apply_move(state, v, shade_for_phase(ctx.phase))
+    if idx % 2 == 0 and not is_over(post):
+        ctx = maybe_advance(ctx, post)
+    return post, ctx
+
+
+def move_decrease(ctx: PhaseContext, pre: ResidualState, post: ResidualState) -> int:
+    """Drop of the potential active in ctx's phase (f or F) from pre to post."""
+    if ctx.phase <= 2:
+        return pre.f - post.f
+    return F_value(pre, ctx.registry) - F_value(post, ctx.registry)
+
+
+def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") -> Transcript:
+    """Run one full game and return its transcript.
+
+    The game starts at opening() and every move goes through step(), which
+    holds the move rule shared with the verifier's replay and the
+    worst-case search.
+    """
+    state, ctx, idx = opening(g, first)
+    records: list[MoveRecord] = []
+    while not is_over(state):
+        mover, policy = ("D", dominator) if idx % 2 == 1 else ("S", staller)
         v = policy(ctx, state)
         if not isinstance(v, int) or not 0 <= v < g.n or state.colors[v] is Color.RED:
             name = getattr(policy, "policy_name", "policy")
             raise IllegalMoveError(f"policy {name!r} returned illegal vertex {v!r}")
-        new_state = apply_move(state, v, shade_for_phase(ctx.phase))
-        if ctx.phase <= 2:
-            dec = state.f - new_state.f
-        else:
-            dec = F_value(state, ctx.registry) - F_value(new_state, ctx.registry)
+        post, next_ctx = step(ctx, state, idx, v)
         records.append(MoveRecord(idx, mover, v, ctx.phase, potential_kind(ctx.phase),
-                                  dec, new_state.snapshot_hash()))
-        state = new_state
-        return not is_over(state)
-
-    alive = True
-    if first == "S":
-        alive = run_move("S", staller, 0)
-    if alive:
-        ctx = maybe_advance(ctx, state)
-        idx = 1
-        while True:
-            mover = "D" if idx % 2 == 1 else "S"
-            alive = run_move(mover, dominator if mover == "D" else staller, idx)
-            if not alive:
-                break
-            if idx % 2 == 0:
-                ctx = maybe_advance(ctx, state)
-            idx += 1
+                                  move_decrease(ctx, state, post), post.snapshot_hash()))
+        state, ctx, idx = post, next_ctx, idx + 1
 
     lengths = [0, 0, 0, 0]
     for r in records:
@@ -204,20 +216,23 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
     """Longest game any Staller can force against the greedy Dominator.
 
     Exhaustive depth-first branching over Staller moves only (Dominator's
-    replies are forced). Play after a move depends only on the colors, the
-    phase and the registry, and the phase context is shared by the moves of
-    one node, so a move whose successor colors equal those of a smaller
-    vertex's move is skipped: that subtree was just searched and cannot
-    give a longer line. There is no table across nodes; the cutoff on
-    `made + |undominated|` would turn its values into bounds. Returns
-    (length, witness), the witness being the first maximizing line in
-    ascending-id order.
+    replies are forced), each move played through step(). Play after a
+    move depends only on the colors, the phase and the registry, and the
+    moves of one node share the colors, the phase context and the shade,
+    so two of them lead to equal colors exactly when they dominate the same
+    new vertices. A move whose newly dominated set equals that of a smaller
+    vertex's move is skipped before it is played: that subtree was just
+    searched and cannot give a longer line. There is no table across
+    nodes; the cutoff on `made + |undominated|` would turn its values into
+    bounds. Returns (length, witness), the witness being the first
+    maximizing line in ascending-id order.
     """
     if first not in ("D", "S"):
         raise ValueError("first must be 'D' or 'S'")
     if g.n > cap:
         raise ResourceLimitError(f"n={g.n} exceeds the worst-case search cap {cap}")
     full = (1 << g.n) - 1
+    masks = g.closed_masks
     best_len = -1
     best_script: tuple[int, ...] = ()
 
@@ -231,26 +246,21 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
             options = [dominator_greedy(ctx, state)]
         else:
             options = legal_moves(state)
-        seen: set[tuple[Color, ...]] = set()
+        seen: set[int] = set()
         for v in options:
-            nxt = apply_move(state, v, shade_for_phase(ctx.phase))
-            if nxt.colors in seen:
+            newly = masks[v] & ~state.dominated_mask
+            if newly in seen:
                 continue
-            seen.add(nxt.colors)
+            seen.add(newly)
+            nxt, nctx = step(ctx, state, idx, v)
             nscript = script + (v,) if idx % 2 == 0 else script
             if is_over(nxt):
                 if made + 1 > best_len:
                     best_len, best_script = made + 1, nscript
                 continue
-            nctx = maybe_advance(ctx, nxt) if idx % 2 == 0 else ctx
             search(nxt, nctx, idx + 1, made + 1, nscript)
 
-    state0 = init_state(g)
-    ctx0 = PhaseContext()
-    if first == "S":
-        search(state0, ctx0, 0, 0, ())
-    else:
-        search(state0, maybe_advance(ctx0, state0), 1, 0, ())
+    search(*opening(g, first), 0, ())
 
     witness = play_game(g, dominator_greedy,
                         make_scripted_staller(best_script, name="worst_case"), first)

@@ -29,24 +29,20 @@ from .graph import (
 )
 from .phases import (
     CycleStatus,
-    PhaseContext,
     XCycleRegistry,
     _end_of_phase2_violation,
+    _white_degree_violation,
     cycle_status,
     F_decrease,
-    F_value,
-    maybe_advance,
     open_cycle_count,
     potential_kind,
-    shade_for_phase,
 )
 from .residual import (
     BLUE_SHADES,
     Color,
     ComponentKind,
     ResidualState,
-    apply_move,
-    init_state,
+    apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     is_over,
     legal_moves,
     white_degree,
@@ -57,9 +53,12 @@ from .strategy import (
     Transcript,
     dominator_greedy,
     make_staller_random,
+    move_decrease,
+    opening,
     play_game,
     staller_min_decrease,
     staller_worst_case,
+    step,
 )
 
 CLAIM_IDS = (
@@ -143,64 +142,32 @@ def _replay(g: Graph, t: Transcript) -> _Replay:
     ValueError; semantic fields of the records are NOT trusted here and are
     compared by the individual checks.
     """
-    if t.first_player not in ("D", "S"):
-        raise ValueError(f"bad first player {t.first_player!r}")
     if not t.records:
         raise ValueError("empty transcript")
-    state = init_state(g)
-    ctx = PhaseContext()
+    state, ctx, idx = opening(g, t.first_player)
+    # the X-cycle registry is frozen at the opening (K2) or after a move
+    freeze_state, freeze_after = (state, 0) if ctx.registry is not None else (None, -1)
     moves: list[_Move] = []
-    recs = t.records
-    pos = 0
-    freeze_state: ResidualState | None = None
-    freeze_after = -1
-
-    def exec_move(idx: int) -> bool:
-        nonlocal state, ctx, pos
-        r = recs[pos]
+    for pos, r in enumerate(t.records):
+        if is_over(state):
+            raise ValueError("transcript continues after the game ended")
         mover = "D" if idx % 2 == 1 else "S"
         if r.index != idx or r.mover != mover:
             raise ValueError(f"record {pos}: expected move {idx} by {mover}, "
                              f"got {r.index} by {r.mover}")
         if not 0 <= r.vertex < g.n or state.colors[r.vertex] is Color.RED:
             raise ValueError(f"record {pos}: vertex {r.vertex} is not playable")
-        pre = state
-        post = apply_move(state, r.vertex, shade_for_phase(ctx.phase))
+        post, next_ctx = step(ctx, state, idx, r.vertex)
         if ctx.phase <= 2:
-            dec, xb, xa = pre.f - post.f, None, None
+            xb = xa = None
         else:
-            xb = open_cycle_count(pre, ctx.registry)
+            xb = open_cycle_count(state, ctx.registry)
             xa = open_cycle_count(post, ctx.registry)
-            dec = F_value(pre, ctx.registry) - F_value(post, ctx.registry)
         moves.append(_Move(idx, mover, r.vertex, ctx.phase, potential_kind(ctx.phase),
-                           dec, pre, post, xb, xa))
-        state = post
-        pos += 1
-        return not is_over(state)
-
-    def advance() -> None:
-        nonlocal ctx, freeze_state, freeze_after
-        new_ctx = maybe_advance(ctx, state)
-        if new_ctx.registry is not None and ctx.registry is None:
-            freeze_state = state
-            freeze_after = pos
-        ctx = new_ctx
-
-    alive = True
-    if t.first_player == "S":
-        alive = exec_move(0)
-    if alive:
-        advance()
-        idx = 1
-        while pos < len(recs):
-            alive = exec_move(idx)
-            if not alive:
-                break
-            if idx % 2 == 0:
-                advance()
-            idx += 1
-    if pos != len(recs):
-        raise ValueError("transcript continues after the game ended")
+                           move_decrease(ctx, state, post), state, post, xb, xa))
+        if freeze_state is None and next_ctx.registry is not None:
+            freeze_state, freeze_after = post, pos + 1
+        state, ctx, idx = post, next_ctx, idx + 1
     if not is_over(state):
         raise ValueError("transcript ends before the game is over")
     for i, m in enumerate(moves):
@@ -296,25 +263,29 @@ def _later_states(rep: _Replay) -> list[tuple[ResidualState, int]]:
     return out
 
 
+def _later2_violation(state: ResidualState) -> str | None:
+    """LATER2 at one state: the white-degree bounds, and every white vertex
+    with no white neighbor touches a blue one of white-degree 1 or 2."""
+    note = _white_degree_violation(state)
+    if note:
+        return note
+    colors, adjacency = state.colors, state.graph.adjacency
+    for v, c in enumerate(colors):
+        if c is Color.WHITE and white_degree(state, v) == 0 and not any(
+                colors[w] in BLUE_SHADES and white_degree(state, w) in (1, 2)
+                for w in adjacency[v]):
+            return f"vertex {v} has no blue neighbor of white-degree 1 or 2"
+    return None
+
+
 def _check_later2(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
     states = _later_states(rep)
     if not states:
         return ClaimReport("LATER2", VACUOUS, "phases 3-4 never reached")
     for state, after in states:
-        colors = state.colors
-        for v in range(g.n):
-            dw = white_degree(state, v)
-            if colors[v] is Color.WHITE and dw > 2:
-                return _state_fail("LATER2", g, t, state, after,
-                                   f"white vertex {v} has {dw} white neighbors")
-            if colors[v] in BLUE_SHADES and dw > 3:
-                return _state_fail("LATER2", g, t, state, after,
-                                   f"blue vertex {v} has {dw} white neighbors")
-            if colors[v] is Color.WHITE and dw == 0:
-                if not any(colors[w] in BLUE_SHADES and white_degree(state, w) in (1, 2)
-                           for w in g.adjacency[v]):
-                    return _state_fail("LATER2", g, t, state, after,
-                                       f"vertex {v} has no blue neighbor of white-degree 1 or 2")
+        note = _later2_violation(state)
+        if note:
+            return _state_fail("LATER2", g, t, state, after, note)
     return ClaimReport("LATER2", PASS, f"{len(states)} states checked")
 
 
@@ -537,8 +508,8 @@ def _check_lightblue(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
     states.extend((rep.moves[i].post_state, i + 1) for i in idxs)
     for state, after in states:
         colors = state.colors
-        for v in range(g.n):
-            if g.degree(v) != 1 or colors[v] is not Color.WHITE:
+        for v in g.leaves:
+            if colors[v] is not Color.WHITE:
                 continue
             u = g.adjacency[v][0]
             if colors[u] is Color.LIGHT_BLUE:

@@ -9,12 +9,13 @@ on every Staller move where the engine merges equal successors.
 from math import comb
 
 from domgame.errors import IllegalMoveError
-from domgame.phases import PhaseContext, maybe_advance, shade_for_phase
+from domgame.phases import F_decrease, PhaseContext, maybe_advance, shade_for_phase
 from domgame.residual import (
     BLUE_SHADES,
     Color,
     ResidualState,
     apply_move,
+    f_decrease,
     init_state,
     is_over,
     legal_moves,
@@ -66,6 +67,23 @@ def is_connected(g):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
+
+
+def retained_edges(s):
+    """Edges with at least one white endpoint, in the graph's edge order."""
+    colors = s.colors
+    return tuple((u, w) for u, w in s.graph.edges
+                 if colors[u] is Color.WHITE or colors[w] is Color.WHITE)
+
+
+def max_f_decrease(s):
+    """Largest f-decrease of any legal move with dark shading (0 if none)."""
+    return max((f_decrease(s, v, Color.DARK_BLUE) for v in legal_moves(s)), default=0)
+
+
+def max_F_decrease(s, reg):
+    """Largest F-decrease of any legal move under registry reg (0 if none)."""
+    return max((F_decrease(s, reg, v) for v in legal_moves(s)), default=0)
 
 
 def apply_move_full(s, v, shade):

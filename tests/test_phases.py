@@ -28,7 +28,8 @@ from domgame import (
     shade_for_phase,
     staller_min_decrease,
 )
-from domgame.phases import max_f_decrease, phase3_active
+from domgame.phases import phase3_active
+from oracles import max_f_decrease
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 

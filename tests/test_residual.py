@@ -19,10 +19,9 @@ from domgame import (
     legal_moves,
     parse_snapshot,
     philox_rng,
-    retained_edges,
     white_degree,
 )
-from oracles import color_partition
+from oracles import color_partition, retained_edges
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 

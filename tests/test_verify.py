@@ -302,7 +302,7 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
     equal the full scan's at every state that meets the precondition, and
     also at the other phase-3/4 states, where the scan can come out false
     (a correct game never fails the claim itself)."""
-    from domgame.phases import max_F_decrease
+    from oracles import max_F_decrease
     from domgame.verify import _nonspecial_blue_leaf, _ph2_leaf_holds, _replay
 
     graphs = [gen_cycle(n) for n in range(4, 25)]
