@@ -18,66 +18,55 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from domgame import (  # noqa: E402
-    gen_cycle,
-    gen_gnp_isolate_free,
-    gen_path,
-    gen_random_tree,
-    gen_star,
+    ConfigError,
+    corpus_items,
     solve_game,
+    spec_from_json,
     staller_worst_case,
 )
 
-FAMILIES = {
-    "paths": (2, gen_path),
-    "cycles": (3, gen_cycle),
-    "stars": (2, gen_star),
-    "trees": (2, None),
-    "gnp": (2, None),
-}
-
-
-def iter_graphs(family, n_min, n_max, seeds, p):
-    lo, gen = FAMILIES[family]
-    for n in range(max(lo, n_min), n_max + 1):
-        if family == "trees":
-            for seed in seeds:
-                yield f"tree({n},s{seed})", gen_random_tree(n, seed)
-        elif family == "gnp":
-            for seed in seeds:
-                yield f"gnp({n},{p},s{seed})", gen_gnp_isolate_free(n, p, seed)
-        else:
-            yield f"{family[:-1]}({n})", gen(n)
+FAMILIES = ("paths", "cycles", "stars", "trees", "gnp")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--families", default="paths,cycles,stars",
                         help=f"comma list from {sorted(FAMILIES)}")
-    parser.add_argument("--n-min", type=int, default=2)
+    parser.add_argument("--n-min", type=int, default=None,
+                        help="smallest n (default: each family's smallest, 3 for cycles, else 2)")
     parser.add_argument("--n-max", type=int, default=12)
     parser.add_argument("--seeds", type=int, default=3, help="seeds per sampled family")
     parser.add_argument("--p", type=float, default=0.3, help="edge probability for gnp")
     parser.add_argument("--staller-start", action="store_true")
     args = parser.parse_args(argv)
 
-    first = "S" if args.staller_start else "D"
-    seeds = range(args.seeds)
-    print(f"{'graph':<18} {'n':>3} {'exact':>5} {'worst':>5} {'len/n':>7}  note")
-    worst_ratio, worst_label = 0.0, "-"
+    families = []
     for family in args.families.split(","):
         family = family.strip()
         if family not in FAMILIES:
             parser.error(f"unknown family {family!r}")
-        for label, g in iter_graphs(family, args.n_min, args.n_max, seeds, args.p):
-            gv = solve_game(g)
-            exact = gv.gamma_g if first == "D" else gv.gamma_g_prime
-            length, _ = staller_worst_case(g, first=first)
-            ratio = length / g.n
-            budget = (5 * g.n) // 8 if first == "D" else (5 * g.n + 2) // 8
-            note = "tight" if length == budget else ""
-            if ratio > worst_ratio:
-                worst_ratio, worst_label = ratio, label
-            print(f"{label:<18} {g.n:>3} {exact:>5} {length:>5} {ratio:>7.4f}  {note}")
+        params = {"n_max": args.n_max, "p": args.p}
+        if args.n_min is not None:
+            params["n_min"] = args.n_min
+        families.append({"name": family, "params": params, "seeds": list(range(args.seeds))})
+    try:
+        items = corpus_items(spec_from_json({"families": families, "checks": []}))
+    except (ConfigError, ValueError) as exc:
+        parser.error(str(exc))
+
+    first = "S" if args.staller_start else "D"
+    print(f"{'graph':<18} {'n':>3} {'exact':>5} {'worst':>5} {'len/n':>7}  note")
+    worst_ratio, worst_label = 0.0, "-"
+    for label, g, _ in items:
+        gv = solve_game(g)
+        exact = gv.gamma_g if first == "D" else gv.gamma_g_prime
+        length, _ = staller_worst_case(g, first=first)
+        ratio = length / g.n
+        budget = (5 * g.n) // 8 if first == "D" else (5 * g.n + 2) // 8
+        note = "tight" if length == budget else ""
+        if ratio > worst_ratio:
+            worst_ratio, worst_label = ratio, label
+        print(f"{label:<18} {g.n:>3} {exact:>5} {length:>5} {ratio:>7.4f}  {note}")
     print(f"\nworst length/n: {worst_ratio:.4f} on {worst_label}"
           f" (guarantee {'5/8 = 0.625' if first == 'D' else '(5n+2)/8n'})")
 

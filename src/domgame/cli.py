@@ -52,25 +52,29 @@ def _load_graph(path: str):
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
 
+# family -> (parameter names, builder from the parameter strings and --seed)
+_GEN_FAMILIES = {
+    "path": (("n",), lambda p, seed: gen_path(int(p[0]))),
+    "cycle": (("n",), lambda p, seed: gen_cycle(int(p[0]))),
+    "star": (("n",), lambda p, seed: gen_star(int(p[0]))),
+    "caterpillar": (("spine", "legs"), lambda p, seed: gen_caterpillar(
+        int(p[0]), [int(x) for x in p[1].split(",")])),
+    "tree": (("n",), lambda p, seed: gen_random_tree(int(p[0]), seed)),
+    "gnp": (("n", "p"), lambda p, seed: gen_gnp_isolate_free(int(p[0]), float(p[1]), seed)),
+}
+
+
 def cmd_gen(args) -> int:
     params = args.params[:-1]
     out = args.params[-1]
     fam = args.family
-    if fam == "path":
-        g = gen_path(int(params[0]))
-    elif fam == "cycle":
-        g = gen_cycle(int(params[0]))
-    elif fam == "star":
-        g = gen_star(int(params[0]))
-    elif fam == "caterpillar":
-        legs = [int(x) for x in params[1].split(",")]
-        g = gen_caterpillar(int(params[0]), legs)
-    elif fam == "tree":
-        g = gen_random_tree(int(params[0]), args.seed)
-    elif fam == "gnp":
-        g = gen_gnp_isolate_free(int(params[0]), float(params[1]), args.seed)
-    else:
-        raise ConfigError(f"unknown family {fam!r} (path, cycle, star, caterpillar, tree, gnp)")
+    if fam not in _GEN_FAMILIES:
+        raise ConfigError(f"unknown family {fam!r} ({', '.join(_GEN_FAMILIES)})")
+    names, build = _GEN_FAMILIES[fam]
+    if len(params) != len(names):
+        raise ConfigError(f"gen {fam} takes {' '.join(names)} then the output file, "
+                          f"got {len(args.params)} arguments")
+    g = build(params, args.seed)
     Path(out).write_text(write_edge_list(g), encoding="utf-8")
     print(f"wrote {fam} graph n={g.n} m={g.edge_count} to {out}")
     return 0

@@ -96,15 +96,14 @@ class Graph:
         return self.min_degree >= 1
 
     @cached_property
+    def open_masks(self) -> tuple[int, ...]:
+        """open_masks[v] is the bitmask of v's neighbors."""
+        return tuple(sum(1 << w for w in nbrs) for nbrs in self.adjacency)
+
+    @cached_property
     def closed_masks(self) -> tuple[int, ...]:
         """closed_masks[v] is the bitmask of v together with its neighbors."""
-        masks = []
-        for v in range(self.n):
-            m = 1 << v
-            for w in self.adjacency[v]:
-                m |= 1 << w
-            masks.append(m)
-        return tuple(masks)
+        return tuple(m | 1 << v for v, m in enumerate(self.open_masks))
 
     @cached_property
     def graph_hash(self) -> str:

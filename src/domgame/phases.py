@@ -21,9 +21,7 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import ClaimViolationError
-from .graph import Graph
 from .residual import (
-    BLUE_SHADES,
     Color,
     Component,
     ComponentKind,
@@ -32,7 +30,9 @@ from .residual import (
     f_decrease,
     legal_moves,
     split_components,
+    vertices_of,
     white_degree,
+    white_mask,
 )
 
 
@@ -69,10 +69,12 @@ class XCycleRegistry:
         """Registry position of the cycle holding each member vertex."""
         return {v: i for i, cyc in enumerate(self.cycles) for v in cyc}
 
-    def cycle_edges(self, i: int) -> tuple[tuple[int, int], ...]:
-        cyc = self.cycles[i]
-        k = len(cyc)
-        return tuple((cyc[j], cyc[(j + 1) % k]) for j in range(k))
+    @cached_property
+    def edge_masks(self) -> tuple[tuple[int, ...], ...]:
+        """edge_masks[i] lists the edges of cycle i, each as the mask of its
+        two endpoints."""
+        return tuple(tuple(1 << u | 1 << w for u, w in zip(cyc, cyc[1:] + cyc[:1]))
+                     for cyc in self.cycles)
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,11 @@ def phase1_active(s: ResidualState) -> bool:
     only sit at the end of such a path. On the all-white opening state this
     is exactly "some leaf lies in a component of order at least 3".
     """
-    g, colors = s.graph, s.colors
+    g, dom = s.graph, s.dominated_mask
     for u in g.leaves:
-        if colors[u] is Color.WHITE:
+        if not dom >> u & 1:
             v = g.adjacency[u][0]
-            if colors[v] is not Color.WHITE:
-                continue
-            if any(w != u and colors[w] is Color.WHITE for w in g.adjacency[v]):
+            if not dom >> v & 1 and g.open_masks[v] & ~dom & ~(1 << u):
                 return True
     return False
 
@@ -123,23 +123,18 @@ def _end_of_phase2_violation(s: ResidualState) -> str | None:
     violation = _white_degree_violation(s)
     if violation is not None:
         return violation
-    g, colors = s.graph, s.colors
-    seen: set[int] = set()
-    for v in range(g.n):
-        if colors[v] is not Color.WHITE or v in seen:
-            continue
-        members = _white_component(s, v)
-        seen.update(members)
-        if len(members) <= 2:
+    for members in _white_components(s):
+        if members.bit_count() <= 2:
             continue
         if _white_cycle_order(s, members) is None:
-            return f"white component {sorted(members)} is neither P1, P2, nor a cycle"
-        if len(members) == 3:
-            return f"white component {sorted(members)} is a 3-cycle"
-    for v in range(g.n):
-        if colors[v] is Color.WHITE and white_degree(s, v) == 0:
-            for w in g.adjacency[v]:
-                if colors[w] in BLUE_SHADES and white_degree(s, w) == 3:
+            return f"white component {vertices_of(members)} is neither P1, P2, nor a cycle"
+        if members.bit_count() == 3:
+            return f"white component {vertices_of(members)} is a 3-cycle"
+    # a white vertex with no white neighbor has only blue neighbors
+    for v in vertices_of(white_mask(s)):
+        if white_degree(s, v) == 0:
+            for w in s.graph.adjacency[v]:
+                if white_degree(s, w) == 3:
                     return f"edge between all-blue-neighborhood white {v} and 3-white-degree blue {w}"
     return None
 
@@ -148,46 +143,49 @@ def _white_degree_violation(s: ResidualState) -> str | None:
     """A white vertex with more than 2 white neighbors or a blue one with more
     than 3, as a description, else None; phase-2 end and every later state.
     Red vertices are skipped: they have no white neighbor."""
-    for v, c in enumerate(s.colors):
-        if c is Color.RED:
-            continue
+    dom = s.dominated_mask
+    for v in vertices_of(((1 << s.graph.n) - 1) & ~s.red_mask):
         dw = white_degree(s, v)
-        if c is Color.WHITE and dw > 2:
-            return f"white vertex {v} has {dw} white neighbors"
-        if c in BLUE_SHADES and dw > 3:
+        if not dom >> v & 1:
+            if dw > 2:
+                return f"white vertex {v} has {dw} white neighbors"
+        elif dw > 3:
             return f"blue vertex {v} has {dw} white neighbors"
     return None
 
 
-def _white_component(s: ResidualState, start: int) -> list[int]:
-    g, colors = s.graph, s.colors
-    members = [start]
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if w not in seen and colors[w] is Color.WHITE:
-                seen.add(w)
-                members.append(w)
-                stack.append(w)
-    return members
+def _white_components(s: ResidualState) -> list[int]:
+    """Masks of the white subgraph's components, by smallest member."""
+    opens, white = s.graph.open_masks, white_mask(s)
+    comps = []
+    rest = white
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for u in vertices_of(frontier):
+                reach |= opens[u]
+            frontier = reach & white & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
 
 
-def _white_cycle_order(s: ResidualState, members: list[int]) -> tuple[int, ...] | None:
-    """Cyclic vertex order if the white component is a cycle, else None."""
-    nbrs = {v: [w for w in s.graph.adjacency[v] if s.colors[w] is Color.WHITE] for v in members}
-    if any(len(ws) != 2 for ws in nbrs.values()):
+def _white_cycle_order(s: ResidualState, members: int) -> tuple[int, ...] | None:
+    """Cyclic vertex order if the white component `members` is a cycle (all
+    its white degrees are 2), else None; it starts at the smallest member
+    and goes on to that member's smaller white neighbor."""
+    opens, white = s.graph.open_masks, white_mask(s)
+    if any((opens[v] & white).bit_count() != 2 for v in vertices_of(members)):
         return None
-    start = min(members)
+    start = (members & -members).bit_length() - 1
+    nbrs = opens[start] & white
     order = [start]
-    prev, cur = start, nbrs[start][0]
+    prev, cur = start, (nbrs & -nbrs).bit_length() - 1
     while cur != start:
         order.append(cur)
-        nxt = nbrs[cur][0] if nbrs[cur][0] != prev else nbrs[cur][1]
-        prev, cur = cur, nxt
-    if len(order) != len(members):
-        return None
+        prev, cur = cur, (opens[cur] & white & ~(1 << prev)).bit_length() - 1
     return tuple(order)
 
 
@@ -200,17 +198,9 @@ def freeze_registry(s: ResidualState) -> XCycleRegistry:
     violation = _end_of_phase2_violation(s)
     if violation is not None:
         raise ClaimViolationError(f"phase-2 end structure violated: {violation}", s.snapshot())
-    g, colors = s.graph, s.colors
-    cycles = []
-    seen: set[int] = set()
-    for v in range(g.n):
-        if colors[v] is not Color.WHITE or v in seen:
-            continue
-        members = _white_component(s, v)
-        seen.update(members)
-        if len(members) >= 3:
-            cycles.append(_white_cycle_order(s, members))
-    return XCycleRegistry(tuple(cycles))
+    return XCycleRegistry(tuple(_white_cycle_order(s, members)
+                                for members in _white_components(s)
+                                if members.bit_count() >= 3))
 
 
 def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:
@@ -219,29 +209,29 @@ def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:
     BWB component. Other: none of these."""
     comps = s.components()
     idx = s.component_index()
-    return _status(reg, i, s.graph, s.colors, lambda v: comps[idx[v]])
+    return _status(reg, i, s, lambda v: comps[idx[v]])
 
 
-def _status(reg: XCycleRegistry, i: int, g: Graph, colors: tuple[Color, ...],
+def _status(reg: XCycleRegistry, i: int, s: ResidualState,
             component_of: Callable[[int], Component]) -> CycleStatus:
-    """cycle_status read off a color sequence and a vertex -> Component map."""
-    cyc = reg.cycles[i]
-    white = Color.WHITE
-    if all(colors[u] is white or colors[w] is white for u, w in reg.cycle_edges(i)):
+    """cycle_status read off s's masks and a vertex -> Component map (which
+    may be of another state's components)."""
+    dom, red = s.dominated_mask, s.red_mask
+    if all(e & ~dom for e in reg.edge_masks[i]):
         return CycleStatus.CLOSED
-    if any(colors[v] in BLUE_SHADES
-           and sum(1 for w in g.adjacency[v] if colors[w] is white) == 1
+    cyc = reg.cycles[i]
+    if any(dom >> v & 1 and not red >> v & 1 and white_degree(s, v) == 1
            and component_of(v).order >= 4
            for v in cyc):
         return CycleStatus.OPEN
-    if all(colors[v] is Color.RED or component_of(v).kind is ComponentKind.BWB for v in cyc):
+    if all(red >> v & 1 or component_of(v).kind is ComponentKind.BWB for v in cyc):
         return CycleStatus.FINISHED
     return CycleStatus.OTHER
 
 
 def open_cycle_count(s: ResidualState, reg: XCycleRegistry) -> int:
-    return sum(1 for i in range(len(reg.cycles))
-               if cycle_status(reg, i, s) is CycleStatus.OPEN)
+    """Open X-cycles of s, from the flags memoized with F."""
+    return sum(_F_memo(s, reg)[2])
 
 
 def _penalty(kind: ComponentKind) -> int:
@@ -288,10 +278,10 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     post = apply_move(s, v, Color.DARK_BLUE)
     comps, idx = s.components(), s.component_index()
     comp = comps[idx[v]]
-    pieces = split_components(s.graph, post.colors, comp.vertices)
+    pieces = split_components(post, comp.vertices)
     dec = s.f - post.f - _penalty(comp.kind) + sum(_penalty(c.kind) for c in pieces)
     cycle_of = reg.cycle_of
-    touched = {cycle_of[u] for u in comp.vertices if u in cycle_of}
+    touched = {cycle_of[u] for u in vertices_of(comp.mask & reg.member_mask)}
     if touched:
         piece_of = {u: c for c in pieces for u in c.vertices}
 
@@ -299,8 +289,7 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
             return piece_of.get(u) or comps[idx[u]]
 
         for i in touched:
-            dec -= is_open[i] - (_status(reg, i, s.graph, post.colors, component_of)
-                                 is CycleStatus.OPEN)
+            dec -= is_open[i] - (_status(reg, i, post, component_of) is CycleStatus.OPEN)
     decreases[v] = dec
     return dec
 

@@ -28,7 +28,6 @@ class Color(IntEnum):
 
 WEIGHT = (5, 4, 3, 0)  # indexed by Color
 COLOR_CODE = ("W", "LB", "DB", "R")
-_CODE_TO_COLOR = {code: Color(i) for i, code in enumerate(COLOR_CODE)}
 BLUE_SHADES = (Color.LIGHT_BLUE, Color.DARK_BLUE)
 
 
@@ -47,6 +46,7 @@ class Component:
     kind: ComponentKind
     white_count: int
     blue_count: int
+    mask: int
 
     @property
     def order(self) -> int:
@@ -54,39 +54,50 @@ class Component:
 
 
 class ResidualState:
-    """Immutable snapshot of the game: per-vertex colors plus the played order.
+    """Immutable snapshot of the game: three vertex masks plus the played order.
 
-    The dominated mask and weight sum are computed from the colors at
-    construction (apply_move instead carries them over from its parent and
-    adjusts them by the move's delta); components are computed on first use
-    and memoized, and so is every f_decrease. ``F_memo`` is where phases
-    memoizes the potential F and its decreases per registry. Callers treat
-    instances as values: apply_move returns a new state.
+    ``dominated_mask`` holds the non-white vertices, ``red_mask`` the red
+    ones and ``light_mask`` the light-blue ones; a dark-blue vertex is
+    dominated, not red and not light. The weight sum ``f`` is counted from
+    the masks by the one constructor. ``colors`` is a per-vertex view
+    derived from the masks for snapshots and tests. Components are computed
+    on first use and memoized, and so is every f_decrease. ``F_memo`` is
+    where phases memoizes the potential F and its decreases per registry.
+    Callers treat instances as values: apply_move returns a new state.
     """
 
-    __slots__ = ("graph", "colors", "played", "dominated_mask", "f",
+    __slots__ = ("graph", "dominated_mask", "red_mask", "light_mask", "played", "f",
                  "_components", "_comp_index", "_f_decreases", "F_memo")
 
-    def __init__(self, graph: Graph, colors: tuple[Color, ...], played: tuple[int, ...]):
-        dom = 0
-        f = 0
-        for v, c in enumerate(colors):
-            if c is not Color.WHITE:
-                dom |= 1 << v
-            f += WEIGHT[c]
-        self._set(graph, colors, played, dom, f)
-
-    def _set(self, graph: Graph, colors: tuple[Color, ...], played: tuple[int, ...],
-             dominated_mask: int, f: int) -> None:
+    def __init__(self, graph: Graph, dominated_mask: int, red_mask: int, light_mask: int,
+                 played: tuple[int, ...]):
         self.graph = graph
-        self.colors = colors
-        self.played = played
         self.dominated_mask = dominated_mask
-        self.f = f
+        self.red_mask = red_mask
+        self.light_mask = light_mask
+        self.played = played
+        self.f = _weight(graph.n, dominated_mask, red_mask, light_mask)
         self._components: tuple[Component, ...] | None = None
         self._comp_index: tuple[int, ...] | None = None
         self._f_decreases: dict[tuple[int, Color], int] = {}
         self.F_memo: tuple | None = None
+
+    @property
+    def colors(self) -> tuple[Color, ...]:
+        """Per-vertex colors read off the masks."""
+        return tuple(map(_COLOR_OF_BYTE.__getitem__, self._color_bytes()))
+
+    def _color_bytes(self) -> bytes:
+        """One byte per vertex, vertex 0 first: 2 * ord("0") + its Color value.
+
+        The Color value is 2*dominated + red - light. Each mask's binary
+        expansion, one ASCII byte per vertex, is read as a base-256 number,
+        so that sum is taken byte by byte with no carry or borrow.
+        """
+        n = self.graph.n
+        dom, red, light = (int.from_bytes(format(mask, f"0{n}b").encode(), "big")
+                           for mask in (self.dominated_mask, self.red_mask, self.light_mask))
+        return (2 * dom + red - light).to_bytes(n, "big")[::-1]
 
     def components(self) -> tuple[Component, ...]:
         """Components over retained edges; red vertices come back as singletons."""
@@ -101,7 +112,7 @@ class ResidualState:
         return self._comp_index
 
     def _build_components(self) -> None:
-        comps = split_components(self.graph, self.colors, range(self.graph.n))
+        comps = split_components(self, range(self.graph.n))
         comp_id = [0] * self.graph.n
         for cid, comp in enumerate(comps):
             for v in comp.vertices:
@@ -111,94 +122,138 @@ class ResidualState:
 
     def snapshot(self) -> str:
         """One line per vertex: "<id> <W|LB|DB|R>"."""
-        return "\n".join(f"{v} {COLOR_CODE[c]}" for v, c in enumerate(self.colors)) + "\n"
+        codes = map(_CODE_OF_BYTE.__getitem__, self._color_bytes())
+        return "\n".join([f"{v} {code}" for v, code in enumerate(codes)]) + "\n"
 
     def snapshot_hash(self) -> str:
         return hashlib.sha256(self.snapshot().encode()).hexdigest()[:12]
 
 
-def split_components(g: Graph, colors: tuple[Color, ...],
-                     vertices: Iterable[int]) -> list[Component]:
-    """Components over retained edges (those touching a white vertex) of the
-    vertices in `vertices`, in order of their first member there.
+_COLOR_OF_BYTE = {2 * ord("0") + c: c for c in Color}
+_CODE_OF_BYTE = {2 * ord("0") + c: COLOR_CODE[c] for c in Color}
+
+
+def _weight(n: int, dominated_mask: int, red_mask: int, light_mask: int) -> int:
+    """f = 5*|white| + 4*|light| + 3*|dark| of the coloring the masks give,
+    which is 5n - 2*|dominated| - 3*|red| + |light|."""
+    return 5 * n - 2 * dominated_mask.bit_count() - 3 * red_mask.bit_count() + light_mask.bit_count()
+
+
+def vertices_of(mask: int) -> list[int]:
+    """The vertices of a mask in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def split_components(s: ResidualState, vertices: Iterable[int]) -> list[Component]:
+    """Components of s over retained edges (those touching a white vertex)
+    of the vertices in `vertices`, in order of their first member there.
 
     `vertices` must be closed under retained edges: all of V, or one
     component of an earlier state, since a later state retains a subset of
     the edges.
     """
-    adjacency = g.adjacency
-    white = Color.WHITE
-    seen: set[int] = set()
+    opens = s.graph.open_masks
+    dom = s.dominated_mask
+    seen = 0
     comps: list[Component] = []
     for start in vertices:
-        if start in seen:
+        comp = 1 << start
+        if seen & comp:
             continue
-        seen.add(start)
-        members = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            u_white = colors[u] is white
-            for w in adjacency[u]:
-                if w not in seen and (u_white or colors[w] is white):
-                    seen.add(w)
-                    members.append(w)
-                    stack.append(w)
-        members.sort()
-        comps.append(_make_component(tuple(members), colors))
+        frontier = comp
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nbrs = opens[low.bit_length() - 1]
+                reach |= nbrs & ~dom if low & dom else nbrs
+            frontier = reach & ~comp
+            comp |= frontier
+        seen |= comp
+        comps.append(_make_component(s, comp))
     return comps
 
 
-def _make_component(vertices: tuple[int, ...], colors: tuple[Color, ...]) -> Component:
-    wc = sum(1 for v in vertices if colors[v] is Color.WHITE)
-    bc = sum(1 for v in vertices if colors[v] in BLUE_SHADES)
+def _make_component(s: ResidualState, mask: int) -> Component:
+    vertices = tuple(vertices_of(mask))
+    dom = s.dominated_mask
+    wc = (mask & ~dom).bit_count()
+    bc = (mask & dom & ~s.red_mask).bit_count()
     order = len(vertices)
     if order == 1:
-        kind = ComponentKind.ISOLATED_RED if colors[vertices[0]] is Color.RED else ComponentKind.OTHER
+        kind = ComponentKind.ISOLATED_RED if mask & s.red_mask else ComponentKind.OTHER
     elif order == 2 and wc == 2:
         kind = ComponentKind.WW
     elif order == 2 and wc == 1 and bc == 1:
-        b = vertices[0] if colors[vertices[0]] in BLUE_SHADES else vertices[1]
-        kind = ComponentKind.WB_PLUS if colors[b] is Color.LIGHT_BLUE else ComponentKind.WB_MINUS
+        kind = ComponentKind.WB_PLUS if mask & s.light_mask else ComponentKind.WB_MINUS
     elif order == 3 and wc == 1 and bc == 2:
         kind = ComponentKind.BWB
     else:
         kind = ComponentKind.OTHER
-    return Component(vertices, kind, wc, bc)
+    return Component(vertices, kind, wc, bc, mask)
 
 
 def init_state(g: Graph) -> ResidualState:
     """All-white opening state; the weight sum starts at 5n."""
     if not g.is_isolate_free():
         raise ValueError("the game needs an isolate-free graph (min degree >= 1)")
-    return ResidualState(g, (Color.WHITE,) * g.n, ())
+    return ResidualState(g, 0, 0, 0, ())
 
 
 def parse_snapshot(g: Graph, text: str) -> ResidualState:
-    """Rebuild a state from its snapshot listing (played order is not stored)."""
-    colors: list[Color | None] = [None] * g.n
-    for ln in text.splitlines():
+    """Rebuild a state from its snapshot listing (played order is not stored).
+
+    Raises ValueError naming the 1-based line for a malformed line, a vertex
+    id out of range or listed twice, an unknown color code, and a coloring
+    no game reaches: a red vertex with a white vertex in N[v], or a
+    dominated non-red vertex without one.
+    """
+    line_of: list[int | None] = [None] * g.n
+    masks = {code: 0 for code in COLOR_CODE}
+    for lineno, ln in enumerate(text.splitlines(), start=1):
         if not ln.strip():
             continue
-        v_str, code = ln.split(" ")
-        colors[int(v_str)] = _CODE_TO_COLOR[code]
-    if any(c is None for c in colors):
+        try:
+            v_str, code = ln.split(" ")
+            v = int(v_str)
+        except ValueError:
+            raise ValueError(f"snapshot line {lineno}: expected '<id> <color>', got {ln!r}") from None
+        if not 0 <= v < g.n:
+            raise ValueError(f"snapshot line {lineno}: vertex {v} out of range for n={g.n}")
+        if line_of[v] is not None:
+            raise ValueError(f"snapshot line {lineno}: vertex {v} already listed on line {line_of[v]}")
+        if code not in masks:
+            raise ValueError(f"snapshot line {lineno}: unknown color code {code!r}")
+        line_of[v] = lineno
+        masks[code] |= 1 << v
+    if None in line_of:
         raise ValueError("snapshot does not cover every vertex")
-    return ResidualState(g, tuple(colors), ())
+    s = ResidualState(g, masks["LB"] | masks["DB"] | masks["R"], masks["R"], masks["LB"], ())
+    white = ~s.dominated_mask
+    for v, closed in enumerate(g.closed_masks):  # red iff N[v] holds no white vertex
+        if (s.red_mask >> v & 1) == (closed & white != 0):
+            raise ValueError(f"snapshot line {line_of[v]}: vertex {v} is {COLOR_CODE[s.colors[v]]} "
+                             f"but N[v] {'holds' if closed & white else 'lacks'} a white vertex")
+    return s
 
 
 def legal_moves(s: ResidualState) -> list[int]:
     """Playable vertices in ascending order: exactly the non-red ones."""
-    return [v for v in range(s.graph.n) if s.colors[v] is not Color.RED]
+    return vertices_of(((1 << s.graph.n) - 1) & ~s.red_mask)
 
 
 def is_over(s: ResidualState) -> bool:
     return s.f == 0  # weight 0 iff every vertex is red iff nothing is playable
 
 
-def move_delta(s: ResidualState, v: int, shade: Color) -> tuple[int, list[tuple[int, Color]]]:
-    """(dominated mask after playing v, [(u, new color)] for every vertex
-    whose color the move changes).
+def _masks_after(s: ResidualState, v: int, shade: Color) -> tuple[int, int, int]:
+    """(dominated, red, light) masks after playing v.
 
     Only the newly dominated vertices, N[v] minus the dominated set (white
     to blue or red), and the non-red vertices of N[newly] (which may turn
@@ -207,8 +262,7 @@ def move_delta(s: ResidualState, v: int, shade: Color) -> tuple[int, list[tuple[
     """
     if shade not in BLUE_SHADES:
         raise ValueError("shade must be LIGHT_BLUE or DARK_BLUE")
-    colors = s.colors
-    if not 0 <= v < s.graph.n or colors[v] is Color.RED:
+    if not 0 <= v < s.graph.n or s.red_mask >> v & 1:
         raise IllegalMoveError(f"vertex {v} cannot be played")
     masks = s.graph.closed_masks
     newly = masks[v] & ~s.dominated_mask
@@ -219,59 +273,44 @@ def move_delta(s: ResidualState, v: int, shade: Color) -> tuple[int, list[tuple[
         low = m & -m
         touched |= masks[low.bit_length() - 1]
         m ^= low
-    red = Color.RED
-    changes = []
-    m = touched
+    red = s.red_mask
+    m = touched & dom & ~red
     while m:
         low = m & -m
-        u = low.bit_length() - 1
         m ^= low
-        if colors[u] is red:
-            continue
-        if masks[u] & ~dom == 0:
-            changes.append((u, red))
-        elif low & newly:
-            changes.append((u, shade))
-    return dom, changes
+        if masks[low.bit_length() - 1] & ~dom == 0:
+            red |= low
+    light = s.light_mask | newly if shade == Color.LIGHT_BLUE else s.light_mask
+    return dom, red, light & ~red
 
 
 def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
     """Play v: the dominated set grows by N[v].
 
     Vertices turning blue with this move take `shade`; already-blue vertices
-    keep theirs. Colors only ever move forward (white -> blue -> red). The
-    new state copies the color tuple and patches the entries move_delta
-    lists, all inside N^2[v]; its dominated mask and f are the parent's
-    adjusted by the same delta.
+    keep theirs. Colors only ever move forward (white -> blue -> red).
     """
-    dom, changes = move_delta(s, v, shade)
-    colors = list(s.colors)
-    f = s.f
-    for u, c in changes:
-        f += WEIGHT[c] - WEIGHT[colors[u]]
-        colors[u] = c
-    new = ResidualState.__new__(ResidualState)
-    new._set(s.graph, tuple(colors), s.played + (v,), dom, f)
-    return new
+    return ResidualState(s.graph, *_masks_after(s, v, shade), s.played + (v,))
 
 
 def f_decrease(s: ResidualState, v: int, shade: Color) -> int:
     """Weight-sum drop if v were played now; strictly positive for legal v.
 
-    Sums the weight changes move_delta lists (all inside N^2[v]) without
-    building the next state, once per (v, shade) and state: the phase
-    predicates and the greedy scan that follows them share the result.
+    Counts f of the masks after the move without building the next state,
+    once per (v, shade) and state: the phase predicates and the greedy scan
+    that follows them share the result.
     """
     memo = s._f_decreases
     key = (v, shade)
     dec = memo.get(key)
     if dec is None:
-        colors = s.colors
-        dec = memo[key] = sum(WEIGHT[colors[u]] - WEIGHT[c]
-                              for u, c in move_delta(s, v, shade)[1])
+        dec = memo[key] = s.f - _weight(s.graph.n, *_masks_after(s, v, shade))
     return dec
 
 
 def white_degree(s: ResidualState, v: int) -> int:
-    colors = s.colors
-    return sum(1 for w in s.graph.adjacency[v] if colors[w] is Color.WHITE)
+    return (s.graph.open_masks[v] & ~s.dominated_mask).bit_count()
+
+
+def white_mask(s: ResidualState) -> int:
+    return ((1 << s.graph.n) - 1) & ~s.dominated_mask

@@ -21,7 +21,7 @@ from .phases import (
     potential_kind,
     shade_for_phase,
 )
-from .residual import Color, ResidualState, apply_move, init_state, is_over, legal_moves
+from .residual import ResidualState, apply_move, init_state, is_over, legal_moves
 
 DEFAULT_WORST_CASE_CAP = 12
 
@@ -192,7 +192,7 @@ def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") ->
     while not is_over(state):
         mover, policy = ("D", dominator) if idx % 2 == 1 else ("S", staller)
         v = policy(ctx, state)
-        if not isinstance(v, int) or not 0 <= v < g.n or state.colors[v] is Color.RED:
+        if not isinstance(v, int) or not 0 <= v < g.n or state.red_mask >> v & 1:
             name = getattr(policy, "policy_name", "policy")
             raise IllegalMoveError(f"policy {name!r} returned illegal vertex {v!r}")
         post, next_ctx = step(ctx, state, idx, v)

@@ -38,14 +38,15 @@ from .phases import (
     potential_kind,
 )
 from .residual import (
-    BLUE_SHADES,
     Color,
     ComponentKind,
     ResidualState,
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     is_over,
     legal_moves,
+    vertices_of,
     white_degree,
+    white_mask,
 )
 from .solver import DEFAULT_SOLVER_CAP, solve_game
 from .strategy import (
@@ -155,12 +156,12 @@ def _replay(g: Graph, t: Transcript) -> _Replay:
         if r.index != idx or r.mover != mover:
             raise ValueError(f"record {pos}: expected move {idx} by {mover}, "
                              f"got {r.index} by {r.mover}")
-        if not 0 <= r.vertex < g.n or state.colors[r.vertex] is Color.RED:
+        if not 0 <= r.vertex < g.n or state.red_mask >> r.vertex & 1:
             raise ValueError(f"record {pos}: vertex {r.vertex} is not playable")
         post, next_ctx = step(ctx, state, idx, r.vertex)
         if ctx.phase <= 2:
             xb = xa = None
-        else:
+        else:  # memoized with the F values move_decrease reads
             xb = open_cycle_count(state, ctx.registry)
             xa = open_cycle_count(post, ctx.registry)
         moves.append(_Move(idx, mover, r.vertex, ctx.phase, potential_kind(ctx.phase),
@@ -269,11 +270,11 @@ def _later2_violation(state: ResidualState) -> str | None:
     note = _white_degree_violation(state)
     if note:
         return note
-    colors, adjacency = state.colors, state.graph.adjacency
-    for v, c in enumerate(colors):
-        if c is Color.WHITE and white_degree(state, v) == 0 and not any(
-                colors[w] in BLUE_SHADES and white_degree(state, w) in (1, 2)
-                for w in adjacency[v]):
+    adjacency = state.graph.adjacency
+    # a white vertex with no white neighbor has only blue neighbors
+    for v in vertices_of(white_mask(state)):
+        if white_degree(state, v) == 0 and not any(
+                white_degree(state, w) in (1, 2) for w in adjacency[v]):
             return f"vertex {v} has no blue neighbor of white-degree 1 or 2"
     return None
 
@@ -296,7 +297,7 @@ def _check_xcycle_drop(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
     mask = rep.registry.member_mask
     for i, m in picked:
         drop = m.x_before - m.x_after
-        if m.pre_state.colors[m.vertex] is Color.WHITE or (mask >> m.vertex) & 1:
+        if not m.pre_state.dominated_mask >> m.vertex & 1 or mask >> m.vertex & 1:
             bound = 1
         else:
             bound = white_degree(m.pre_state, m.vertex)
@@ -309,8 +310,8 @@ def _check_xcycle_drop(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
 def _nonspecial_blue_leaf(state: ResidualState) -> int | None:
     comps = state.components()
     idx = state.component_index()
-    for v in range(state.graph.n):
-        if state.colors[v] in BLUE_SHADES and white_degree(state, v) == 1:
+    for v in vertices_of(state.dominated_mask & ~state.red_mask):
+        if white_degree(state, v) == 1:
             comp = comps[idx[v]]
             if comp.order != 2 and comp.kind is not ComponentKind.BWB:
                 return v
@@ -415,20 +416,21 @@ def _check_end3(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
         if st is not CycleStatus.FINISHED:
             return _state_fail("END3_STRUCT", g, t, state, after,
                                f"X-cycle {i} is {st.value}, not finished, when phase 4 starts")
-    colors = state.colors
-    for v in range(g.n):
+    blue = state.dominated_mask & ~state.red_mask
+    for v in vertices_of(blue | white_mask(state)):
         dw = white_degree(state, v)
-        if colors[v] is Color.WHITE and dw > 0:
+        if blue >> v & 1:
+            if dw >= 2:
+                return _state_fail("END3_STRUCT", g, t, state, after,
+                                   f"blue vertex {v} still has {dw} white neighbors")
+            continue
+        if dw > 0:
             return _state_fail("END3_STRUCT", g, t, state, after,
                                f"white vertex {v} still has {dw} white neighbors")
-        if colors[v] in BLUE_SHADES and dw >= 2:
+        blues = (g.open_masks[v] & blue).bit_count()
+        if blues > 2:
             return _state_fail("END3_STRUCT", g, t, state, after,
-                               f"blue vertex {v} still has {dw} white neighbors")
-        if colors[v] is Color.WHITE:
-            blues = sum(1 for w in g.adjacency[v] if colors[w] in BLUE_SHADES)
-            if blues > 2:
-                return _state_fail("END3_STRUCT", g, t, state, after,
-                                   f"white vertex {v} has {blues} blue neighbors")
+                               f"white vertex {v} has {blues} blue neighbors")
     for comp in state.components():
         if comp.kind not in _PHASE4_KINDS:
             return _state_fail("END3_STRUCT", g, t, state, after,
@@ -447,17 +449,18 @@ def _check_ph4_moves(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
         if m.decrease < 8:
             return _move_fail("PH4_MOVES", g, t, i, m,
                               f"move {m.index} dropped F by {m.decrease} < 8")
-        comps = m.pre_state.components()
-        comp = comps[m.pre_state.component_index()[m.vertex]]
-        members = set(comp.vertices)
-        for u in range(g.n):
-            if u in members:
-                if m.post_state.colors[u] is not Color.RED:
-                    return _move_fail("PH4_MOVES", g, t, i, m,
-                                      f"move {m.index} left vertex {u} of its component non-red")
-            elif m.post_state.colors[u] is not m.pre_state.colors[u]:
+        pre, post = m.pre_state, m.post_state
+        inside = pre.components()[pre.component_index()[m.vertex]].mask
+        non_red = inside & ~post.red_mask
+        recolored = ((pre.dominated_mask ^ post.dominated_mask) | (pre.red_mask ^ post.red_mask)
+                     | (pre.light_mask ^ post.light_mask)) & ~inside
+        if non_red | recolored:
+            u = vertices_of(non_red | recolored)[0]
+            if non_red >> u & 1:
                 return _move_fail("PH4_MOVES", g, t, i, m,
-                                  f"move {m.index} recolored vertex {u} outside its component")
+                                  f"move {m.index} left vertex {u} of its component non-red")
+            return _move_fail("PH4_MOVES", g, t, i, m,
+                              f"move {m.index} recolored vertex {u} outside its component")
     return ClaimReport("PH4_MOVES", PASS, f"{len(picked)} moves checked")
 
 
@@ -507,22 +510,22 @@ def _check_lightblue(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
     states = [(rep.moves[idxs[0]].pre_state, idxs[0])]
     states.extend((rep.moves[i].post_state, i + 1) for i in idxs)
     for state, after in states:
-        colors = state.colors
+        dom, red, light = state.dominated_mask, state.red_mask, state.light_mask
         for v in g.leaves:
-            if colors[v] is not Color.WHITE:
+            if dom >> v & 1:
                 continue
             u = g.adjacency[v][0]
-            if colors[u] is Color.LIGHT_BLUE:
-                continue
-            if colors[u] is Color.WHITE and all(
-                    colors[w] is Color.LIGHT_BLUE for w in g.adjacency[u] if w != v):
-                continue
-            if colors[u] is Color.DARK_BLUE and all(
-                    colors[w] in (Color.LIGHT_BLUE, Color.RED)
-                    for w in g.adjacency[u] if w != v):
-                continue
+            others = g.open_masks[u] & ~(1 << v)
+            if not dom >> u & 1:
+                if not others & ~light:
+                    continue
+                shade = Color.WHITE
+            else:  # u has the white neighbor v, so it is blue
+                if light >> u & 1 or not others & ~(light | red):
+                    continue
+                shade = Color.DARK_BLUE
             return _state_fail("LIGHTBLUE_STRUCT", g, t, state, after,
-                               f"white leaf {v}: support {u} is {colors[u].name} and some "
+                               f"white leaf {v}: support {u} is {shade.name} and some "
                                f"3-path through it lacks a light blue or red vertex")
     return ClaimReport("LIGHTBLUE_STRUCT", PASS, f"{len(states)} states checked")
 
@@ -662,8 +665,12 @@ _CHECK_ALIASES = {"all": CLAIM_IDS, "bounds": BOUND_CHECKS, "transcript": TRANSC
 def _resolve_checks(raw) -> list[str]:
     if isinstance(raw, str):
         raw = [raw]
+    if not isinstance(raw, list):
+        raise ConfigError(f"checks must be a check id or a list of them, got {raw!r}")
     out: list[str] = []
     for item in raw:
+        if not isinstance(item, str):
+            raise ConfigError(f"check ids are strings, got {item!r}")
         if item in _CHECK_ALIASES:
             out.extend(_CHECK_ALIASES[item])
         elif item in CLAIM_IDS:
@@ -677,18 +684,24 @@ def spec_from_json(d: dict) -> CorpusSpec:
     if not isinstance(d, dict):
         raise ConfigError("corpus spec must be a JSON object")
     fam_list = d.get("families", [])
+    if not isinstance(fam_list, list):
+        raise ConfigError("families must be a list")
     families = []
     for f in fam_list:
         try:
-            families.append(FamilySpec(f["name"], dict(f.get("params", {})),
-                                       list(f.get("seeds", [0]))))
+            fam = FamilySpec(f["name"], dict(f.get("params", {})), list(f.get("seeds", [0])))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad family entry {f!r}: {exc}") from None
+        if not all(type(seed) is int and seed >= 0 for seed in fam.seeds):
+            raise ConfigError(f"bad family entry {f!r}: seeds must be non-negative integers")
+        families.append(fam)
     default_checks = ["all"] if families else []
     checks = _resolve_checks(d.get("checks", default_checks))
     if checks and not families:
         raise ConfigError("checks requested but no families given")
     caps_d = d.get("caps", {})
+    if not isinstance(caps_d, dict):
+        raise ConfigError(f"caps must be a JSON object, got {caps_d!r}")
     caps = Caps(solver_n=int(caps_d.get("solver_n", DEFAULT_SOLVER_CAP)),
                 worst_case_n=int(caps_d.get("worst_case_n", DEFAULT_WORST_CASE_CAP)))
     if caps.solver_n > DEFAULT_SOLVER_CAP or caps.worst_case_n > DEFAULT_WORST_CASE_CAP:
@@ -710,9 +723,11 @@ def builtin_spec(name: str) -> CorpusSpec:
     raise ConfigError(f"unknown builtin spec {name!r}")
 
 
-def _range(params: dict, lo_key: str, hi_key: str, lo_default: int) -> range:
-    lo = int(params.get(lo_key, lo_default))
-    hi = int(params[hi_key])
+def _range(fam: FamilySpec, lo_key: str, hi_key: str, lo_default: int) -> range:
+    if hi_key not in fam.params:
+        raise ConfigError(f"family {fam.name!r} needs the parameter {hi_key!r}")
+    lo = int(fam.params.get(lo_key, lo_default))
+    hi = int(fam.params[hi_key])
     return range(lo, hi + 1)
 
 
@@ -724,35 +739,35 @@ def corpus_items(spec: CorpusSpec) -> list[tuple[str, Graph, tuple[int, ...]]]:
         seeds = tuple(fam.seeds)
         if fam.name == "paths":
             items.extend((f"path-{n}", gen_path(n), seeds)
-                         for n in _range(p, "n_min", "n_max", 2))
+                         for n in _range(fam, "n_min", "n_max", 2))
         elif fam.name == "cycles":
             items.extend((f"cycle-{n}", gen_cycle(n), seeds)
-                         for n in _range(p, "n_min", "n_max", 3))
+                         for n in _range(fam, "n_min", "n_max", 3))
         elif fam.name == "stars":
             items.extend((f"star-{n}", gen_star(n), seeds)
-                         for n in _range(p, "n_min", "n_max", 2))
+                         for n in _range(fam, "n_min", "n_max", 2))
         elif fam.name == "caterpillars":
             max_legs = int(p.get("max_legs", 2))
             for seed in seeds:
                 rng = philox_rng(seed)
-                for spine in _range(p, "spine_min", "spine_max", 1):
+                for spine in _range(fam, "spine_min", "spine_max", 1):
                     legs = [int(rng.integers(0, max_legs + 1)) for _ in range(spine)]
                     if spine == 1 and legs[0] == 0:
                         legs[0] = 1
                     items.append((f"caterpillar-{spine}-s{seed}",
                                   gen_caterpillar(spine, legs), seeds))
         elif fam.name == "trees":
-            for n in _range(p, "n_min", "n_max", 2):
+            for n in _range(fam, "n_min", "n_max", 2):
                 items.extend((f"tree-{n}-s{seed}", gen_random_tree(n, seed), (seed,))
                              for seed in seeds)
         elif fam.name == "gnp":
             prob = float(p.get("p", 0.3))
-            for n in _range(p, "n_min", "n_max", 2):
+            for n in _range(fam, "n_min", "n_max", 2):
                 items.extend((f"gnp-{n}-p{prob}-s{seed}",
                               gen_gnp_isolate_free(n, prob, seed), (seed,))
                              for seed in seeds)
         elif fam.name == "all_labeled":
-            for n in _range(p, "n_min", "n_max", 2):
+            for n in _range(fam, "n_min", "n_max", 2):
                 items.extend((f"all{n}-{i}", g, seeds)
                              for i, g in enumerate(enumerate_labeled_graphs(n)))
         else:

@@ -86,10 +86,19 @@ def max_F_decrease(s, reg):
     return max((F_decrease(s, reg, v) for v in legal_moves(s)), default=0)
 
 
+def state_from_colors(g, colors, played):
+    """The state with the given per-vertex colors, its masks read off them."""
+    def mask(*shades):
+        return sum(1 << v for v, c in enumerate(colors) if c in shades)
+
+    return ResidualState(g, mask(Color.LIGHT_BLUE, Color.DARK_BLUE, Color.RED),
+                         mask(Color.RED), mask(Color.LIGHT_BLUE), played)
+
+
 def apply_move_full(s, v, shade):
     """The move with every one of the n colors recomputed from closed_masks,
-    and the dominated mask and f recounted from the colors by the state's
-    constructor; apply_move's local patch must agree with it."""
+    and the masks and f recounted from the colors; apply_move's local scan
+    must agree with it."""
     if shade not in BLUE_SHADES:
         raise ValueError("shade must be LIGHT_BLUE or DARK_BLUE")
     colors = s.colors
@@ -107,7 +116,7 @@ def apply_move_full(s, v, shade):
             new_colors.append(shade)
         else:
             new_colors.append(colors[u])
-    return ResidualState(s.graph, tuple(new_colors), s.played + (v,))
+    return state_from_colors(s.graph, tuple(new_colors), s.played + (v,))
 
 
 def staller_worst_case_unmerged(g, first="D"):

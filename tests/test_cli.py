@@ -112,7 +112,12 @@ def test_gen_roundtrip(tmp_path, capsys):
 
 
 def test_gen_bad_family_exits_2(tmp_path, capsys):
-    assert main(["gen", "moebius", "7", str(tmp_path / "x.g")]) == 2
+    out = str(tmp_path / "x.g")
+    assert main(["gen", "moebius", "7", out]) == 2
+    for params in (["path"], ["caterpillar", "3"], ["gnp", "5"], ["path", "4", "5"]):
+        assert main(["gen", *params, out]) == 2
+        assert "then the output file" in capsys.readouterr().err
+    assert not (tmp_path / "x.g").exists()
 
 
 def test_verify_smoke_exits_0(tmp_path, capsys, monkeypatch):
@@ -149,6 +154,15 @@ def test_verify_bad_spec_exits_2(tmp_path, capsys):
     spec.write_text(json.dumps({"families": [{"name": "nope"}]}), encoding="utf-8")
     assert main(["verify", str(spec)]) == 2
     assert main(["verify", "no-such-builtin"]) == 2
+    paths = {"name": "paths", "params": {"n_max": 4}}
+    for bad in ({"families": [paths], "caps": 5},
+                {"families": [{**paths, "seeds": ["a"]}]},
+                {"families": [paths], "checks": [["x"]]},
+                {"families": [{"name": "paths", "params": {}}]},
+                {"families": [{"name": "trees", "params": {"n_max": 4}, "seeds": [1.5]}]}):
+        spec.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["verify", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_failure_writes_witnesses_and_exits_1(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,8 @@
 """Differential tests of the local move deltas against full recomputation.
 
-apply_move patches only the colors inside N^2[v], f_decrease sums that
-patch without building a state, and F_decrease re-splits only v's
-retained-edge component. Each is compared with the oracle move that
+apply_move scans only N^2[v] for the masks after the move, f_decrease
+counts f of those masks without building a state, and F_decrease re-splits
+only v's retained-edge component. Each is compared with the oracle move that
 recolors all n vertices (oracles.apply_move_full) and with F_value on
 fresh states, at states reached by play on random trees, G(n, p) and
 unions of cycles C_k (k >= 4), including phase-3/4 states whose X-cycle
@@ -18,7 +18,6 @@ from domgame import (
     F_value,
     Graph,
     PhaseContext,
-    ResidualState,
     apply_move,
     dominator_greedy,
     f_decrease,
@@ -32,7 +31,8 @@ from domgame import (
     philox_rng,
     shade_for_phase,
 )
-from oracles import apply_move_full
+from domgame.residual import WEIGHT
+from oracles import apply_move_full, state_from_colors
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
@@ -84,7 +84,19 @@ def phased_play(g, seed):
 
 def fresh(s):
     """The same position rebuilt from its colors, with nothing memoized."""
-    return ResidualState(s.graph, s.colors, s.played)
+    return state_from_colors(s.graph, s.colors, s.played)
+
+
+def assert_mask_invariants(s):
+    """red within dominated, light within dominated minus red, red exactly
+    the dominated vertices whose closed neighborhood is dominated, and f
+    the weight sum of the colors."""
+    dom, red, light = s.dominated_mask, s.red_mask, s.light_mask
+    assert red & ~dom == 0
+    assert light & ~(dom & ~red) == 0
+    assert red == sum(1 << v for v, closed in enumerate(s.graph.closed_masks)
+                      if closed & ~dom == 0)
+    assert s.f == sum(WEIGHT[c] for c in s.colors)
 
 
 @given(drawn=graphs(), seed=st.integers(0, 2**31))
@@ -92,12 +104,16 @@ def fresh(s):
 def test_apply_move_and_f_decrease_match_full_recompute(drawn, seed):
     _, g = drawn
     for s, _ in phased_play(g, seed):
+        assert_mask_invariants(s)
         for v in legal_moves(s):
             for shade in (LIGHT, DARK):
                 want = apply_move_full(s, v, shade)
                 got = apply_move(s, v, shade)
+                assert_mask_invariants(got)
                 assert got.colors == want.colors
                 assert got.dominated_mask == want.dominated_mask
+                assert got.red_mask == want.red_mask
+                assert got.light_mask == want.light_mask
                 assert got.f == want.f
                 assert got.played == want.played
                 assert f_decrease(s, v, shade) == s.f - want.f

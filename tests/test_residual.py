@@ -7,7 +7,6 @@ from domgame import (
     ComponentKind,
     Graph,
     IllegalMoveError,
-    ResidualState,
     apply_move,
     f_decrease,
     gen_cycle,
@@ -21,7 +20,7 @@ from domgame import (
     philox_rng,
     white_degree,
 )
-from oracles import color_partition, retained_edges
+from oracles import color_partition, retained_edges, state_from_colors
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
@@ -127,6 +126,20 @@ def test_snapshot_roundtrip_and_format():
     assert back.snapshot_hash() == s.snapshot_hash()
 
 
+@pytest.mark.parametrize("text, line", [
+    ("0 R\n1 R\n-1 R", 3),       # negative id
+    ("0 R\n1 R\n3 R", 3),        # id >= n
+    ("0 R\n1 R\n\n1 R\n2 R", 4),  # repeated id
+    ("0 R\n1 R\n2 X", 3),        # unknown color code
+    ("0 R\n1 R\n2", 3),          # no color code
+    ("0 R\n1 R\n2 W", 2),        # red 1 next to white 2
+    ("0 DB\n1 R\n2 R", 1),       # blue 0 with no white in N[0]
+])
+def test_parse_snapshot_rejects_bad_snapshots(text, line):
+    with pytest.raises(ValueError, match=f"^snapshot line {line}: "):
+        parse_snapshot(gen_path(3), text)
+
+
 def test_components_bwb_by_definition():
     s = parse_snapshot(gen_path(3), "0 DB\n1 W\n2 LB")
     comps = s.components()
@@ -220,9 +233,9 @@ def test_f_decrease_memo_is_keyed_by_shade():
     s = apply_move(init_state(g), 0, LIGHT)  # 0 red, 1 light blue, 2..5 white
     for v in legal_moves(s):
         light, dark = f_decrease(s, v, LIGHT), f_decrease(s, v, DARK)
-        fresh = ResidualState(g, s.colors, s.played)
+        fresh = state_from_colors(g, s.colors, s.played)
         assert light == f_decrease(fresh, v, LIGHT)
-        fresh = ResidualState(g, s.colors, s.played)
+        fresh = state_from_colors(g, s.colors, s.played)
         assert dark == f_decrease(fresh, v, DARK)
     # playing 3 turns 1, 2, 3 red and 4 blue (weight 4 if light, 3 if dark)
     assert f_decrease(s, 3, DARK) == f_decrease(s, 3, LIGHT) + 1

@@ -7,7 +7,6 @@ from domgame import (
     CLAIM_IDS,
     ConfigError,
     Graph,
-    ResidualState,
     builtin_spec,
     corpus_items,
     dominator_greedy,
@@ -196,6 +195,17 @@ def test_bad_specs_raise_config_errors():
                         "caps": {"solver_n": 99}})
     with pytest.raises(ConfigError):
         builtin_spec("nope")
+    paths = {"name": "paths", "params": {"n_max": 4}}
+    for bad in ({"families": [paths], "caps": 5},
+                {"families": [{**paths, "seeds": ["a"]}]},
+                {"families": [{**paths, "seeds": [1.5]}]},
+                {"families": [{"name": "trees", "params": {"n_max": 4}, "seeds": [1.5]}]},
+                {"families": [paths], "checks": [["x"]]}):
+        with pytest.raises(ConfigError):
+            spec_from_json(bad)
+    spec = spec_from_json({"families": [{"name": "paths", "params": {"n_min": 2}}]})
+    with pytest.raises(ConfigError):
+        corpus_items(spec)
 
 
 def test_corpus_families_generate():
@@ -302,7 +312,7 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
     equal the full scan's at every state that meets the precondition, and
     also at the other phase-3/4 states, where the scan can come out false
     (a correct game never fails the claim itself)."""
-    from oracles import max_F_decrease
+    from oracles import max_F_decrease, state_from_colors
     from domgame.verify import _nonspecial_blue_leaf, _ph2_leaf_holds, _replay
 
     graphs = [gen_cycle(n) for n in range(4, 25)]
@@ -316,7 +326,7 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
             for m in rep.moves:
                 if m.phase < 3:
                     continue
-                fresh = ResidualState(g, m.pre_state.colors, m.pre_state.played)
+                fresh = state_from_colors(g, m.pre_state.colors, m.pre_state.played)
                 want = max_F_decrease(fresh, rep.registry) >= 11
                 assert _ph2_leaf_holds(m, rep.registry) == want
                 leaf = _nonspecial_blue_leaf(m.pre_state) is not None
