@@ -56,8 +56,6 @@ from .solver import (
     GameValue,
     domination_number,
     game_value,
-    gamma_g,
-    gamma_g_prime,
     solve_game,
 )
 from .strategy import (

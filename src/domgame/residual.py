@@ -44,8 +44,6 @@ class ComponentKind(Enum):
 class Component:
     vertices: tuple[int, ...]
     kind: ComponentKind
-    white_count: int
-    blue_count: int
     mask: int
 
     @property
@@ -196,7 +194,7 @@ def _make_component(s: ResidualState, mask: int) -> Component:
         kind = ComponentKind.BWB
     else:
         kind = ComponentKind.OTHER
-    return Component(vertices, kind, wc, bc, mask)
+    return Component(vertices, kind, mask)
 
 
 def init_state(g: Graph) -> ResidualState:

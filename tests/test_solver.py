@@ -4,8 +4,6 @@ from domgame import (
     ResourceLimitError,
     domination_number,
     game_value,
-    gamma_g,
-    gamma_g_prime,
     gen_cycle,
     gen_gnp_isolate_free,
     gen_path,
@@ -18,10 +16,10 @@ from oracles import game_value_bruteforce
 def test_small_examples():
     assert game_value(gen_path(2)) == 1
     assert game_value(gen_path(3)) == 1
-    assert gamma_g(gen_path(5)) == 3
-    assert gamma_g(gen_cycle(4)) == 2
-    assert gamma_g_prime(gen_path(3)) == 2
-    assert gamma_g(gen_star(6)) == 1
+    assert solve_game(gen_path(5)).gamma_g == 3
+    assert solve_game(gen_cycle(4)).gamma_g == 2
+    assert solve_game(gen_path(3)).gamma_g_prime == 2
+    assert solve_game(gen_star(6)).gamma_g == 1
 
 
 def test_matches_bruteforce_oracle():
@@ -75,7 +73,7 @@ def test_sanity_bracket_vs_domination_number():
     for seed in range(8):
         g = gen_gnp_isolate_free(8, 0.35, seed)
         dom = domination_number(g)
-        gg = gamma_g(g)
+        gg = solve_game(g).gamma_g
         assert dom <= gg <= 2 * dom - 1
 
 

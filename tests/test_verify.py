@@ -5,6 +5,7 @@ import pytest
 
 from domgame import (
     CLAIM_IDS,
+    TRANSCRIPT_CHECKS,
     ConfigError,
     Graph,
     builtin_spec,
@@ -22,6 +23,13 @@ from domgame import (
     staller_min_decrease,
     verify_bounds,
     verify_transcript,
+)
+from transcript_cases import (
+    FOOTER_FIELDS,
+    HEADER_FIELDS,
+    RECORD_FIELDS,
+    mutation_subjects,
+    mutations,
 )
 
 ALL = set(CLAIM_IDS)
@@ -111,6 +119,34 @@ def test_nongreedy_or_wrong_graph_is_input_error():
     fake = dataclasses.replace(t, dominator_policy="random")
     with pytest.raises(ValueError):
         verify_transcript(g, fake)
+    with pytest.raises(ValueError, match="does not belong"):
+        verify_transcript(g, dataclasses.replace(t, m=t.m + 1))
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS + FOOTER_FIELDS + HEADER_FIELDS)
+def test_single_field_mutation_is_rejected(name):
+    """A transcript with one field changed is an input error, or gets at
+    least one FAIL report, and every FAIL carries a witness."""
+    tried = 0
+    for _, g, t in mutation_subjects():
+        for label, bad in mutations(g, t):
+            if label.split(".")[-1] != name:
+                continue
+            tried += 1
+            try:
+                reports = verify_transcript(g, bad)
+            except ValueError:
+                continue
+            failing = [r for r in reports if r.status == "fail"]
+            assert failing, label
+            assert all(r.witness is not None for r in failing), label
+    assert tried
+
+
+def test_claim_table_follows_transcript_checks():
+    from domgame.verify import _CLAIMS
+
+    assert tuple(c.id for c in _CLAIMS) == TRANSCRIPT_CHECKS
 
 
 def test_truncated_transcript_is_input_error():
