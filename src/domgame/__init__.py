@@ -54,7 +54,6 @@ from .residual import (
 from .solver import (
     DEFAULT_SOLVER_CAP,
     GameValue,
-    domination_number,
     game_value,
     solve_game,
 )

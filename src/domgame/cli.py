@@ -81,6 +81,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.cap > DEFAULT_SOLVER_CAP:
+        raise ConfigError(f"--cap may lower the solver cap, not raise it: "
+                          f"{args.cap} > {DEFAULT_SOLVER_CAP}")
     g = _load_graph(args.graph_file)
     gv = solve_game(g, _env_cap(args.cap))
     if args.json:

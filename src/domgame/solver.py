@@ -1,12 +1,12 @@
 """Exact game values by memoized minimax over undominated-vertex bitmasks.
 
 Legality and termination depend only on which vertices are still
-undominated, so states are keyed by (undominated mask, side to move).
+undominated, so a state is an (undominated mask, side to move) pair, and
+the memo is one flat byte table indexed by both (see `game_value`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
@@ -27,57 +27,73 @@ def _as_mask(g: Graph, undominated) -> int:
     if undominated is None:
         return (1 << g.n) - 1
     if isinstance(undominated, int):
+        if not 0 <= undominated < 1 << g.n:
+            raise ValueError(f"mask {undominated:#x} names vertices outside 0..{g.n - 1}")
         return undominated
     mask = 0
     for v in undominated:
+        if not (isinstance(v, int) and 0 <= v < g.n):
+            raise ValueError(f"vertex id {v!r} is outside 0..{g.n - 1}")
         mask |= 1 << v
     return mask
 
 
 def game_value(g: Graph, undominated=None, dominator_to_move: bool = True,
-               memo: dict | None = None) -> int:
+               memo: bytearray | None = None) -> int:
     """Optimal remaining game length from the given undominated set.
 
     Dominator minimizes, Staller maximizes; a vertex is playable iff it
     dominates at least one new vertex. `undominated` may be a bitmask, an
     iterable of vertex ids, or None for all vertices.
-    """
-    masks = g.closed_masks
-    if memo is None:
-        memo = {}
 
-    def rec(m: int, dom_turn: bool) -> int:
-        if m == 0:
-            return 0
-        key = (m, dom_turn)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if dom_turn:
-            best = None
-            for v in range(g.n):
-                nm = m & ~masks[v]
-                if nm == m:
-                    continue
-                if nm == 0:
-                    best = 1  # ending now is optimal for the minimizer
-                    break
-                sub = 1 + rec(nm, False)
-                if best is None or sub < best:
-                    best = sub
-        else:
-            best = 0
-            for v in range(g.n):
-                nm = m & ~masks[v]
-                if nm == m:
-                    continue
-                sub = 1 + rec(nm, True)
-                if sub > best:
-                    best = sub
-        memo[key] = best
+    `memo` is a ``bytearray(2 << g.n)`` that may be shared across calls on
+    the same graph: entry ``2*mask + 1`` caches the value of `mask` with
+    Dominator to move, entry ``2*mask`` with Staller to move, and 0 marks
+    an entry not yet solved (every non-empty mask has value at least 1).
+    """
+    mask = _as_mask(g, undominated)
+    if memo is None:
+        memo = bytearray(2 << g.n)
+    elif len(memo) != 2 << g.n:
+        raise ValueError(f"memo must be bytearray(2 << n) = {2 << g.n} bytes, "
+                         f"got {len(memo)}")
+    full = (1 << g.n) - 1
+    keeps = [full ^ c for c in g.closed_masks]  # what a move leaves undominated
+
+    # Each side reads a child's entry before recursing, so a hit costs no call.
+    def dominator(m: int) -> int:
+        best = 255
+        for keep in keeps:
+            nm = m & keep
+            if nm == m:
+                continue
+            if not nm:
+                best = 0  # ending now is optimal for the minimizer
+                break
+            sub = memo[nm << 1] or staller(nm)
+            if sub < best:
+                best = sub
+        best += 1
+        memo[m << 1 | 1] = best
         return best
 
-    return rec(_as_mask(g, undominated), dominator_to_move)
+    def staller(m: int) -> int:
+        best = 0
+        for keep in keeps:
+            nm = m & keep
+            if nm != m and nm:
+                sub = memo[nm << 1 | 1] or dominator(nm)
+                if sub > best:
+                    best = sub
+        best += 1
+        memo[m << 1] = best
+        return best
+
+    if not mask:
+        return 0
+    if dominator_to_move:
+        return memo[mask << 1 | 1] or dominator(mask)
+    return memo[mask << 1] or staller(mask)
 
 
 def solve_game(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> GameValue:
@@ -88,7 +104,7 @@ def solve_game(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> GameValue:
         raise ResourceLimitError(f"n={g.n} exceeds solver cap {cap}")
     masks = g.closed_masks
     full = (1 << g.n) - 1
-    memo: dict = {}
+    memo = bytearray(2 << g.n)
     best_d = best_s = None
     move_d = move_s = 0
     for v in range(g.n):
@@ -100,18 +116,3 @@ def solve_game(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> GameValue:
         if best_s is None or val_s > best_s:
             best_s, move_s = val_s, v
     return GameValue(best_d, best_s, move_d, move_s)
-
-
-def domination_number(g: Graph) -> int:
-    """Smallest dominating-set size by exhaustive subset search with early
-    exit; deliberately independent of the game recursion."""
-    masks = g.closed_masks
-    full = (1 << g.n) - 1
-    for k in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), k):
-            m = 0
-            for v in combo:
-                m |= masks[v]
-            if m == full:
-                return k
-    return g.n

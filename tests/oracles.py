@@ -6,6 +6,7 @@ vertices where the engine patches a local delta, or a search that branches
 on every Staller move where the engine merges equal successors.
 """
 
+from itertools import combinations
 from math import comb
 
 from domgame.errors import IllegalMoveError
@@ -49,6 +50,17 @@ def game_value_bruteforce(g, undominated, dominator_turn):
             continue
         values.append(1 + game_value_bruteforce(g, undominated - newly, not dominator_turn))
     return min(values) if dominator_turn else max(values)
+
+
+def domination_number(g):
+    """Smallest dominating-set size by exhaustive subset search with early
+    exit; deliberately independent of the game recursion."""
+    full = set(range(g.n))
+    for k in range(1, g.n + 1):
+        for combo in combinations(range(g.n), k):
+            if set().union(*(closed_neighborhood(g, v) for v in combo)) == full:
+                return k
+    return g.n
 
 
 def isolate_free_labeled_count(n):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from domgame import gen_path, parse_edge_list, write_edge_list
+from domgame import DEFAULT_SOLVER_CAP, gen_path, parse_edge_list, write_edge_list
 from domgame.cli import main
 
 
@@ -44,6 +44,14 @@ def test_solve_respects_env_cap(p3_file, monkeypatch, capsys):
     monkeypatch.setenv("DOMGAME_CAP", "2")
     assert main(["solve", p3_file]) == 2
     assert "exceeds solver cap" in capsys.readouterr().err
+
+
+def test_solve_cap_above_default_exits_2(p3_file, capsys):
+    assert main(["solve", p3_file, "--cap", str(DEFAULT_SOLVER_CAP + 1)]) == 2
+    captured = capsys.readouterr()
+    assert "--cap may lower the solver cap, not raise it" in captured.err
+    assert captured.out == ""
+    assert main(["solve", p3_file, "--cap", str(DEFAULT_SOLVER_CAP)]) == 0
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

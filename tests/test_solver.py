@@ -1,16 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domgame import (
     ResourceLimitError,
-    domination_number,
     game_value,
     gen_cycle,
     gen_gnp_isolate_free,
     gen_path,
+    gen_random_tree,
     gen_star,
     solve_game,
 )
-from oracles import game_value_bruteforce
+from oracles import domination_number, game_value_bruteforce
 
 
 def test_small_examples():
@@ -54,7 +56,7 @@ def test_value_depends_only_on_undominated_set():
 
 def test_optimal_moves_walk_down_by_one():
     g = gen_gnp_isolate_free(8, 0.3, 11)
-    memo = {}
+    memo = bytearray(2 << g.n)
     full = (1 << g.n) - 1
     masks = g.closed_masks
     mask, turn = full, True
@@ -67,6 +69,55 @@ def test_optimal_moves_walk_down_by_one():
         assert sub == value - 1
         mask &= ~masks[v]
         turn, value = not turn, sub
+
+
+@pytest.mark.parametrize("bad, named", [(1 << 6, "0x40"), ([0, 9], "9"), (-1, "-0x1")])
+def test_vertices_outside_the_graph_are_rejected(bad, named):
+    with pytest.raises(ValueError, match=named):
+        game_value(gen_path(4), bad)
+
+
+def test_memo_must_be_the_graph_table():
+    g = gen_path(4)
+    with pytest.raises(ValueError, match="bytearray"):
+        game_value(g, memo=bytearray(2 << 5))
+
+
+def _graph(n, seed, tree):
+    return gen_random_tree(n, seed) if tree else gen_gnp_isolate_free(n, 0.3, seed)
+
+
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**31), tree=st.booleans(),
+       masks=st.lists(st.integers(0, 2**8 - 1), min_size=1, max_size=6))
+@settings(max_examples=100)
+def test_residual_states_match_bruteforce(n, seed, tree, masks):
+    """Random undominated sets, either side to move, one table per graph so
+    that Dominator and Staller entries of the same mask coexist."""
+    g = _graph(n, seed, tree)
+    memo = bytearray(2 << n)
+    for m in masks:
+        m &= (1 << n) - 1
+        rest = frozenset(v for v in range(n) if m >> v & 1)
+        for dom_turn in (True, False):
+            assert game_value(g, m, dom_turn, memo) == game_value_bruteforce(g, rest, dom_turn)
+
+
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**31), tree=st.booleans(),
+       pairs=st.lists(st.tuples(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1)),
+                      min_size=1, max_size=8))
+@settings(max_examples=100)
+def test_continuation_principle_and_gap(n, seed, tree, pairs):
+    """Kinnersley-West-Zamani: undominating more vertices never shortens the
+    game, and the two starts differ by at most one on any residual state."""
+    g = _graph(n, seed, tree)
+    memo = bytearray(2 << n)
+    for big, sub in pairs:
+        big &= (1 << n) - 1
+        small = big & sub
+        for dom_turn in (True, False):
+            assert game_value(g, small, dom_turn, memo) <= game_value(g, big, dom_turn, memo)
+        for m in (small, big):
+            assert abs(game_value(g, m, True, memo) - game_value(g, m, False, memo)) <= 1
 
 
 def test_sanity_bracket_vs_domination_number():
