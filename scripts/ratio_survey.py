@@ -45,7 +45,9 @@ def main(argv=None):
         family = family.strip()
         if family not in FAMILIES:
             parser.error(f"unknown family {family!r}")
-        params = {"n_max": args.n_max, "p": args.p}
+        params = {"n_max": args.n_max}
+        if family == "gnp":
+            params["p"] = args.p
         if args.n_min is not None:
             params["n_min"] = args.n_min
         families.append({"name": family, "params": params, "seeds": list(range(args.seeds))})

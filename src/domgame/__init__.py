@@ -62,7 +62,6 @@ from .strategy import (
     MoveRecord,
     Transcript,
     dominator_greedy,
-    make_scripted_staller,
     make_staller_random,
     play_game,
     staller_min_decrease,

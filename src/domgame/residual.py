@@ -52,7 +52,7 @@ class Component:
 
 
 class ResidualState:
-    """Immutable snapshot of the game: three vertex masks plus the played order.
+    """Immutable snapshot of the game: three vertex masks.
 
     ``dominated_mask`` holds the non-white vertices, ``red_mask`` the red
     ones and ``light_mask`` the light-blue ones; a dark-blue vertex is
@@ -64,16 +64,14 @@ class ResidualState:
     Callers treat instances as values: apply_move returns a new state.
     """
 
-    __slots__ = ("graph", "dominated_mask", "red_mask", "light_mask", "played", "f",
+    __slots__ = ("graph", "dominated_mask", "red_mask", "light_mask", "f",
                  "_components", "_comp_index", "_f_decreases", "F_memo")
 
-    def __init__(self, graph: Graph, dominated_mask: int, red_mask: int, light_mask: int,
-                 played: tuple[int, ...]):
+    def __init__(self, graph: Graph, dominated_mask: int, red_mask: int, light_mask: int):
         self.graph = graph
         self.dominated_mask = dominated_mask
         self.red_mask = red_mask
         self.light_mask = light_mask
-        self.played = played
         self.f = _weight(graph.n, dominated_mask, red_mask, light_mask)
         self._components: tuple[Component, ...] | None = None
         self._comp_index: tuple[int, ...] | None = None
@@ -201,11 +199,11 @@ def init_state(g: Graph) -> ResidualState:
     """All-white opening state; the weight sum starts at 5n."""
     if not g.is_isolate_free():
         raise ValueError("the game needs an isolate-free graph (min degree >= 1)")
-    return ResidualState(g, 0, 0, 0, ())
+    return ResidualState(g, 0, 0, 0)
 
 
 def parse_snapshot(g: Graph, text: str) -> ResidualState:
-    """Rebuild a state from its snapshot listing (played order is not stored).
+    """Rebuild a state from its snapshot listing.
 
     Raises ValueError naming the 1-based line for a malformed line, a vertex
     id out of range or listed twice, an unknown color code, and a coloring
@@ -232,7 +230,7 @@ def parse_snapshot(g: Graph, text: str) -> ResidualState:
         masks[code] |= 1 << v
     if None in line_of:
         raise ValueError("snapshot does not cover every vertex")
-    s = ResidualState(g, masks["LB"] | masks["DB"] | masks["R"], masks["R"], masks["LB"], ())
+    s = ResidualState(g, masks["LB"] | masks["DB"] | masks["R"], masks["R"], masks["LB"])
     white = ~s.dominated_mask
     for v, closed in enumerate(g.closed_masks):  # red iff N[v] holds no white vertex
         if (s.red_mask >> v & 1) == (closed & white != 0):
@@ -288,7 +286,7 @@ def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
     Vertices turning blue with this move take `shade`; already-blue vertices
     keep theirs. Colors only ever move forward (white -> blue -> red).
     """
-    return ResidualState(s.graph, *_masks_after(s, v, shade), s.played + (v,))
+    return ResidualState(s.graph, *_masks_after(s, v, shade))
 
 
 def f_decrease(s: ResidualState, v: int, shade: Color) -> int:

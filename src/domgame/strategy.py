@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import IllegalMoveError, ResourceLimitError
 from .graph import Graph, philox_rng
@@ -134,16 +134,6 @@ def make_staller_random(seed: int) -> Policy:
     return staller_random
 
 
-def make_scripted_staller(moves: Sequence[int], name: str = "scripted") -> Policy:
-    it = iter(moves)
-
-    def staller_scripted(ctx: PhaseContext, s: ResidualState) -> int:
-        return next(it)
-
-    staller_scripted.policy_name = name
-    return staller_scripted
-
-
 def opening(g: Graph, first: str) -> tuple[ResidualState, PhaseContext, int]:
     """(state, phase context, index) before the first move of a game.
 
@@ -180,6 +170,27 @@ def move_decrease(ctx: PhaseContext, pre: ResidualState, post: ResidualState) ->
     return F_value(pre, ctx.registry) - F_value(post, ctx.registry)
 
 
+def _record(ctx: PhaseContext, pre: ResidualState, idx: int, v: int,
+            post: ResidualState) -> MoveRecord:
+    """The record of v played as move idx in ctx's phase, taking pre to post."""
+    return MoveRecord(idx, "D" if idx % 2 == 1 else "S", v, ctx.phase, potential_kind(ctx.phase),
+                      move_decrease(ctx, pre, post), post.snapshot_hash())
+
+
+def _transcript(g: Graph, first: str, dominator_policy: str, staller_policy: str,
+                records: list[MoveRecord], ctx: PhaseContext) -> Transcript:
+    """The transcript of a finished game; ctx is the phase context after its
+    last move, holding the potentials handed over at the phase switch."""
+    lengths = [0, 0, 0, 0]
+    for r in records:
+        lengths[r.phase - 1] += 1
+    return Transcript(
+        graph_hash=g.graph_hash, n=g.n, m=g.edge_count, first_player=first,
+        dominator_policy=dominator_policy, staller_policy=staller_policy,
+        records=tuple(records), phase_lengths=tuple(lengths),
+        f_at_phase2_end=ctx.f_at_phase2_end, F_at_phase2_end=ctx.F_at_phase3_start)
+
+
 def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") -> Transcript:
     """Run one full game and return its transcript.
 
@@ -190,25 +201,16 @@ def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") ->
     state, ctx, idx = opening(g, first)
     records: list[MoveRecord] = []
     while not is_over(state):
-        mover, policy = ("D", dominator) if idx % 2 == 1 else ("S", staller)
+        policy = dominator if idx % 2 == 1 else staller
         v = policy(ctx, state)
         if not isinstance(v, int) or not 0 <= v < g.n or state.red_mask >> v & 1:
             name = getattr(policy, "policy_name", "policy")
             raise IllegalMoveError(f"policy {name!r} returned illegal vertex {v!r}")
         post, next_ctx = step(ctx, state, idx, v)
-        records.append(MoveRecord(idx, mover, v, ctx.phase, potential_kind(ctx.phase),
-                                  move_decrease(ctx, state, post), post.snapshot_hash()))
+        records.append(_record(ctx, state, idx, v, post))
         state, ctx, idx = post, next_ctx, idx + 1
-
-    lengths = [0, 0, 0, 0]
-    for r in records:
-        lengths[r.phase - 1] += 1
-    return Transcript(
-        graph_hash=g.graph_hash, n=g.n, m=g.edge_count, first_player=first,
-        dominator_policy=getattr(dominator, "policy_name", "custom"),
-        staller_policy=getattr(staller, "policy_name", "custom"),
-        records=tuple(records), phase_lengths=tuple(lengths),
-        f_at_phase2_end=ctx.f_at_phase2_end, F_at_phase2_end=ctx.F_at_phase3_start)
+    return _transcript(g, first, getattr(dominator, "policy_name", "custom"),
+                       getattr(staller, "policy_name", "custom"), records, ctx)
 
 
 def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
@@ -223,9 +225,10 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
     new vertices. A move whose newly dominated set equals that of a smaller
     vertex's move is skipped before it is played: that subtree was just
     searched and cannot give a longer line. There is no table across
-    nodes; the cutoff on `made + |undominated|` would turn its values into
-    bounds. Returns (length, witness), the witness being the first
-    maximizing line in ascending-id order.
+    nodes; the cutoff on `moves made + |undominated|` would turn its values
+    into bounds. Returns (length, witness), the witness being the first
+    maximizing line in ascending-id order, recorded from the states that
+    line played.
     """
     if first not in ("D", "S"):
         raise ValueError("first must be 'D' or 'S'")
@@ -233,19 +236,16 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
         raise ResourceLimitError(f"n={g.n} exceeds the worst-case search cap {cap}")
     full = (1 << g.n) - 1
     masks = g.closed_masks
-    best_len = -1
-    best_script: tuple[int, ...] = ()
+    line: list[tuple[PhaseContext, ResidualState, int, int, ResidualState]] = []
+    best = line.copy()  # the first longest finished line
+    end_ctx: PhaseContext | None = None  # the phase context after its last move
 
-    def search(state: ResidualState, ctx: PhaseContext, idx: int, made: int,
-               script: tuple[int, ...]) -> None:
-        nonlocal best_len, best_script
+    def search(state: ResidualState, ctx: PhaseContext, idx: int) -> None:
+        nonlocal best, end_ctx
         # each move dominates at least one new (white) vertex
-        if made + (full & ~state.dominated_mask).bit_count() <= best_len:
+        if len(line) + (full & ~state.dominated_mask).bit_count() <= len(best):
             return
-        if idx % 2 == 1:
-            options = [dominator_greedy(ctx, state)]
-        else:
-            options = legal_moves(state)
+        options = [dominator_greedy(ctx, state)] if idx % 2 == 1 else legal_moves(state)
         seen: set[int] = set()
         for v in options:
             newly = masks[v] & ~state.dominated_mask
@@ -253,16 +253,14 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
                 continue
             seen.add(newly)
             nxt, nctx = step(ctx, state, idx, v)
-            nscript = script + (v,) if idx % 2 == 0 else script
-            if is_over(nxt):
-                if made + 1 > best_len:
-                    best_len, best_script = made + 1, nscript
-                continue
-            search(nxt, nctx, idx + 1, made + 1, nscript)
+            line.append((ctx, state, idx, v, nxt))
+            if not is_over(nxt):
+                search(nxt, nctx, idx + 1)
+            elif len(line) > len(best):
+                best, end_ctx = line.copy(), nctx
+            line.pop()
 
-    search(*opening(g, first), 0, ())
-
-    witness = play_game(g, dominator_greedy,
-                        make_scripted_staller(best_script, name="worst_case"), first)
-    assert witness.total_moves == best_len
-    return best_len, witness
+    search(*opening(g, first))
+    records = [_record(*move) for move in best]
+    return len(best), _transcript(g, first, dominator_greedy.policy_name, "worst_case",
+                                  records, end_ctx)

@@ -610,6 +610,10 @@ def _bound_reports(g: Graph, solver_cap: int, worst: WorstCases | None) -> list[
     elif wc_s is not None and wc_s[0] > bound_s:
         reports.append(fail("BOUND_STALLER_START",
                             f"greedy worst-case Staller-start length {wc_s[0]} > {bound_s}"))
+    elif gv is not None and wc_s is not None and gv.gamma_g_prime > wc_s[0]:
+        reports.append(fail("BOUND_STALLER_START",
+                            f"gamma_g'={gv.gamma_g_prime} exceeds greedy worst-case "
+                            f"Staller-start length {wc_s[0]}"))
     else:
         got = [] if gv is None else [f"gamma_g'={gv.gamma_g_prime}"]
         if wc_s is not None:
@@ -672,21 +676,54 @@ def _resolve_checks(raw) -> list[str]:
     return [c for c in CLAIM_IDS if c in set(out)]
 
 
+def _check_keys(what: str, d: dict, allowed: tuple[str, ...]) -> None:
+    unknown = [key for key in d if key not in allowed]
+    if unknown:
+        raise ConfigError(f"{what}: unknown key {unknown[0]!r} (expected one of {', '.join(allowed)})")
+
+
+def _check_fields(what: str, d: dict, types: dict[str, tuple[type, ...]]) -> None:
+    """Reject keys outside `types` and values whose exact JSON type is not
+    listed for their key (so a bool is not an int)."""
+    _check_keys(what, d, tuple(types))
+    for key, value in d.items():
+        if type(value) not in types[key]:
+            kind = "a number" if float in types[key] else "an integer"
+            raise ConfigError(f"{what}: {key!r} must be {kind}, got {value!r}")
+
+
+_INT, _NUM = (int,), (int, float)
+# each family's parameters: name -> (accepted JSON types, default), where a
+# None default marks a required parameter
+_SIZES = {"n_min": (_INT, 2), "n_max": (_INT, None)}
+_FAMILY_PARAMS = {"paths": _SIZES, "cycles": {**_SIZES, "n_min": (_INT, 3)},
+                  "stars": _SIZES, "trees": _SIZES, "all_labeled": _SIZES,
+                  "gnp": {**_SIZES, "p": (_NUM, 0.3)},
+                  "caterpillars": {"spine_min": (_INT, 1), "spine_max": (_INT, None),
+                                   "max_legs": (_INT, 2)}}
+
+
 def spec_from_json(d: dict) -> CorpusSpec:
     if not isinstance(d, dict):
         raise ConfigError("corpus spec must be a JSON object")
+    _check_keys("corpus spec", d, ("families", "checks", "caps"))
     fam_list = d.get("families", [])
     if not isinstance(fam_list, list):
         raise ConfigError("families must be a list")
     families = []
     for f in fam_list:
-        try:
-            fam = FamilySpec(f["name"], dict(f.get("params", {})), list(f.get("seeds", [0])))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad family entry {f!r}: {exc}") from None
-        if not all(type(seed) is int and seed >= 0 for seed in fam.seeds):
+        if not isinstance(f, dict) or not isinstance(f.get("name"), str):
+            raise ConfigError(f"bad family entry {f!r}: needs a JSON object with a string 'name'")
+        _check_keys("family entry", f, ("name", "params", "seeds"))
+        params, seeds = f.get("params", {}), f.get("seeds", [0])
+        if not isinstance(params, dict):
+            raise ConfigError(f"bad family entry {f!r}: params must be a JSON object")
+        if f["name"] in _FAMILY_PARAMS:  # an unknown name is the runner's error
+            _check_fields(f"family {f['name']!r} params", params,
+                          {key: types for key, (types, _) in _FAMILY_PARAMS[f["name"]].items()})
+        if not isinstance(seeds, list) or not all(type(seed) is int and seed >= 0 for seed in seeds):
             raise ConfigError(f"bad family entry {f!r}: seeds must be non-negative integers")
-        families.append(fam)
+        families.append(FamilySpec(f["name"], dict(params), list(seeds)))
     default_checks = ["all"] if families else []
     checks = _resolve_checks(d.get("checks", default_checks))
     if checks and not families:
@@ -694,8 +731,8 @@ def spec_from_json(d: dict) -> CorpusSpec:
     caps_d = d.get("caps", {})
     if not isinstance(caps_d, dict):
         raise ConfigError(f"caps must be a JSON object, got {caps_d!r}")
-    caps = Caps(solver_n=int(caps_d.get("solver_n", DEFAULT_SOLVER_CAP)),
-                worst_case_n=int(caps_d.get("worst_case_n", DEFAULT_WORST_CASE_CAP)))
+    _check_fields("caps", caps_d, {"solver_n": _INT, "worst_case_n": _INT})
+    caps = Caps(**caps_d)
     if caps.solver_n > DEFAULT_SOLVER_CAP or caps.worst_case_n > DEFAULT_WORST_CASE_CAP:
         raise ConfigError("caps may only lower the module limits "
                           f"(solver {DEFAULT_SOLVER_CAP}, worst-case {DEFAULT_WORST_CASE_CAP})")
@@ -715,55 +752,59 @@ def builtin_spec(name: str) -> CorpusSpec:
     raise ConfigError(f"unknown builtin spec {name!r}")
 
 
-def _range(fam: FamilySpec, lo_key: str, hi_key: str, lo_default: int) -> range:
-    if hi_key not in fam.params:
-        raise ConfigError(f"family {fam.name!r} needs the parameter {hi_key!r}")
-    lo = int(fam.params.get(lo_key, lo_default))
-    hi = int(fam.params[hi_key])
-    return range(lo, hi + 1)
+def _params(fam: FamilySpec) -> dict:
+    """The family's parameters with defaults filled in; spec_from_json has
+    checked their keys and types."""
+    if fam.name not in _FAMILY_PARAMS:
+        raise ConfigError(f"unknown family name {fam.name!r}")
+    out = {}
+    for key, (_, default) in _FAMILY_PARAMS[fam.name].items():
+        out[key] = fam.params.get(key, default)
+        if out[key] is None:
+            raise ConfigError(f"family {fam.name!r} needs the parameter {key!r}")
+    return out
 
 
 def corpus_items(spec: CorpusSpec) -> list[tuple[str, Graph, tuple[int, ...]]]:
-    """Deterministic (label, graph, seeds) list for a corpus specification."""
+    """Deterministic (label, graph, seeds) list for a corpus specification.
+
+    A label names one graph: caterpillar legs are drawn from a fresh
+    Philox stream per (spine, seed), whatever other spines the spec holds.
+    """
     items: list[tuple[str, Graph, tuple[int, ...]]] = []
     for fam in spec.families:
-        p = fam.params
+        p = _params(fam)
         seeds = tuple(fam.seeds)
+        sizes = range(p["n_min"], p["n_max"] + 1) if "n_max" in p else None
         if fam.name == "paths":
-            items.extend((f"path-{n}", gen_path(n), seeds)
-                         for n in _range(fam, "n_min", "n_max", 2))
+            items.extend((f"path-{n}", gen_path(n), seeds) for n in sizes)
         elif fam.name == "cycles":
-            items.extend((f"cycle-{n}", gen_cycle(n), seeds)
-                         for n in _range(fam, "n_min", "n_max", 3))
+            items.extend((f"cycle-{n}", gen_cycle(n), seeds) for n in sizes)
         elif fam.name == "stars":
-            items.extend((f"star-{n}", gen_star(n), seeds)
-                         for n in _range(fam, "n_min", "n_max", 2))
+            items.extend((f"star-{n}", gen_star(n), seeds) for n in sizes)
         elif fam.name == "caterpillars":
-            max_legs = int(p.get("max_legs", 2))
             for seed in seeds:
-                rng = philox_rng(seed)
-                for spine in _range(fam, "spine_min", "spine_max", 1):
-                    legs = [int(rng.integers(0, max_legs + 1)) for _ in range(spine)]
+                for spine in range(p["spine_min"], p["spine_max"] + 1):
+                    rng = philox_rng(seed)
+                    legs = [int(rng.integers(0, p["max_legs"] + 1)) for _ in range(spine)]
                     if spine == 1 and legs[0] == 0:
                         legs[0] = 1
                     items.append((f"caterpillar-{spine}-s{seed}",
                                   gen_caterpillar(spine, legs), seeds))
         elif fam.name == "trees":
-            for n in _range(fam, "n_min", "n_max", 2):
+            for n in sizes:
                 items.extend((f"tree-{n}-s{seed}", gen_random_tree(n, seed), (seed,))
                              for seed in seeds)
         elif fam.name == "gnp":
-            prob = float(p.get("p", 0.3))
-            for n in _range(fam, "n_min", "n_max", 2):
+            prob = float(p["p"])
+            for n in sizes:
                 items.extend((f"gnp-{n}-p{prob}-s{seed}",
                               gen_gnp_isolate_free(n, prob, seed), (seed,))
                              for seed in seeds)
-        elif fam.name == "all_labeled":
-            for n in _range(fam, "n_min", "n_max", 2):
+        else:  # all_labeled
+            for n in sizes:
                 items.extend((f"all{n}-{i}", g, seeds)
                              for i, g in enumerate(enumerate_labeled_graphs(n)))
-        else:
-            raise ConfigError(f"unknown family name {fam.name!r}")
     return items
 
 

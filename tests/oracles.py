@@ -3,7 +3,8 @@
 Everything here follows the definitions rather than the engine's shortcuts:
 plain Python sets with no memoization, a full recomputation over all n
 vertices where the engine patches a local delta, or a search that branches
-on every Staller move where the engine merges equal successors.
+on every Staller move where the engine merges equal successors and that
+rebuilds its witness by replaying the line through play_game.
 """
 
 from itertools import combinations
@@ -21,7 +22,7 @@ from domgame.residual import (
     is_over,
     legal_moves,
 )
-from domgame.strategy import dominator_greedy, make_scripted_staller, play_game
+from domgame.strategy import dominator_greedy, play_game
 
 
 def closed_neighborhood(g, v):
@@ -98,13 +99,13 @@ def max_F_decrease(s, reg):
     return max((F_decrease(s, reg, v) for v in legal_moves(s)), default=0)
 
 
-def state_from_colors(g, colors, played):
+def state_from_colors(g, colors):
     """The state with the given per-vertex colors, its masks read off them."""
     def mask(*shades):
         return sum(1 << v for v, c in enumerate(colors) if c in shades)
 
     return ResidualState(g, mask(Color.LIGHT_BLUE, Color.DARK_BLUE, Color.RED),
-                         mask(Color.RED), mask(Color.LIGHT_BLUE), played)
+                         mask(Color.RED), mask(Color.LIGHT_BLUE))
 
 
 def apply_move_full(s, v, shade):
@@ -128,14 +129,25 @@ def apply_move_full(s, v, shade):
             new_colors.append(shade)
         else:
             new_colors.append(colors[u])
-    return state_from_colors(s.graph, tuple(new_colors), s.played + (v,))
+    return state_from_colors(s.graph, tuple(new_colors))
+
+
+def make_scripted_staller(moves, name="scripted"):
+    """A Staller policy that plays the given moves in order."""
+    it = iter(moves)
+
+    def staller_scripted(ctx, s):
+        return next(it)
+
+    staller_scripted.policy_name = name
+    return staller_scripted
 
 
 def staller_worst_case_unmerged(g, first="D"):
     """(length, witness) of the longest game against the greedy Dominator,
     searching every Staller move, also those whose successor equals that of
     a smaller vertex; the witness is the first maximizing line in
-    ascending-id order."""
+    ascending-id order, replayed through play_game from the Staller's moves."""
     full = (1 << g.n) - 1
     best_len = -1
     best_script = ()

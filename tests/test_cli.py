@@ -167,7 +167,15 @@ def test_verify_bad_spec_exits_2(tmp_path, capsys):
                 {"families": [{**paths, "seeds": ["a"]}]},
                 {"families": [paths], "checks": [["x"]]},
                 {"families": [{"name": "paths", "params": {}}]},
-                {"families": [{"name": "trees", "params": {"n_max": 4}, "seeds": [1.5]}]}):
+                {"families": [{"name": "trees", "params": {"n_max": 4}, "seeds": [1.5]}]},
+                {"families": [{"name": "paths", "params": {"n_max": [3]}}]},
+                {"families": [{"name": "gnp", "params": {"n_max": 4, "p": None}}]},
+                {"families": [{"name": "paths", "params": {"n_max": 4.7}}]},
+                {"families": [paths], "caps": {"worst_case_n": "5"}},
+                {"famlies": [paths]},
+                {"families": [{**paths, "seed": [1]}]},
+                {"families": [{"name": "paths", "params": {"nmin": 2, "n_max": 4}}]},
+                {"families": [paths], "caps": {"worst": 3}}):
         spec.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["verify", str(spec)]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -10,13 +10,13 @@ from domgame import (
     dominator_greedy,
     gen_path,
     gen_star,
-    make_scripted_staller,
     make_staller_random,
     play_game,
     staller_worst_case,
     verify_transcript,
 )
 from domgame.verify import _replay
+from oracles import make_scripted_staller
 
 
 def test_k2_freezes_the_registry_at_the_opening():

@@ -26,17 +26,19 @@ LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
 
 def random_playout(g, seed):
-    """All states along a random legal game with random shades."""
+    """(states, moves) of a random legal game with random shades: every
+    state along it and the vertices played, in order."""
     rng = philox_rng(seed)
     s = init_state(g)
-    states = [s]
+    states, played = [s], []
     while not is_over(s):
         moves = legal_moves(s)
         v = moves[int(rng.integers(0, len(moves)))]
         shade = LIGHT if int(rng.integers(0, 2)) else DARK
         s = apply_move(s, v, shade)
         states.append(s)
-    return states
+        played.append(v)
+    return states, played
 
 
 def small_random_graph(n, seed):
@@ -177,7 +179,7 @@ def test_component_kinds_stable_under_relabeling(n, seed):
     rng = philox_rng(seed)
     perm = list(rng.permutation(n))
     perm = [int(x) for x in perm]
-    moves = [v for v in random_playout(g, seed)[-1].played]
+    _, moves = random_playout(g, seed)
     s = init_state(g)
     s_p = init_state(permuted(g, perm))
     for i, v in enumerate(moves):
@@ -193,7 +195,7 @@ def test_component_kinds_stable_under_relabeling(n, seed):
 @settings(max_examples=50)
 def test_playout_invariants(n, seed):
     g = small_random_graph(n, seed)
-    states = random_playout(g, seed)
+    states, played = random_playout(g, seed)
     order = {Color.WHITE: 0, LIGHT: 1, DARK: 1, Color.RED: 2}
     for before, after in zip(states, states[1:]):
         assert after.f < before.f  # strict decrease
@@ -203,8 +205,8 @@ def test_playout_invariants(n, seed):
                 assert after.colors[u] is before.colors[u]  # shade is sticky
     final = states[-1]
     assert final.f == 0 and not legal_moves(final)
-    for s in states:
-        white, blue, red = color_partition(g, s.played)
+    for k, s in enumerate(states):
+        white, blue, red = color_partition(g, played[:k])
         assert {v for v in range(n) if s.colors[v] is Color.WHITE} == white
         assert {v for v in range(n) if s.colors[v] is Color.RED} == red
         for v in white:
@@ -219,7 +221,7 @@ def test_playout_invariants(n, seed):
 @settings(max_examples=30)
 def test_components_partition_vertices(n, seed):
     g = small_random_graph(n, seed)
-    for s in random_playout(g, seed):
+    for s in random_playout(g, seed)[0]:
         comps = s.components()
         seen = sorted(v for c in comps for v in c.vertices)
         assert seen == list(range(n))
@@ -233,9 +235,9 @@ def test_f_decrease_memo_is_keyed_by_shade():
     s = apply_move(init_state(g), 0, LIGHT)  # 0 red, 1 light blue, 2..5 white
     for v in legal_moves(s):
         light, dark = f_decrease(s, v, LIGHT), f_decrease(s, v, DARK)
-        fresh = state_from_colors(g, s.colors, s.played)
+        fresh = state_from_colors(g, s.colors)
         assert light == f_decrease(fresh, v, LIGHT)
-        fresh = state_from_colors(g, s.colors, s.played)
+        fresh = state_from_colors(g, s.colors)
         assert dark == f_decrease(fresh, v, DARK)
     # playing 3 turns 1, 2, 3 red and 4 blue (weight 4 if light, 3 if dark)
     assert f_decrease(s, 3, DARK) == f_decrease(s, 3, LIGHT) + 1

@@ -17,7 +17,6 @@ from domgame import (
     gen_random_tree,
     gen_star,
     init_state,
-    make_scripted_staller,
     make_staller_random,
     maybe_advance,
     play_game,
@@ -25,6 +24,7 @@ from domgame import (
     staller_min_decrease,
     staller_worst_case,
 )
+from oracles import make_scripted_staller
 
 
 def test_greedy_p4_tie_breaks_low():

@@ -5,6 +5,7 @@ import pytest
 
 from domgame import (
     CLAIM_IDS,
+    DEFAULT_SOLVER_CAP,
     TRANSCRIPT_CHECKS,
     ConfigError,
     Graph,
@@ -19,10 +20,13 @@ from domgame import (
     play_game,
     replay_states,
     run_corpus,
+    solve_game,
     spec_from_json,
     staller_min_decrease,
+    staller_worst_case,
     verify_bounds,
     verify_transcript,
+    write_edge_list,
 )
 from transcript_cases import (
     FOOTER_FIELDS,
@@ -176,6 +180,29 @@ def test_verify_bounds_examples():
     assert "gamma_g=3" in rep5["BOUND_5N8"].detail  # tight: 3 == floor(25/8)
 
 
+def test_exact_value_above_the_greedy_worst_case_fails():
+    """The greedy is one Dominator strategy, so the Staller's best reply to
+    it lasts at least gamma_g (Dominator starting) or gamma_g' (Staller
+    starting): a shorter worst case, forged here, is a failure."""
+    from domgame.verify import _bound_reports
+
+    g = gen_path(5)
+    gv = solve_game(g)
+    worst = tuple(staller_worst_case(g, first=first) for first in "DS")
+    assert all(r.ok for r in _bound_reports(g, DEFAULT_SOLVER_CAP, worst))
+    (_, wit_d), (_, wit_s) = worst
+    forged = ((gv.gamma_g - 1, wit_d), (gv.gamma_g_prime - 1, wit_s))
+    rep = by_claim(_bound_reports(g, DEFAULT_SOLVER_CAP, forged))
+    assert rep["BOUND_5N8"].status == "fail"
+    assert rep["BOUND_5N8"].detail == (
+        f"gamma_g={gv.gamma_g} exceeds greedy worst-case length {gv.gamma_g - 1}")
+    assert rep["BOUND_STALLER_START"].status == "fail"
+    assert rep["BOUND_STALLER_START"].detail == (
+        f"gamma_g'={gv.gamma_g_prime} exceeds greedy worst-case "
+        f"Staller-start length {gv.gamma_g_prime - 1}")
+    assert rep["BOUND_STALLER_START"].witness.graph_text == write_edge_list(g)
+
+
 def test_verify_bounds_caps_flag_skip():
     g = gen_random_tree(14, 0)
     rep = by_claim(verify_bounds(g, solver_cap=10, worst_cap=10))
@@ -236,7 +263,21 @@ def test_bad_specs_raise_config_errors():
                 {"families": [{**paths, "seeds": ["a"]}]},
                 {"families": [{**paths, "seeds": [1.5]}]},
                 {"families": [{"name": "trees", "params": {"n_max": 4}, "seeds": [1.5]}]},
-                {"families": [paths], "checks": [["x"]]}):
+                {"families": [paths], "checks": [["x"]]},
+                # sizes, max_legs and caps are JSON integers, p a JSON number
+                {"families": [{"name": "paths", "params": {"n_max": [3]}}]},
+                {"families": [{"name": "gnp", "params": {"n_max": 4, "p": None}}]},
+                {"families": [{"name": "paths", "params": {"n_max": 4.7}}]},
+                {"families": [{"name": "paths", "params": {"n_min": True, "n_max": 4}}]},
+                {"families": [{"name": "caterpillars", "params": {"spine_max": 2, "max_legs": "2"}}]},
+                {"families": [paths], "caps": {"solver_n": 5.0}},
+                # unknown keys at every level, and params the family does not read
+                {"famlies": [paths]},
+                {"families": [{**paths, "seed": [1]}]},
+                {"families": [paths], "caps": {"worst": 3}},
+                {"families": [{"name": "paths", "params": {"nmin": 2, "n_max": 4}}]},
+                {"families": [{"name": "trees", "params": {"n_max": 4, "p": 0.5}}]},
+                {"families": [{"name": "caterpillars", "params": {"n_max": 4}}]}):
         with pytest.raises(ConfigError):
             spec_from_json(bad)
     spec = spec_from_json({"families": [{"name": "paths", "params": {"n_min": 2}}]})
@@ -263,6 +304,18 @@ def test_corpus_families_generate():
     assert report.ok
     assert {r.claim for gr in report.graphs for r in gr.reports} <= {
         "BOUND_5N8", "BOUND_STALLER_START", "GAP_GG_GGP"}
+
+
+def test_caterpillar_label_names_one_graph():
+    def graphs(spine_min):
+        spec = spec_from_json({"families": [{"name": "caterpillars", "seeds": [0, 1],
+                                             "params": {"spine_min": spine_min, "spine_max": 4}}],
+                               "checks": []})
+        return {label: g for label, g, _ in corpus_items(spec)}
+
+    wide, narrow = graphs(1), graphs(4)
+    assert list(narrow) == ["caterpillar-4-s0", "caterpillar-4-s1"]
+    assert all(narrow[label] == wide[label] for label in narrow)
 
 
 def test_jobs_parallel_matches_serial():
@@ -362,7 +415,7 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
             for m in rep.moves:
                 if m.phase < 3:
                     continue
-                fresh = state_from_colors(g, m.pre_state.colors, m.pre_state.played)
+                fresh = state_from_colors(g, m.pre_state.colors)
                 want = max_F_decrease(fresh, rep.registry) >= 11
                 assert _ph2_leaf_holds(m, rep.registry) == want
                 leaf = _nonspecial_blue_leaf(m.pre_state) is not None
