@@ -24,14 +24,15 @@ from domgame import (  # noqa: E402
     spec_from_json,
     staller_worst_case,
 )
+from domgame.verify import FAMILIES  # noqa: E402
 
-FAMILIES = ("paths", "cycles", "stars", "trees", "gnp")
+SIZED = [name for name, fam in FAMILIES.items() if "n_max" in fam.params]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--families", default="paths,cycles,stars",
-                        help=f"comma list from {sorted(FAMILIES)}")
+                        help=f"comma list from {SIZED}")
     parser.add_argument("--n-min", type=int, default=None,
                         help="smallest n (default: each family's smallest, 3 for cycles, else 2)")
     parser.add_argument("--n-max", type=int, default=12)
@@ -43,10 +44,10 @@ def main(argv=None):
     families = []
     for family in args.families.split(","):
         family = family.strip()
-        if family not in FAMILIES:
+        if family not in SIZED:
             parser.error(f"unknown family {family!r}")
         params = {"n_max": args.n_max}
-        if family == "gnp":
+        if "p" in FAMILIES[family].params:
             params["p"] = args.p
         if args.n_min is not None:
             params["n_min"] = args.n_min

@@ -16,16 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import ClaimViolationError, ConfigError, DomGameError
-from .graph import (
-    gen_caterpillar,
-    gen_cycle,
-    gen_gnp_isolate_free,
-    gen_path,
-    gen_random_tree,
-    gen_star,
-    parse_edge_list,
-    write_edge_list,
-)
+from .graph import parse_edge_list, write_edge_list
 from .solver import DEFAULT_SOLVER_CAP, solve_game
 from .strategy import (
     DEFAULT_WORST_CASE_CAP,
@@ -35,7 +26,7 @@ from .strategy import (
     staller_min_decrease,
     staller_worst_case,
 )
-from .verify import Caps, builtin_spec, replay_states, run_corpus, spec_from_json
+from .verify import FAMILIES, Caps, builtin_spec, replay_states, run_corpus, spec_from_json
 
 
 def _env_cap(value: int) -> int:
@@ -43,34 +34,29 @@ def _env_cap(value: int) -> int:
     if raw is None:
         return value
     try:
-        return min(value, int(raw))
+        cap = int(raw)
+        if cap < 0:
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"DOMGAME_CAP must be an integer, got {raw!r}") from None
+        raise ConfigError(f"DOMGAME_CAP must be a non-negative integer, got {raw!r}") from None
+    return min(value, cap)
 
 
 def _load_graph(path: str):
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
 
-# family -> (parameter names, builder from the parameter strings and --seed)
-_GEN_FAMILIES = {
-    "path": (("n",), lambda p, seed: gen_path(int(p[0]))),
-    "cycle": (("n",), lambda p, seed: gen_cycle(int(p[0]))),
-    "star": (("n",), lambda p, seed: gen_star(int(p[0]))),
-    "caterpillar": (("spine", "legs"), lambda p, seed: gen_caterpillar(
-        int(p[0]), [int(x) for x in p[1].split(",")])),
-    "tree": (("n",), lambda p, seed: gen_random_tree(int(p[0]), seed)),
-    "gnp": (("n", "p"), lambda p, seed: gen_gnp_isolate_free(int(p[0]), float(p[1]), seed)),
-}
+# gen family -> (parameter names, builder from the parameter strings and --seed)
+_GEN = {f.gen[0]: f.gen[1:] for f in FAMILIES.values() if f.gen}
 
 
 def cmd_gen(args) -> int:
     params = args.params[:-1]
     out = args.params[-1]
     fam = args.family
-    if fam not in _GEN_FAMILIES:
-        raise ConfigError(f"unknown family {fam!r} ({', '.join(_GEN_FAMILIES)})")
-    names, build = _GEN_FAMILIES[fam]
+    if fam not in _GEN:
+        raise ConfigError(f"unknown family {fam!r} ({', '.join(_GEN)})")
+    names, build = _GEN[fam]
     if len(params) != len(names):
         raise ConfigError(f"gen {fam} takes {' '.join(names)} then the output file, "
                           f"got {len(args.params)} arguments")
@@ -168,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write a corpus graph as an edge-list file")
-    p_gen.add_argument("family", help="path|cycle|star|caterpillar|tree|gnp")
+    p_gen.add_argument("family", help="|".join(_GEN))
     p_gen.add_argument("params", nargs="+",
                        help="family parameters followed by the output file")
     p_gen.add_argument("--seed", type=int, default=0)

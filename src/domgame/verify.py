@@ -693,17 +693,77 @@ def _check_fields(what: str, d: dict, types: dict[str, tuple[type, ...]]) -> Non
 
 
 _INT, _NUM = (int,), (int, float)
-# each family's parameters: name -> (accepted JSON types, default), where a
-# None default marks a required parameter
+
+
+@dataclass(frozen=True)
+class Family:
+    """One corpus family. `params` maps each spec parameter to (accepted
+    JSON types, default), a None default marking a required one; `items`
+    builds the (label, graph, seeds) list from the seed tuple and every
+    parameter; `gen` is the `domgame gen` form (singular name, positional
+    parameter names, builder from their strings and --seed), or None."""
+
+    params: dict
+    items: Callable[..., list]
+    gen: tuple | None
+
+
+def _per_size(label: str, build: Callable[[int], Graph]) -> Callable[..., list]:
+    return lambda seeds, n_min, n_max: [(f"{label}-{n}", build(n), seeds)
+                                        for n in range(n_min, n_max + 1)]
+
+
+def _caterpillars(seeds, spine_min, spine_max, max_legs):
+    # a fresh stream per (spine, seed), so a label names one graph in every spec
+    items = []
+    for seed in seeds:
+        for spine in range(spine_min, spine_max + 1):
+            rng = philox_rng(seed)
+            legs = [int(rng.integers(0, max_legs + 1)) for _ in range(spine)]
+            if legs == [0]:  # a lone spine vertex needs a leg
+                legs = [1]
+            items.append((f"caterpillar-{spine}-s{seed}", gen_caterpillar(spine, legs), seeds))
+    return items
+
+
+def _gnp(seeds, n_min, n_max, p):
+    p = float(p)
+    return [(f"gnp-{n}-p{p}-s{seed}", gen_gnp_isolate_free(n, p, seed), (seed,))
+            for n in range(n_min, n_max + 1) for seed in seeds]
+
+
 _SIZES = {"n_min": (_INT, 2), "n_max": (_INT, None)}
-_FAMILY_PARAMS = {"paths": _SIZES, "cycles": {**_SIZES, "n_min": (_INT, 3)},
-                  "stars": _SIZES, "trees": _SIZES, "all_labeled": _SIZES,
-                  "gnp": {**_SIZES, "p": (_NUM, 0.3)},
-                  "caterpillars": {"spine_min": (_INT, 1), "spine_max": (_INT, None),
-                                   "max_legs": (_INT, 2)}}
+FAMILIES = {
+    "paths": Family(_SIZES, _per_size("path", gen_path),
+                    ("path", ("n",), lambda a, seed: gen_path(int(a[0])))),
+    "cycles": Family({**_SIZES, "n_min": (_INT, 3)}, _per_size("cycle", gen_cycle),
+                     ("cycle", ("n",), lambda a, seed: gen_cycle(int(a[0])))),
+    "stars": Family(_SIZES, _per_size("star", gen_star),
+                    ("star", ("n",), lambda a, seed: gen_star(int(a[0])))),
+    "caterpillars": Family(
+        {"spine_min": (_INT, 1), "spine_max": (_INT, None), "max_legs": (_INT, 2)}, _caterpillars,
+        ("caterpillar", ("spine", "legs"),
+         lambda a, seed: gen_caterpillar(int(a[0]), [int(x) for x in a[1].split(",")]))),
+    "trees": Family(_SIZES, lambda seeds, n_min, n_max: [
+        (f"tree-{n}-s{seed}", gen_random_tree(n, seed), (seed,))
+        for n in range(n_min, n_max + 1) for seed in seeds],
+        ("tree", ("n",), lambda a, seed: gen_random_tree(int(a[0]), seed))),
+    "gnp": Family({**_SIZES, "p": (_NUM, 0.3)}, _gnp,
+                  ("gnp", ("n", "p"),
+                   lambda a, seed: gen_gnp_isolate_free(int(a[0]), float(a[1]), seed))),
+    "all_labeled": Family(_SIZES, lambda seeds, n_min, n_max: [
+        (f"all{n}-{i}", g, seeds)
+        for n in range(n_min, n_max + 1) for i, g in enumerate(enumerate_labeled_graphs(n))], None),
+}
 
 
 def spec_from_json(d: dict) -> CorpusSpec:
+    """Parse a corpus spec; the one place that rejects a bad one.
+
+    Every key, type, family name, required parameter and cap is checked
+    here (ConfigError), and each family's params come back with defaults
+    filled in. Only a family that yields no graph is left to corpus_items.
+    """
     if not isinstance(d, dict):
         raise ConfigError("corpus spec must be a JSON object")
     _check_keys("corpus spec", d, ("families", "checks", "caps"))
@@ -715,15 +775,21 @@ def spec_from_json(d: dict) -> CorpusSpec:
         if not isinstance(f, dict) or not isinstance(f.get("name"), str):
             raise ConfigError(f"bad family entry {f!r}: needs a JSON object with a string 'name'")
         _check_keys("family entry", f, ("name", "params", "seeds"))
-        params, seeds = f.get("params", {}), f.get("seeds", [0])
+        name, params, seeds = f["name"], f.get("params", {}), f.get("seeds", [0])
+        if name not in FAMILIES:
+            raise ConfigError(f"unknown family name {name!r} (expected one of {', '.join(FAMILIES)})")
         if not isinstance(params, dict):
             raise ConfigError(f"bad family entry {f!r}: params must be a JSON object")
-        if f["name"] in _FAMILY_PARAMS:  # an unknown name is the runner's error
-            _check_fields(f"family {f['name']!r} params", params,
-                          {key: types for key, (types, _) in _FAMILY_PARAMS[f["name"]].items()})
+        declared = FAMILIES[name].params
+        _check_fields(f"family {name!r} params", params,
+                      {k: types for k, (types, _) in declared.items()})
+        params = {k: params.get(k, default) for k, (_, default) in declared.items()}
+        missing = [k for k, value in params.items() if value is None]
+        if missing:
+            raise ConfigError(f"family {name!r} needs the parameter {missing[0]!r}")
         if not isinstance(seeds, list) or not all(type(seed) is int and seed >= 0 for seed in seeds):
             raise ConfigError(f"bad family entry {f!r}: seeds must be non-negative integers")
-        families.append(FamilySpec(f["name"], dict(params), list(seeds)))
+        families.append(FamilySpec(name, params, list(seeds)))
     default_checks = ["all"] if families else []
     checks = _resolve_checks(d.get("checks", default_checks))
     if checks and not families:
@@ -732,6 +798,8 @@ def spec_from_json(d: dict) -> CorpusSpec:
     if not isinstance(caps_d, dict):
         raise ConfigError(f"caps must be a JSON object, got {caps_d!r}")
     _check_fields("caps", caps_d, {"solver_n": _INT, "worst_case_n": _INT})
+    if any(cap < 0 for cap in caps_d.values()):
+        raise ConfigError(f"caps must be non-negative integers, got {caps_d!r}")
     caps = Caps(**caps_d)
     if caps.solver_n > DEFAULT_SOLVER_CAP or caps.worst_case_n > DEFAULT_WORST_CASE_CAP:
         raise ConfigError("caps may only lower the module limits "
@@ -752,59 +820,16 @@ def builtin_spec(name: str) -> CorpusSpec:
     raise ConfigError(f"unknown builtin spec {name!r}")
 
 
-def _params(fam: FamilySpec) -> dict:
-    """The family's parameters with defaults filled in; spec_from_json has
-    checked their keys and types."""
-    if fam.name not in _FAMILY_PARAMS:
-        raise ConfigError(f"unknown family name {fam.name!r}")
-    out = {}
-    for key, (_, default) in _FAMILY_PARAMS[fam.name].items():
-        out[key] = fam.params.get(key, default)
-        if out[key] is None:
-            raise ConfigError(f"family {fam.name!r} needs the parameter {key!r}")
-    return out
-
-
 def corpus_items(spec: CorpusSpec) -> list[tuple[str, Graph, tuple[int, ...]]]:
-    """Deterministic (label, graph, seeds) list for a corpus specification.
-
-    A label names one graph: caterpillar legs are drawn from a fresh
-    Philox stream per (spine, seed), whatever other spines the spec holds.
-    """
+    """Deterministic (label, graph, seeds) list for a spec from
+    spec_from_json; a family that yields no graph raises ConfigError."""
     items: list[tuple[str, Graph, tuple[int, ...]]] = []
     for fam in spec.families:
-        p = _params(fam)
-        seeds = tuple(fam.seeds)
-        sizes = range(p["n_min"], p["n_max"] + 1) if "n_max" in p else None
-        if fam.name == "paths":
-            items.extend((f"path-{n}", gen_path(n), seeds) for n in sizes)
-        elif fam.name == "cycles":
-            items.extend((f"cycle-{n}", gen_cycle(n), seeds) for n in sizes)
-        elif fam.name == "stars":
-            items.extend((f"star-{n}", gen_star(n), seeds) for n in sizes)
-        elif fam.name == "caterpillars":
-            for seed in seeds:
-                for spine in range(p["spine_min"], p["spine_max"] + 1):
-                    rng = philox_rng(seed)
-                    legs = [int(rng.integers(0, p["max_legs"] + 1)) for _ in range(spine)]
-                    if spine == 1 and legs[0] == 0:
-                        legs[0] = 1
-                    items.append((f"caterpillar-{spine}-s{seed}",
-                                  gen_caterpillar(spine, legs), seeds))
-        elif fam.name == "trees":
-            for n in sizes:
-                items.extend((f"tree-{n}-s{seed}", gen_random_tree(n, seed), (seed,))
-                             for seed in seeds)
-        elif fam.name == "gnp":
-            prob = float(p["p"])
-            for n in sizes:
-                items.extend((f"gnp-{n}-p{prob}-s{seed}",
-                              gen_gnp_isolate_free(n, prob, seed), (seed,))
-                             for seed in seeds)
-        else:  # all_labeled
-            for n in sizes:
-                items.extend((f"all{n}-{i}", g, seeds)
-                             for i, g in enumerate(enumerate_labeled_graphs(n)))
+        fam_items = FAMILIES[fam.name].items(tuple(fam.seeds), **fam.params)
+        if not fam_items:
+            raise ConfigError(f"family {fam.name!r} yields no graph "
+                              f"(params {fam.params}, seeds {fam.seeds})")
+        items.extend(fam_items)
     return items
 
 

@@ -46,6 +46,15 @@ def test_solve_respects_env_cap(p3_file, monkeypatch, capsys):
     assert "exceeds solver cap" in capsys.readouterr().err
 
 
+def test_negative_env_cap_exits_2(p3_file, monkeypatch, capsys):
+    monkeypatch.setenv("DOMGAME_CAP", "-1")
+    for argv in (["solve", p3_file], ["verify", "smoke"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: DOMGAME_CAP must be a non-negative integer, got '-1'\n"
+        assert captured.out == ""
+
+
 def test_solve_cap_above_default_exits_2(p3_file, capsys):
     assert main(["solve", p3_file, "--cap", str(DEFAULT_SOLVER_CAP + 1)]) == 2
     captured = capsys.readouterr()
@@ -175,7 +184,12 @@ def test_verify_bad_spec_exits_2(tmp_path, capsys):
                 {"famlies": [paths]},
                 {"families": [{**paths, "seed": [1]}]},
                 {"families": [{"name": "paths", "params": {"nmin": 2, "n_max": 4}}]},
-                {"families": [paths], "caps": {"worst": 3}}):
+                {"families": [paths], "caps": {"worst": 3}},
+                {"families": [{"name": "dodecahedra", "params": {"n_max": 4}}]},
+                {"families": [{"name": "trees", "params": {"n_min": 2}}]},
+                {"families": [paths], "caps": {"solver_n": -1, "worst_case_n": -3}},
+                {"families": [{"name": "paths", "params": {"n_min": 9, "n_max": 4}}]},
+                {"families": [{"name": "trees", "params": {"n_max": 6}, "seeds": []}]}):
         spec.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["verify", str(spec)]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -16,6 +16,7 @@ from domgame import (
     gen_path,
     gen_random_tree,
     make_staller_random,
+    parse_edge_list,
     philox_rng,
     play_game,
     replay_states,
@@ -28,6 +29,8 @@ from domgame import (
     verify_transcript,
     write_edge_list,
 )
+from domgame.cli import main as cli_main
+from domgame.verify import FAMILIES
 from transcript_cases import (
     FOOTER_FIELDS,
     HEADER_FIELDS,
@@ -241,13 +244,10 @@ def test_empty_spec_is_empty_success():
 
 
 def test_bad_specs_raise_config_errors():
-    # spec_from_json accepts an unknown family name; the runner rejects it
-    spec = spec_from_json({"families": [{"name": "dodecahedra", "params": {"n_max": 4}}]})
-    with pytest.raises(ConfigError):
-        run_corpus(spec)
-    spec = spec_from_json({"families": [{"name": "nope", "params": {}}]})
-    with pytest.raises(ConfigError):
-        corpus_items(spec)
+    with pytest.raises(ConfigError, match="unknown family name 'dodecahedra'"):
+        spec_from_json({"families": [{"name": "dodecahedra", "params": {"n_max": 4}}]})
+    with pytest.raises(ConfigError, match="unknown family name 'nope'"):
+        spec_from_json({"families": [{"name": "nope", "params": {}}]})
     with pytest.raises(ConfigError):
         spec_from_json({"families": [], "checks": ["BOUND_5N8"]})
     with pytest.raises(ConfigError):
@@ -277,12 +277,21 @@ def test_bad_specs_raise_config_errors():
                 {"families": [paths], "caps": {"worst": 3}},
                 {"families": [{"name": "paths", "params": {"nmin": 2, "n_max": 4}}]},
                 {"families": [{"name": "trees", "params": {"n_max": 4, "p": 0.5}}]},
-                {"families": [{"name": "caterpillars", "params": {"n_max": 4}}]}):
+                {"families": [{"name": "caterpillars", "params": {"n_max": 4}}]},
+                # caps are non-negative
+                {"families": [paths], "caps": {"solver_n": -1, "worst_case_n": -3}},
+                {"families": [paths], "caps": {"worst_case_n": -1}}):
         with pytest.raises(ConfigError):
             spec_from_json(bad)
-    spec = spec_from_json({"families": [{"name": "paths", "params": {"n_min": 2}}]})
-    with pytest.raises(ConfigError):
-        corpus_items(spec)
+    with pytest.raises(ConfigError, match="needs the parameter 'n_max'"):
+        spec_from_json({"families": [{"name": "paths", "params": {"n_min": 2}}]})
+    # a family that yields no graph is the one check that needs the graphs
+    for bad in ({"families": [{"name": "paths", "params": {"n_min": 9, "n_max": 4}}]},
+                {"families": [{"name": "trees", "params": {"n_max": 6}, "seeds": []}]},
+                {"families": [{"name": "caterpillars", "params": {"spine_max": 3}, "seeds": []}]}):
+        with pytest.raises(ConfigError, match="yields no graph"):
+            corpus_items(spec_from_json(bad))
+    assert len(corpus_items(spec_from_json({"families": [{**paths, "seeds": []}]}))) == 3
 
 
 def test_corpus_families_generate():
@@ -304,6 +313,28 @@ def test_corpus_families_generate():
     assert report.ok
     assert {r.claim for gr in report.graphs for r in gr.reports} <= {
         "BOUND_5N8", "BOUND_STALLER_START", "GAP_GG_GGP"}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_registry_family_builds_what_it_declares(name, tmp_path):
+    # every declared parameter at its default, a required one at 4
+    fam = FAMILIES[name]
+    params = {k: 4 if default is None else default for k, (_, default) in fam.params.items()}
+    spec = {"families": [{"name": name, "params": params, "seeds": [0, 1]}], "checks": []}
+    items = corpus_items(spec_from_json(spec))
+    labels = [label for label, _, _ in items]
+    assert items and len(set(labels)) == len(labels)
+    assert all(g.is_isolate_free() for _, g, _ in items)
+    if fam.gen is None or fam.gen[1] not in (("n",), ("n", "p")):
+        return
+    gen_name, arg_names, _ = fam.gen
+    out = tmp_path / "g.g"
+    args = {"n": "5", "p": str(params.get("p"))}
+    assert cli_main(["gen", gen_name, *(args[a] for a in arg_names), str(out), "--seed", "1"]) == 0
+    one = {**spec, "families": [{"name": name, "params": {**params, "n_min": 5, "n_max": 5},
+                                 "seeds": [1]}]}
+    (_, want, _), = corpus_items(spec_from_json(one))
+    assert parse_edge_list(out.read_text(encoding="utf-8")) == want
 
 
 def test_caterpillar_label_names_one_graph():
