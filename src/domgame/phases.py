@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import Iterable
 
 from .errors import ClaimViolationError
 from .residual import (
@@ -26,10 +26,11 @@ from .residual import (
     Component,
     ComponentKind,
     ResidualState,
-    apply_move,
+    _masks_after,
+    _weight,
+    apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     f_decrease,
     legal_moves,
-    split_components,
     vertices_of,
     white_degree,
     white_mask,
@@ -58,11 +59,12 @@ class XCycleRegistry:
 
     @cached_property
     def member_mask(self) -> int:
-        m = 0
-        for cyc in self.cycles:
-            for v in cyc:
-                m |= 1 << v
-        return m
+        return sum(self.cycle_masks)
+
+    @cached_property
+    def cycle_masks(self) -> tuple[int, ...]:
+        """cycle_masks[i] is the mask of cycle i's members."""
+        return tuple(sum(1 << v for v in cyc) for cyc in self.cycles)
 
     @cached_property
     def cycle_of(self) -> dict[int, int]:
@@ -207,24 +209,32 @@ def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:
     """Closed: every cycle edge retained. Open: some member is a blue leaf in
     a component of order >= 4. Finished: every member is red or sits in a
     BWB component. Other: none of these."""
-    comps = s.components()
-    idx = s.component_index()
-    return _status(reg, i, s, lambda v: comps[idx[v]])
+    return _status(reg, i, s.graph.open_masks, s.dominated_mask, s.red_mask,
+                   *_shape_masks(s.components()))
 
 
-def _status(reg: XCycleRegistry, i: int, s: ResidualState,
-            component_of: Callable[[int], Component]) -> CycleStatus:
-    """cycle_status read off s's masks and a vertex -> Component map (which
-    may be of another state's components)."""
-    dom, red = s.dominated_mask, s.red_mask
+def _shape_masks(comps: Iterable[Component]) -> tuple[int, int]:
+    """(vertices in components of order >= 4, vertices in BWB components):
+    all that cycle_status reads of the components."""
+    big = bwb = 0
+    for c in comps:
+        if c.order >= 4:
+            big |= c.mask
+        elif c.kind is ComponentKind.BWB:
+            bwb |= c.mask
+    return big, bwb
+
+
+def _status(reg: XCycleRegistry, i: int, opens: tuple[int, ...], dom: int, red: int,
+            big: int, bwb: int) -> CycleStatus:
+    """cycle_status of cycle i read off a state's dominated and red masks and
+    its _shape_masks."""
     if all(e & ~dom for e in reg.edge_masks[i]):
         return CycleStatus.CLOSED
-    cyc = reg.cycles[i]
-    if any(dom >> v & 1 and not red >> v & 1 and white_degree(s, v) == 1
-           and component_of(v).order >= 4
-           for v in cyc):
+    blue_leaf = dom & ~red & big
+    if any(blue_leaf >> v & 1 and (opens[v] & ~dom).bit_count() == 1 for v in reg.cycles[i]):
         return CycleStatus.OPEN
-    if all(red >> v & 1 or component_of(v).kind is ComponentKind.BWB for v in cyc):
+    if reg.cycle_masks[i] & ~(red | bwb) == 0:
         return CycleStatus.FINISHED
     return CycleStatus.OTHER
 
@@ -243,53 +253,97 @@ def F_value(s: ResidualState, reg: XCycleRegistry) -> int:
     """f minus open X-cycles, minus WB+ components, minus 3x BWB components.
 
     Zero exactly on the all-red state. Recomputed in full from s's
-    components and every cycle_status, once per state and registry.
+    components and the status of every X-cycle, once per state and
+    registry; F_decrease's local count is checked against it.
     """
     return _F_memo(s, reg)[1]
 
 
 def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
-    """(reg, F, open flag of each registry cycle, {v: F_decrease}), memoized
-    on s for reg."""
+    """(reg, F, open flag of each registry cycle, s's _shape_masks as big and
+    bwb, {v: F_decrease}), memoized on s for reg."""
     memo = s.F_memo
     if memo is None or memo[0] is not reg:
-        is_open = tuple(cycle_status(reg, i, s) is CycleStatus.OPEN
+        comps = s.components()
+        big, bwb = _shape_masks(comps)
+        opens, dom, red = s.graph.open_masks, s.dominated_mask, s.red_mask
+        is_open = tuple(_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN
                         for i in range(len(reg.cycles)))
-        F = s.f - sum(is_open) - sum(_penalty(c.kind) for c in s.components())
-        memo = s.F_memo = (reg, F, is_open, {})
+        F = s.f - sum(is_open) - sum(_penalty(c.kind) for c in comps)
+        memo = s.F_memo = (reg, F, is_open, big, bwb, {})
     return memo
 
 
-def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
-    """F(s) - F(s after v, shaded dark), computed on C(v) alone.
+def _small_piece(opens: tuple[int, ...], dom: int, start: int) -> int:
+    """Mask of the retained-edge component of `start` under the dominated
+    mask `dom` if its order is at most 3; else a mask of 4 or more of its
+    vertices, the search stopping there."""
+    piece = frontier = 1 << start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        nbrs = opens[low.bit_length() - 1]
+        new = (nbrs & ~dom if low & dom else nbrs) & ~piece
+        piece |= new
+        if piece.bit_count() >= 4:
+            break
+        frontier |= new
+    return piece
 
-    Every vertex the move recolors lies in C(v), the retained-edge
-    component of v in s, and the components after the move refine those
-    before it. So only C(v) is split again under the post-move colors: the
-    WB+/BWB discounts change by those of its pieces minus its own, and only
-    the X-cycles with a member in C(v) are classified again. The result is
-    memoized per state and registry, so the phase-3 predicate and the greedy
-    scan that follows it share one scan.
+
+def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
+    """F(s) - F(s after v, shaded dark), computed near the move.
+
+    The move recolors only vertices of N[newly], newly being the vertices
+    it dominates. They all lie in C(v), v's retained-edge component in s,
+    and the components outside C(v) stay as they are. An edge the move
+    stops retaining has both ends in N[newly], so every non-red piece that
+    C(v) splits into holds a non-red vertex of N[newly]. A search from those
+    vertices that stops at 4 vertices thus finds every piece of order <= 3,
+    the only ones with a WB+ or BWB discount; C(v)'s other non-red vertices
+    lie in pieces of order >= 4. Only the X-cycles that meet N[newly] or a
+    small piece can change status, so only they are classified again. The
+    masks after the move come from _masks_after and no state is built. The
+    result is memoized per state and registry, so the phase-3 predicate and
+    the greedy scan that follows it share one scan.
     """
-    _, _, is_open, decreases = _F_memo(s, reg)
+    _, _, is_open, big, bwb, decreases = _F_memo(s, reg)
     dec = decreases.get(v)
     if dec is not None:
         return dec
-    post = apply_move(s, v, Color.DARK_BLUE)
-    comps, idx = s.components(), s.component_index()
-    comp = comps[idx[v]]
-    pieces = split_components(post, comp.vertices)
-    dec = s.f - post.f - _penalty(comp.kind) + sum(_penalty(c.kind) for c in pieces)
-    cycle_of = reg.cycle_of
-    touched = {cycle_of[u] for u in vertices_of(comp.mask & reg.member_mask)}
+    g = s.graph
+    closed, opens = g.closed_masks, g.open_masks
+    dom, red, light = _masks_after(s, v, Color.DARK_BLUE)
+    near = 0  # N[newly]
+    m = dom & ~s.dominated_mask
+    while m:
+        low = m & -m
+        near |= closed[low.bit_length() - 1]
+        m ^= low
+    comp = s.components()[s.component_index()[v]]
+    small = small_bwb = 0
+    dec = s.f - _weight(g.n, dom, red, light) - _penalty(comp.kind)
+    starts = near & ~red
+    while starts:
+        piece = _small_piece(opens, dom, (starts & -starts).bit_length() - 1)
+        starts &= ~piece
+        order = piece.bit_count()
+        if order >= 4:
+            continue
+        small |= piece
+        whites = (piece & ~dom).bit_count()
+        if order == 2 and whites == 1 and piece & light:
+            dec += 1  # WB+
+        elif order == 3 and whites == 1:
+            small_bwb |= piece
+            dec += 3  # BWB
+    touched = (near | small) & reg.member_mask
     if touched:
-        piece_of = {u: c for c in pieces for u in c.vertices}
-
-        def component_of(u: int) -> Component:
-            return piece_of.get(u) or comps[idx[u]]
-
-        for i in touched:
-            dec -= is_open[i] - (_status(reg, i, post, component_of) is CycleStatus.OPEN)
+        big = big & ~comp.mask | comp.mask & ~red & ~small
+        bwb = bwb & ~comp.mask | small_bwb
+        cycle_of = reg.cycle_of
+        for i in {cycle_of[u] for u in vertices_of(touched)}:
+            dec -= is_open[i] - (_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN)
     decreases[v] = dec
     return dec
 

@@ -81,19 +81,20 @@ class ResidualState:
     @property
     def colors(self) -> tuple[Color, ...]:
         """Per-vertex colors read off the masks."""
-        return tuple(map(_COLOR_OF_BYTE.__getitem__, self._color_bytes()))
+        return tuple(map(_COLORS.__getitem__, self._color_bytes()))
 
     def _color_bytes(self) -> bytes:
-        """One byte per vertex, vertex 0 first: 2 * ord("0") + its Color value.
+        """One byte per vertex, vertex 0 first: its Color value.
 
         The Color value is 2*dominated + red - light. Each mask's binary
         expansion, one ASCII byte per vertex, is read as a base-256 number,
-        so that sum is taken byte by byte with no carry or borrow.
+        so that sum is taken byte by byte with no carry or borrow; each
+        byte then holds 2 * ord("0") more than the value.
         """
         n = self.graph.n
         dom, red, light = (int.from_bytes(format(mask, f"0{n}b").encode(), "big")
                            for mask in (self.dominated_mask, self.red_mask, self.light_mask))
-        return (2 * dom + red - light).to_bytes(n, "big")[::-1]
+        return (2 * dom + red - light).to_bytes(n, "big")[::-1].translate(_MINUS_TWO_ZEROS)
 
     def components(self) -> tuple[Component, ...]:
         """Components over retained edges; red vertices come back as singletons."""
@@ -118,15 +119,35 @@ class ResidualState:
 
     def snapshot(self) -> str:
         """One line per vertex: "<id> <W|LB|DB|R>"."""
-        codes = map(_CODE_OF_BYTE.__getitem__, self._color_bytes())
-        return "\n".join([f"{v} {code}" for v, code in enumerate(codes)]) + "\n"
+        return "".join(map(tuple.__getitem__, _snapshot_lines(self.graph.n), self._color_bytes()))
 
     def snapshot_hash(self) -> str:
         return hashlib.sha256(self.snapshot().encode()).hexdigest()[:12]
 
 
-_COLOR_OF_BYTE = {2 * ord("0") + c: c for c in Color}
-_CODE_OF_BYTE = {2 * ord("0") + c: COLOR_CODE[c] for c in Color}
+_COLORS = tuple(Color)  # indexed by value
+_MINUS_TWO_ZEROS = bytes((b - 2 * ord("0")) % 256 for b in range(256))  # a bytes.translate table
+
+# Tables that depend only on vertex ids, shared by every graph and grown on
+# demand: the snapshot line of each vertex in each color, and the red
+# singleton component of each vertex.
+_SNAPSHOT_LINES: list[tuple[str, ...]] = []
+_RED_SINGLETONS: list[Component] = []
+
+
+def _snapshot_lines(n: int) -> list[tuple[str, ...]]:
+    """_snapshot_lines(n)[v][c] is v's snapshot line, newline included, in
+    color c, for every v < n."""
+    for v in range(len(_SNAPSHOT_LINES), n):
+        _SNAPSHOT_LINES.append(tuple(f"{v} {code}\n" for code in COLOR_CODE))
+    return _SNAPSHOT_LINES
+
+
+def _red_singletons(n: int) -> list[Component]:
+    """_red_singletons(n)[v] is the component of a red vertex v < n."""
+    for v in range(len(_RED_SINGLETONS), n):
+        _RED_SINGLETONS.append(Component((v,), ComponentKind.ISOLATED_RED, 1 << v))
+    return _RED_SINGLETONS
 
 
 def _weight(n: int, dominated_mask: int, red_mask: int, light_mask: int) -> int:
@@ -151,15 +172,20 @@ def split_components(s: ResidualState, vertices: Iterable[int]) -> list[Componen
 
     `vertices` must be closed under retained edges: all of V, or one
     component of an earlier state, since a later state retains a subset of
-    the edges.
+    the edges. A red vertex keeps no retained edge; it comes back as the
+    shared singleton of _red_singletons, with no search.
     """
     opens = s.graph.open_masks
-    dom = s.dominated_mask
+    dom, red = s.dominated_mask, s.red_mask
+    singletons = _red_singletons(s.graph.n)
     seen = 0
     comps: list[Component] = []
     for start in vertices:
         comp = 1 << start
         if seen & comp:
+            continue
+        if red & comp:
+            comps.append(singletons[start])
             continue
         frontier = comp
         while frontier:
@@ -182,9 +208,7 @@ def _make_component(s: ResidualState, mask: int) -> Component:
     wc = (mask & ~dom).bit_count()
     bc = (mask & dom & ~s.red_mask).bit_count()
     order = len(vertices)
-    if order == 1:
-        kind = ComponentKind.ISOLATED_RED if mask & s.red_mask else ComponentKind.OTHER
-    elif order == 2 and wc == 2:
+    if order == 2 and wc == 2:
         kind = ComponentKind.WW
     elif order == 2 and wc == 1 and bc == 1:
         kind = ComponentKind.WB_PLUS if mask & s.light_mask else ComponentKind.WB_MINUS

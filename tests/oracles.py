@@ -11,16 +11,29 @@ from itertools import combinations
 from math import comb
 
 from domgame.errors import IllegalMoveError
-from domgame.phases import F_decrease, PhaseContext, maybe_advance, shade_for_phase
+from domgame.phases import (
+    CycleStatus,
+    F_decrease,
+    PhaseContext,
+    _F_memo,
+    _penalty,
+    _shape_masks,
+    _status,
+    maybe_advance,
+    shade_for_phase,
+)
 from domgame.residual import (
     BLUE_SHADES,
     Color,
+    ComponentKind,
     ResidualState,
     apply_move,
     f_decrease,
     init_state,
     is_over,
     legal_moves,
+    split_components,
+    vertices_of,
 )
 from domgame.strategy import dominator_greedy, play_game
 
@@ -97,6 +110,62 @@ def max_f_decrease(s):
 def max_F_decrease(s, reg):
     """Largest F-decrease of any legal move under registry reg (0 if none)."""
     return max((F_decrease(s, reg, v) for v in legal_moves(s)), default=0)
+
+
+def components_bfs(s, vertices=None):
+    """(vertices, kind, mask) of each component of s over retained edges,
+    among `vertices` (default all of V) in order of their first member
+    there, by a plain breadth-first search over sets, every red vertex
+    included, with the kind read off the colors by its definition."""
+    colors = s.colors
+    nbrs = {v: set() for v in range(s.graph.n)}
+    for u, w in retained_edges(s):
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    seen, out = set(), []
+    for start in range(s.graph.n) if vertices is None else vertices:
+        if start in seen:
+            continue
+        comp, queue = {start}, [start]
+        while queue:
+            for w in nbrs[queue.pop()] - comp:
+                comp.add(w)
+                queue.append(w)
+        seen |= comp
+        whites = sum(colors[u] is Color.WHITE for u in comp)
+        shades = sorted(colors[u] for u in comp if colors[u] is not Color.WHITE)
+        if len(comp) == 1 and shades == [Color.RED]:
+            kind = ComponentKind.ISOLATED_RED
+        elif len(comp) == 2 and whites == 2:
+            kind = ComponentKind.WW
+        elif len(comp) == 2 and shades == [Color.LIGHT_BLUE]:
+            kind = ComponentKind.WB_PLUS
+        elif len(comp) == 2 and shades == [Color.DARK_BLUE]:
+            kind = ComponentKind.WB_MINUS
+        elif len(comp) == 3 and whites == 1 and Color.RED not in shades:
+            kind = ComponentKind.BWB
+        else:
+            kind = ComponentKind.OTHER
+        out.append((tuple(sorted(comp)), kind, sum(1 << u for u in comp)))
+    return out
+
+
+def F_decrease_resplit(s, reg, v):
+    """F(s) - F(s after v, shaded dark) by re-splitting all of C(v), v's
+    retained-edge component, in the state apply_move builds, and
+    classifying again every X-cycle with a member in C(v); the components
+    outside C(v) are s's own."""
+    is_open = _F_memo(s, reg)[2]
+    post = apply_move(s, v, Color.DARK_BLUE)
+    comps, idx = s.components(), s.component_index()
+    comp = comps[idx[v]]
+    pieces = split_components(post, comp.vertices)
+    dec = s.f - post.f - _penalty(comp.kind) + sum(_penalty(c.kind) for c in pieces)
+    masks = _shape_masks([c for c in comps if c is not comp] + pieces)
+    for i in {reg.cycle_of[u] for u in vertices_of(comp.mask & reg.member_mask)}:
+        status = _status(reg, i, s.graph.open_masks, post.dominated_mask, post.red_mask, *masks)
+        dec -= is_open[i] - (status is CycleStatus.OPEN)
+    return dec
 
 
 def state_from_colors(g, colors):

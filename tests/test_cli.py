@@ -157,6 +157,27 @@ def test_verify_spec_file_and_csv(tmp_path, capsys):
     assert len(csv.splitlines()) == 1 + 7
 
 
+def test_verify_names_claims_skipped_on_every_graph(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"families": [{"name": "paths", "params": {"n_max": 6}}]}),
+                    encoding="utf-8")
+    monkeypatch.setenv("DOMGAME_CAP", "0")
+    assert main(["verify", str(spec)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  BOUND_5N8: skipped-exact=5" in lines
+    assert lines[-2:] == [
+        "skipped on every graph (caps too low): BOUND_5N8, BOUND_STALLER_START, GAP_GG_GGP",
+        "all checks that ran passed"]
+    for fmt in ("--json", "--csv"):
+        assert main(["verify", str(spec), fmt]) == 0
+        assert "skipped on every graph" not in capsys.readouterr().out
+    monkeypatch.delenv("DOMGAME_CAP")
+    assert main(["verify", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert "skipped on every graph" not in out
+    assert out.endswith("all checks passed\n")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_one_exits_2(jobs, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

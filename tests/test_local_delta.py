@@ -1,12 +1,18 @@
 """Differential tests of the local move deltas against full recomputation.
 
 apply_move scans only N^2[v] for the masks after the move, f_decrease
-counts f of those masks without building a state, and F_decrease re-splits
-only v's retained-edge component. Each is compared with the oracle move that
-recolors all n vertices (oracles.apply_move_full) and with F_value on
-fresh states, at states reached by play on random trees, G(n, p) and
-unions of cycles C_k (k >= 4), including phase-3/4 states whose X-cycle
-registry was frozen by maybe_advance.
+counts f of those masks without building a state, and F_decrease splits
+only the pieces of C(v), v's retained-edge component, that hold a non-red
+vertex of N[newly], stopping each search at 4 vertices. apply_move and
+f_decrease are compared with the oracle move that recolors all n vertices
+(oracles.apply_move_full). F_decrease is compared with the oracle that
+re-splits all of C(v) (oracles.F_decrease_resplit) and with F_value on
+fresh states, at every phase-3/4 state under the X-cycle registry that
+maybe_advance froze, and at every state under the registry of the graph's
+own cycles, which need not match the white subgraph. The games are played
+on random trees, G(n, p), unions of cycles C_k (k >= 4, up to 40) and
+cycles with pendant paths and chords. split_components is compared with a
+plain breadth-first search (oracles.components_bfs).
 """
 
 from hypothesis import example, given, settings
@@ -14,10 +20,12 @@ from hypothesis import strategies as st
 
 from domgame import (
     Color,
+    ComponentKind,
     F_decrease,
     F_value,
     Graph,
     PhaseContext,
+    XCycleRegistry,
     apply_move,
     dominator_greedy,
     f_decrease,
@@ -31,31 +39,54 @@ from domgame import (
     philox_rng,
     shade_for_phase,
 )
-from domgame.residual import WEIGHT
-from oracles import apply_move_full, state_from_colors
+from domgame.residual import WEIGHT, split_components
+from oracles import F_decrease_resplit, apply_move_full, components_bfs, state_from_colors
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
 
 def cycle_union(lengths):
-    edges, off = [], 0
+    """(graph, its cycles in cyclic order): disjoint cycles C_k."""
+    edges, cycles, off = [], [], 0
     for k in lengths:
         edges.extend((off + i, off + (i + 1) % k) for i in range(k))
+        cycles.append(tuple(range(off, off + k)))
         off += k
-    return Graph.from_edges(off, edges)
+    return Graph.from_edges(off, edges), tuple(cycles)
 
 
 @st.composite
-def graphs(draw):
-    """(family, graph) with family "tree", "gnp" or "cycles"."""
-    family = draw(st.sampled_from(("tree", "gnp", "cycles")))
+def graphs(draw, max_n):
+    """(family, graph, the graph's built-in cycles) with family "tree",
+    "gnp", "cycles" (disjoint C_k, k >= 4, at most max_n vertices in all)
+    or "decorated" (C_k on 0..k-1 with pendant paths hung on its vertices
+    and chords across it)."""
+    family = draw(st.sampled_from(("tree", "gnp", "cycles", "decorated")))
     seed = draw(st.integers(0, 2**31))
     if family == "tree":
-        return family, gen_random_tree(draw(st.integers(2, 16)), seed)
+        return family, gen_random_tree(draw(st.integers(2, max_n)), seed), ()
     if family == "gnp":
         return family, gen_gnp_isolate_free(draw(st.integers(2, 12)),
-                                            draw(st.sampled_from((0.15, 0.3, 0.5))), seed)
-    return family, cycle_union(draw(st.lists(st.integers(4, 10), min_size=1, max_size=4)))
+                                            draw(st.sampled_from((0.15, 0.3, 0.5))), seed), ()
+    if family == "cycles":
+        lengths = [draw(st.integers(4, max_n))]
+        while max_n - sum(lengths) >= 4 and len(lengths) < 4 and draw(st.booleans()):
+            lengths.append(draw(st.integers(4, max_n - sum(lengths))))
+        return (family, *cycle_union(lengths))
+    k = draw(st.integers(4, max(4, max_n // 2)))
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    n = k
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, k - 1))
+        for _ in range(draw(st.integers(1, 3))):
+            edges.append((at, n))
+            at, n = n, n + 1
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.integers(0, k - 1))
+        w = (u + draw(st.integers(2, k - 2))) % k
+        if all({u, w} != {a, b} for a, b in edges):
+            edges.append((u, w))
+    return family, Graph.from_edges(n, edges), (tuple(range(k)),)
 
 
 def phased_play(g, seed):
@@ -99,10 +130,10 @@ def assert_mask_invariants(s):
     assert s.f == sum(WEIGHT[c] for c in s.colors)
 
 
-@given(drawn=graphs(), seed=st.integers(0, 2**31))
+@given(drawn=graphs(16), seed=st.integers(0, 2**31))
 @settings(max_examples=150)
 def test_apply_move_and_f_decrease_match_full_recompute(drawn, seed):
-    _, g = drawn
+    _, g, _ = drawn
     for s, _ in phased_play(g, seed):
         assert_mask_invariants(s)
         for v in legal_moves(s):
@@ -118,20 +149,45 @@ def test_apply_move_and_f_decrease_match_full_recompute(drawn, seed):
                 assert f_decrease(s, v, shade) == s.f - want.f
 
 
-@given(drawn=graphs(), seed=st.integers(0, 2**31))
-@example(drawn=("gnp", gen_cycle(3)), seed=0)  # K3: f drops by 15, no phase 3
-@settings(max_examples=150)
+@given(drawn=graphs(40), seed=st.integers(0, 2**31))
+@example(drawn=("gnp", gen_cycle(3), ()), seed=0)  # K3: f drops by 15, no phase 3
+@settings(max_examples=300, deadline=None)
 def test_F_decrease_matches_full_recompute(drawn, seed):
-    family, g = drawn
+    family, g, cycles = drawn
+    own = XCycleRegistry(cycles)
     checked = 0
     for s, ctx in phased_play(g, seed):
-        if ctx.registry is None:
-            continue
-        F_pre = F_value(fresh(s), ctx.registry)
-        for v in legal_moves(s):
-            post = fresh(apply_move_full(s, v, DARK))
-            assert F_decrease(s, ctx.registry, v) == F_pre - F_value(post, ctx.registry)
-            checked += 1
-        assert F_value(s, ctx.registry) == F_pre
+        regs = [own] if ctx.registry is None else [ctx.registry, own]
+        posts = [fresh(apply_move_full(s, v, DARK)) for v in legal_moves(s)]
+        for reg in regs:
+            pre = fresh(s)
+            F_pre = F_value(pre, reg)
+            for v, post in zip(legal_moves(s), posts):
+                dec = F_decrease(s, reg, v)
+                assert dec == F_decrease_resplit(pre, reg, v)
+                assert dec == F_pre - F_value(post, reg)
+            assert F_value(s, reg) == F_pre
+        checked += ctx.registry is not None
     if family == "cycles":
         assert checked  # a union of cycles C_k, k >= 4, enters phase 3 before move 1
+
+
+RED_SINGLETONS = {}  # vertices -> the first red singleton seen, across graphs
+
+
+@given(drawn=graphs(40), seed=st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_split_components_matches_bfs(drawn, seed):
+    def listed(comps):
+        return [(c.vertices, c.kind, c.mask) for c in comps]
+
+    _, g, _ = drawn
+    played = phased_play(g, seed)
+    for (s, _), (post, _) in zip(played, played[1:] + [(None, None)]):
+        assert listed(s.components()) == components_bfs(s)
+        reds = [c for c in s.components() if c.kind is ComponentKind.ISOLATED_RED]
+        assert all(c is RED_SINGLETONS.setdefault(c.vertices, c) for c in reds)  # shared
+        if post is None:
+            continue
+        for comp in s.components():  # post's components refine s's
+            assert listed(split_components(post, comp.vertices)) == components_bfs(post, comp.vertices)
