@@ -31,6 +31,8 @@ from .residual import (
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     f_decrease,
     legal_moves,
+    piece_kind,
+    retained_piece,
     vertices_of,
     white_degree,
     white_mask,
@@ -274,23 +276,6 @@ def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
     return memo
 
 
-def _small_piece(opens: tuple[int, ...], dom: int, start: int) -> int:
-    """Mask of the retained-edge component of `start` under the dominated
-    mask `dom` if its order is at most 3; else a mask of 4 or more of its
-    vertices, the search stopping there."""
-    piece = frontier = 1 << start
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        nbrs = opens[low.bit_length() - 1]
-        new = (nbrs & ~dom if low & dom else nbrs) & ~piece
-        piece |= new
-        if piece.bit_count() >= 4:
-            break
-        frontier |= new
-    return piece
-
-
 def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     """F(s) - F(s after v, shaded dark), computed near the move.
 
@@ -303,7 +288,8 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     the only ones with a WB+ or BWB discount; C(v)'s other non-red vertices
     lie in pieces of order >= 4. Only the X-cycles that meet N[newly] or a
     small piece can change status, so only they are classified again. The
-    masks after the move come from _masks_after and no state is built. The
+    masks after the move come from _masks_after, the pieces and their kinds
+    from residual's retained_piece and piece_kind, and no state is built. The
     result is memoized per state and registry, so the phase-3 predicate and
     the greedy scan that follows it share one scan.
     """
@@ -325,18 +311,15 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     dec = s.f - _weight(g.n, dom, red, light) - _penalty(comp.kind)
     starts = near & ~red
     while starts:
-        piece = _small_piece(opens, dom, (starts & -starts).bit_length() - 1)
+        piece = retained_piece(opens, dom, (starts & -starts).bit_length() - 1, 4)
         starts &= ~piece
-        order = piece.bit_count()
-        if order >= 4:
+        if piece.bit_count() >= 4:
             continue
         small |= piece
-        whites = (piece & ~dom).bit_count()
-        if order == 2 and whites == 1 and piece & light:
-            dec += 1  # WB+
-        elif order == 3 and whites == 1:
+        kind = piece_kind(piece, dom, red, light)
+        if kind is ComponentKind.BWB:
             small_bwb |= piece
-            dec += 3  # BWB
+        dec += _penalty(kind)
     touched = (near | small) & reg.member_mask
     if touched:
         big = big & ~comp.mask | comp.mask & ~red & ~small

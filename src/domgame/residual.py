@@ -176,47 +176,57 @@ def split_components(s: ResidualState, vertices: Iterable[int]) -> list[Componen
     shared singleton of _red_singletons, with no search.
     """
     opens = s.graph.open_masks
-    dom, red = s.dominated_mask, s.red_mask
+    dom, red, light = s.dominated_mask, s.red_mask, s.light_mask
     singletons = _red_singletons(s.graph.n)
+    n = s.graph.n
     seen = 0
     comps: list[Component] = []
     for start in vertices:
-        comp = 1 << start
-        if seen & comp:
+        if seen >> start & 1:
             continue
-        if red & comp:
+        if red >> start & 1:
             comps.append(singletons[start])
             continue
-        frontier = comp
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                nbrs = opens[low.bit_length() - 1]
-                reach |= nbrs & ~dom if low & dom else nbrs
-            frontier = reach & ~comp
-            comp |= frontier
+        comp = retained_piece(opens, dom, start, n)
         seen |= comp
-        comps.append(_make_component(s, comp))
+        comps.append(Component(tuple(vertices_of(comp)), piece_kind(comp, dom, red, light), comp))
     return comps
 
 
-def _make_component(s: ResidualState, mask: int) -> Component:
-    vertices = tuple(vertices_of(mask))
-    dom = s.dominated_mask
+def retained_piece(opens: tuple[int, ...], dom: int, start: int, limit: int) -> int:
+    """Mask of start's component over the edges retained under the dominated
+    mask `dom` (those touching a vertex outside dom) if its order is below
+    `limit`; else a mask of `limit` or more of its vertices, the search
+    stopping there. A limit of n always gives the whole component."""
+    piece = frontier = 1 << start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        nbrs = opens[low.bit_length() - 1]
+        new = (nbrs & ~dom if low & dom else nbrs) & ~piece
+        if new:
+            piece |= new
+            if piece.bit_count() >= limit:
+                break
+            frontier |= new
+    return piece
+
+
+def piece_kind(mask: int, dom: int, red: int, light: int) -> ComponentKind:
+    """Kind of the retained-edge component `mask` under the given dominated,
+    red and light masks."""
+    order = mask.bit_count()
+    if order > 3:
+        return ComponentKind.OTHER
     wc = (mask & ~dom).bit_count()
-    bc = (mask & dom & ~s.red_mask).bit_count()
-    order = len(vertices)
+    bc = (mask & dom & ~red).bit_count()
     if order == 2 and wc == 2:
-        kind = ComponentKind.WW
-    elif order == 2 and wc == 1 and bc == 1:
-        kind = ComponentKind.WB_PLUS if mask & s.light_mask else ComponentKind.WB_MINUS
-    elif order == 3 and wc == 1 and bc == 2:
-        kind = ComponentKind.BWB
-    else:
-        kind = ComponentKind.OTHER
-    return Component(vertices, kind, mask)
+        return ComponentKind.WW
+    if order == 2 and wc == 1 and bc == 1:
+        return ComponentKind.WB_PLUS if mask & light else ComponentKind.WB_MINUS
+    if order == 3 and wc == 1 and bc == 2:
+        return ComponentKind.BWB
+    return ComponentKind.OTHER
 
 
 def init_state(g: Graph) -> ResidualState:

@@ -56,24 +56,25 @@ def cycle_union(lengths):
 
 
 @st.composite
-def graphs(draw, max_n):
-    """(family, graph, the graph's built-in cycles) with family "tree",
-    "gnp", "cycles" (disjoint C_k, k >= 4, at most max_n vertices in all)
-    or "decorated" (C_k on 0..k-1 with pendant paths hung on its vertices
-    and chords across it)."""
+def graphs(draw, tree_n, cycle_n):
+    """(family, graph, the graph's built-in cycles) with family "tree" (at
+    most tree_n vertices), "gnp", "cycles" (up to 4 disjoint C_k, k >= 4,
+    at most cycle_n vertices in all) or "decorated" (C_k on 0..k-1, k at
+    most cycle_n / 2, with pendant paths hung on its vertices and chords
+    across it)."""
     family = draw(st.sampled_from(("tree", "gnp", "cycles", "decorated")))
     seed = draw(st.integers(0, 2**31))
     if family == "tree":
-        return family, gen_random_tree(draw(st.integers(2, max_n)), seed), ()
+        return family, gen_random_tree(draw(st.integers(2, tree_n)), seed), ()
     if family == "gnp":
         return family, gen_gnp_isolate_free(draw(st.integers(2, 12)),
                                             draw(st.sampled_from((0.15, 0.3, 0.5))), seed), ()
     if family == "cycles":
-        lengths = [draw(st.integers(4, max_n))]
-        while max_n - sum(lengths) >= 4 and len(lengths) < 4 and draw(st.booleans()):
-            lengths.append(draw(st.integers(4, max_n - sum(lengths))))
+        lengths = [draw(st.integers(4, cycle_n))]
+        while cycle_n - sum(lengths) >= 4 and len(lengths) < 4 and draw(st.booleans()):
+            lengths.append(draw(st.integers(4, cycle_n - sum(lengths))))
         return (family, *cycle_union(lengths))
-    k = draw(st.integers(4, max(4, max_n // 2)))
+    k = draw(st.integers(4, max(4, cycle_n // 2)))
     edges = [(i, (i + 1) % k) for i in range(k)]
     n = k
     for _ in range(draw(st.integers(0, 3))):
@@ -130,7 +131,7 @@ def assert_mask_invariants(s):
     assert s.f == sum(WEIGHT[c] for c in s.colors)
 
 
-@given(drawn=graphs(16), seed=st.integers(0, 2**31))
+@given(drawn=graphs(16, 40), seed=st.integers(0, 2**31))
 @settings(max_examples=150)
 def test_apply_move_and_f_decrease_match_full_recompute(drawn, seed):
     _, g, _ = drawn
@@ -149,7 +150,7 @@ def test_apply_move_and_f_decrease_match_full_recompute(drawn, seed):
                 assert f_decrease(s, v, shade) == s.f - want.f
 
 
-@given(drawn=graphs(40), seed=st.integers(0, 2**31))
+@given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
 @example(drawn=("gnp", gen_cycle(3), ()), seed=0)  # K3: f drops by 15, no phase 3
 @settings(max_examples=300, deadline=None)
 def test_F_decrease_matches_full_recompute(drawn, seed):
@@ -175,7 +176,7 @@ def test_F_decrease_matches_full_recompute(drawn, seed):
 RED_SINGLETONS = {}  # vertices -> the first red singleton seen, across graphs
 
 
-@given(drawn=graphs(40), seed=st.integers(0, 2**31))
+@given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_split_components_matches_bfs(drawn, seed):
     def listed(comps):
