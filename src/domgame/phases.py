@@ -74,11 +74,10 @@ class XCycleRegistry:
         return {v: i for i, cyc in enumerate(self.cycles) for v in cyc}
 
     @cached_property
-    def edge_masks(self) -> tuple[tuple[int, ...], ...]:
-        """edge_masks[i] lists the edges of cycle i, each as the mask of its
-        two endpoints."""
-        return tuple(tuple(1 << u | 1 << w for u, w in zip(cyc, cyc[1:] + cyc[:1]))
-                     for cyc in self.cycles)
+    def ring_masks(self) -> dict[int, int]:
+        """The mask of each member's two neighbors along its cycle."""
+        return {v: 1 << cyc[i - 1] | 1 << cyc[(i + 1) % len(cyc)]
+                for cyc in self.cycles for i, v in enumerate(cyc)}
 
 
 @dataclass(frozen=True)
@@ -230,8 +229,17 @@ def _shape_masks(comps: Iterable[Component]) -> tuple[int, int]:
 def _status(reg: XCycleRegistry, i: int, opens: tuple[int, ...], dom: int, red: int,
             big: int, bwb: int) -> CycleStatus:
     """cycle_status of cycle i read off a state's dominated and red masks and
-    its _shape_masks."""
-    if all(e & ~dom for e in reg.edge_masks[i]):
+    its _shape_masks. A cycle edge stops being retained when both its ends
+    are dominated, so the cycle is closed when no dominated member has a
+    dominated ring neighbor."""
+    ring = reg.ring_masks
+    m = reg.cycle_masks[i] & dom
+    while m:
+        low = m & -m
+        if ring[low.bit_length() - 1] & dom:
+            break
+        m ^= low
+    else:
         return CycleStatus.CLOSED
     blue_leaf = dom & ~red & big
     if any(blue_leaf >> v & 1 and (opens[v] & ~dom).bit_count() == 1 for v in reg.cycles[i]):

@@ -61,7 +61,16 @@ class ResidualState:
     derived from the masks for snapshots and tests. Components are computed
     on first use and memoized, and so is every f_decrease. ``F_memo`` is
     where phases memoizes the potential F and its decreases per registry.
-    Callers treat instances as values: apply_move returns a new state.
+
+    The f-decreases also carry from one state to the next: when a move on v
+    is played in phase 1 or 2, carry_f_decreases hands the state after it
+    every memoized f_decrease of the state before it whose vertex lies
+    outside N^4[v], of either shade. f_decrease(x) reads dominated bits on
+    N^3[x] and red and light bits on N^2[x], and the move changes dominated
+    bits only in N[v] and red and light bits only in N^2[v], so no score
+    outside the ball changes. In phases 3-4 nothing is carried. Callers
+    treat instances as values: apply_move returns a new state, and a carry
+    fills the new state's own memo, never the old one's.
     """
 
     __slots__ = ("graph", "dominated_mask", "red_mask", "light_mask", "f",
@@ -164,6 +173,19 @@ def vertices_of(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def nth_vertex(mask: int, k: int) -> int:
+    """vertices_of(mask)[k], found by binary search on bit counts without
+    listing the mask; k must be below mask.bit_count()."""
+    lo, hi = 0, mask.bit_length()  # the answer is lo - 1 once lo == hi
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if (mask & ((1 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo - 1
 
 
 def split_components(s: ResidualState, vertices: Iterable[int]) -> list[Component]:
@@ -336,6 +358,27 @@ def f_decrease(s: ResidualState, v: int, shade: Color) -> int:
     if dec is None:
         dec = memo[key] = s.f - _weight(s.graph.n, *_masks_after(s, v, shade))
     return dec
+
+
+def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int) -> None:
+    """Hand post, the state after v is played from pre, each f_decrease
+    memoized on pre whose vertex lies outside N^4[v], of either shade.
+
+    f_decrease(x) reads the dominated bits on N^3[x] and the red and light
+    bits on N^2[x]. The move dominates only N[v], and turns red or drops
+    the light bit only of vertices in N^2[v]. For x outside N^4[v], N^3[x]
+    misses N[v] and N^2[x] misses N^2[v], so f_decrease(x) is the same in
+    both states. Nothing is carried when the ball covers every non-red
+    vertex of post, where every score would be dropped. pre's memo is read,
+    not changed: post gets a new dict.
+    """
+    memo = pre._f_decreases
+    if not memo:
+        return
+    ball = pre.graph.ball4_mask(v)
+    if ball | post.red_mask == (1 << pre.graph.n) - 1:
+        return
+    post._f_decreases = {key: dec for key, dec in memo.items() if not ball >> key[0] & 1}
 
 
 def white_degree(s: ResidualState, v: int) -> int:

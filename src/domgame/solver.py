@@ -57,6 +57,8 @@ def game_value(g: Graph, undominated=None, dominator_to_move: bool = True,
     elif len(memo) != 2 << g.n:
         raise ValueError(f"memo must be bytearray(2 << n) = {2 << g.n} bytes, "
                          f"got {len(memo)}")
+    if not mask:
+        return 0
     full = (1 << g.n) - 1
     keeps = [full ^ c for c in g.closed_masks]  # what a move leaves undominated
 
@@ -89,11 +91,14 @@ def game_value(g: Graph, undominated=None, dominator_to_move: bool = True,
         memo[m << 1] = best
         return best
 
-    if not mask:
-        return 0
     if dominator_to_move:
-        return memo[mask << 1 | 1] or dominator(mask)
-    return memo[mask << 1] or staller(mask)
+        value = memo[mask << 1 | 1] or dominator(mask)
+    else:
+        value = memo[mask << 1] or staller(mask)
+    # The two closures refer to each other; breaking that cycle frees memo
+    # as soon as the last caller drops it, not at the next gc pass.
+    del dominator, staller
+    return value
 
 
 def solve_game(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> GameValue:

@@ -21,7 +21,15 @@ from .phases import (
     potential_kind,
     shade_for_phase,
 )
-from .residual import ResidualState, apply_move, init_state, is_over, legal_moves
+from .residual import (
+    ResidualState,
+    apply_move,
+    carry_f_decreases,
+    init_state,
+    is_over,
+    legal_moves,
+    nth_vertex,
+)
 
 DEFAULT_WORST_CASE_CAP = 12
 
@@ -125,10 +133,10 @@ def make_staller_random(seed: int) -> Policy:
     rng = philox_rng(seed)
 
     def staller_random(ctx: PhaseContext, s: ResidualState) -> int:
-        moves = legal_moves(s)
-        if not moves:
+        live = ((1 << s.graph.n) - 1) & ~s.red_mask  # the legal moves
+        if not live:
             raise IllegalMoveError("no legal moves: the game is over")
-        return moves[int(rng.integers(0, len(moves)))]
+        return nth_vertex(live, int(rng.integers(0, live.bit_count())))
 
     staller_random.policy_name = "random"
     return staller_random
@@ -155,9 +163,14 @@ def step(ctx: PhaseContext, state: ResidualState, idx: int,
 
     New blues are light only in phase 1. The phase machine is evaluated
     after even-indexed moves that leave the game running, never after the
-    last move.
+    last move. A move played in phase 1 or 2 hands the state after it the
+    f-decreases of the state before it that it cannot have changed
+    (residual.carry_f_decreases), so the greedy scan and the phase-2
+    predicate there re-score only vertices near the move.
     """
     post = apply_move(state, v, shade_for_phase(ctx.phase))
+    if ctx.phase <= 2:
+        carry_f_decreases(state, post, v)
     if idx % 2 == 0 and not is_over(post):
         ctx = maybe_advance(ctx, post)
     return post, ctx

@@ -11,9 +11,11 @@ from itertools import combinations
 from math import comb
 
 from domgame.errors import IllegalMoveError
+from domgame.graph import philox_rng
 from domgame.phases import (
     CycleStatus,
     F_decrease,
+    F_value,
     PhaseContext,
     _F_memo,
     _penalty,
@@ -199,6 +201,45 @@ def apply_move_full(s, v, shade):
         else:
             new_colors.append(colors[u])
     return state_from_colors(s.graph, tuple(new_colors))
+
+
+def greedy_full_scan(ctx, s):
+    """The greedy Dominator's move by its definition: the legal vertex whose
+    move drops the active potential most, ties to the smallest id, every
+    drop counted on states rebuilt from colors with every color recomputed
+    (apply_move_full), so nothing memoized or carried is read."""
+    pre = state_from_colors(s.graph, s.colors)
+    if ctx.phase <= 2:
+        shade = shade_for_phase(ctx.phase)
+
+        def drop(v):
+            return pre.f - apply_move_full(pre, v, shade).f
+    else:
+        F_pre = F_value(pre, ctx.registry)
+
+        def drop(v):
+            return F_pre - F_value(apply_move_full(pre, v, Color.DARK_BLUE), ctx.registry)
+    return max(legal_moves(pre), key=lambda v: (drop(v), -v))
+
+
+def cycle_closed(s, cyc):
+    """Whether every edge of the cycle `cyc` (vertices in cyclic order) is
+    retained in s, i.e. has a white end."""
+    colors = s.colors
+    return all(Color.WHITE in (colors[u], colors[w]) for u, w in zip(cyc, cyc[1:] + cyc[:1]))
+
+
+def make_staller_random_listing(seed):
+    """The random Staller drawing an index into the listed legal moves, with
+    the same Philox stream and draw as strategy.make_staller_random."""
+    rng = philox_rng(seed)
+
+    def staller_random(ctx, s):
+        moves = legal_moves(s)
+        return moves[int(rng.integers(0, len(moves)))]
+
+    staller_random.policy_name = "random"
+    return staller_random
 
 
 def make_scripted_staller(moves, name="scripted"):

@@ -12,8 +12,13 @@ maybe_advance froze, and at every state under the registry of the graph's
 own cycles, which need not match the white subgraph. The games are played
 on random trees, G(n, p), unions of cycles C_k (k >= 4, up to 40) and
 cycles with pendant paths and chords. split_components is compared with a
-plain breadth-first search (oracles.components_bfs).
+plain breadth-first search (oracles.components_bfs). The f-decreases a
+state inherits through step from the state before it are compared with
+f_decrease on fresh states, along mixed games and at the nodes of the
+worst-case search, and the greedy move with a full-scan oracle.
 """
+
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +36,7 @@ from domgame import (
     f_decrease,
     gen_cycle,
     gen_gnp_isolate_free,
+    gen_path,
     gen_random_tree,
     init_state,
     is_over,
@@ -38,9 +44,20 @@ from domgame import (
     maybe_advance,
     philox_rng,
     shade_for_phase,
+    staller_worst_case,
 )
+from domgame import strategy
+from domgame.phases import CycleStatus, cycle_status
 from domgame.residual import WEIGHT, split_components
-from oracles import F_decrease_resplit, apply_move_full, components_bfs, state_from_colors
+from domgame.strategy import opening, step
+from oracles import (
+    F_decrease_resplit,
+    apply_move_full,
+    components_bfs,
+    cycle_closed,
+    greedy_full_scan,
+    state_from_colors,
+)
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
@@ -168,6 +185,8 @@ def test_F_decrease_matches_full_recompute(drawn, seed):
                 assert dec == F_decrease_resplit(pre, reg, v)
                 assert dec == F_pre - F_value(post, reg)
             assert F_value(s, reg) == F_pre
+            for i, cyc in enumerate(reg.cycles):
+                assert (cycle_status(reg, i, s) is CycleStatus.CLOSED) == cycle_closed(s, cyc)
         checked += ctx.registry is not None
     if family == "cycles":
         assert checked  # a union of cycles C_k, k >= 4, enters phase 3 before move 1
@@ -192,3 +211,57 @@ def test_split_components_matches_bfs(drawn, seed):
             continue
         for comp in s.components():  # post's components refine s's
             assert listed(split_components(post, comp.vertices)) == components_bfs(post, comp.vertices)
+
+
+def assert_memo_exact(s):
+    """Every f-decrease memoized on s, carried or scored there, equals the
+    score on the same position with nothing memoized."""
+    pre = fresh(s)
+    for (v, shade), dec in s._f_decreases.items():
+        assert dec == f_decrease(pre, v, shade), (v, shade)
+
+
+@given(drawn=graphs(40, 24), seed=st.integers(0, 2**31), first=st.sampled_from("DS"))
+@settings(max_examples=100, deadline=None)
+def test_carried_f_decreases_match_fresh_scores(drawn, seed, first):
+    """Games played through step, each move the greedy Dominator's or a
+    random legal one; at every state the memo, once the greedy has read
+    it, holds only exact scores, and the greedy move is the full scan's."""
+    _, g, _ = drawn
+    rng = philox_rng(seed)
+    s, ctx, idx = opening(g, first)
+    while not is_over(s):
+        v = dominator_greedy(ctx, s)
+        assert v == greedy_full_scan(ctx, s)
+        assert_memo_exact(s)
+        if int(rng.integers(0, 2)):
+            moves = legal_moves(s)
+            v = moves[int(rng.integers(0, len(moves)))]
+        s, ctx = step(ctx, s, idx, v)
+        idx += 1
+
+
+@given(family=st.sampled_from(("path", "tree")), n=st.integers(4, 12),
+       seed=st.integers(0, 2**31), first=st.sampled_from("DS"))
+@settings(max_examples=40, deadline=None)
+def test_worst_case_search_carries_exact_scores(family, n, seed, first):
+    """At every node of the worst-case search the memo holds only exact
+    scores, and at every Dominator node the greedy move is the full scan's.
+    Paths and trees of diameter > 4 have moves whose ball N^4[v] leaves
+    non-red vertices out, so the search carries scores there."""
+    g = gen_path(n) if family == "path" else gen_random_tree(n, seed)
+    nodes = {}
+
+    def recording_step(ctx, state, idx, v):
+        post, next_ctx = step(ctx, state, idx, v)
+        nodes.setdefault(id(state), (ctx, state, idx))
+        nodes.setdefault(id(post), (next_ctx, post, idx + 1))
+        return post, next_ctx
+
+    with mock.patch.object(strategy, "step", recording_step):
+        staller_worst_case(g, first=first)
+    for ctx, s, idx in nodes.values():
+        assert_memo_exact(s)
+        if idx % 2 == 1 and not is_over(s):
+            assert dominator_greedy(ctx, s) == greedy_full_scan(ctx, s)
+            assert_memo_exact(s)

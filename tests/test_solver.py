@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +84,22 @@ def test_memo_must_be_the_graph_table():
     g = gen_path(4)
     with pytest.raises(ValueError, match="bytearray"):
         game_value(g, memo=bytearray(2 << 5))
+
+
+def test_game_value_lets_go_of_its_memo():
+    """No reference cycle outlives a solve: with the cyclic collector off,
+    the table's reference count is back where it was once game_value
+    returns, so the table is freed with its last owner."""
+    g = gen_random_tree(10, 3)
+    memo = bytearray(2 << g.n)
+    gc.disable()
+    try:
+        before = sys.getrefcount(memo)
+        assert game_value(g, None, True, memo) == solve_game(g).gamma_g
+        assert game_value(g, None, False, memo) == solve_game(g).gamma_g_prime
+        assert sys.getrefcount(memo) == before
+    finally:
+        gc.enable()
 
 
 def _graph(n, seed, tree):

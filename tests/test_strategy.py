@@ -24,7 +24,9 @@ from domgame import (
     staller_min_decrease,
     staller_worst_case,
 )
-from oracles import make_scripted_staller
+from domgame import residual, strategy
+from domgame.residual import nth_vertex, vertices_of
+from oracles import make_scripted_staller, make_staller_random_listing
 
 
 def test_greedy_p4_tie_breaks_low():
@@ -81,6 +83,53 @@ def test_staller_random_is_reproducible():
     assert t1 == t2
     t3 = play_game(g, dominator_greedy, make_staller_random(8), "D")
     assert t1.to_json() != t3.to_json() or t1 == t3
+
+
+@given(mask=st.integers(1, 2**70 - 1), data=st.data())
+def test_nth_vertex_indexes_the_listed_mask(mask, data):
+    k = data.draw(st.integers(0, mask.bit_count() - 1))
+    assert nth_vertex(mask, k) == vertices_of(mask)[k]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_staller_random_draws_as_listing_the_moves(seed):
+    """The random Staller picks the k-th non-red vertex without listing the
+    legal moves; its draws, and so its games, equal those of the policy
+    that indexes legal_moves(s) with the same Philox stream."""
+    g = gen_random_tree(40, seed) if seed % 2 else gen_gnp_isolate_free(30, 0.1, seed)
+    for first in "DS":
+        got = play_game(g, dominator_greedy, make_staller_random(seed), first)
+        want = play_game(g, dominator_greedy, make_staller_random_listing(seed), first)
+        assert got == want
+
+
+def test_carry_halves_the_scores_computed(monkeypatch):
+    """Greedy games against a random Staller on random trees with n = 300
+    compute at most half the f-decreases (counted as _masks_after calls,
+    the moves played included) of the same games with nothing carried
+    between states."""
+    calls = [0]
+    masks_after = residual._masks_after
+
+    def counted(*args):
+        calls[0] += 1
+        return masks_after(*args)
+
+    def count(g, seed, first):
+        calls[0] = 0
+        t = play_game(g, dominator_greedy, make_staller_random(seed), first)
+        return t, calls[0]
+
+    monkeypatch.setattr(residual, "_masks_after", counted)
+    for seed in (1, 2, 3):
+        g = gen_random_tree(300, seed)
+        for first in "DS":
+            carried = count(g, seed, first)
+            with monkeypatch.context() as m:
+                m.setattr(strategy, "carry_f_decreases", lambda pre, post, v: None)
+                scanned = count(g, seed, first)
+            assert carried[0] == scanned[0]
+            assert 2 * carried[1] <= scanned[1], (seed, first, carried[1], scanned[1])
 
 
 def test_play_p2():
