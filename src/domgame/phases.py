@@ -69,11 +69,6 @@ class XCycleRegistry:
         return tuple(sum(1 << v for v in cyc) for cyc in self.cycles)
 
     @cached_property
-    def cycle_of(self) -> dict[int, int]:
-        """Registry position of the cycle holding each member vertex."""
-        return {v: i for i, cyc in enumerate(self.cycles) for v in cyc}
-
-    @cached_property
     def ring_masks(self) -> dict[int, int]:
         """The mask of each member's two neighbors along its cycle."""
         return {v: 1 << cyc[i - 1] | 1 << cyc[(i + 1) % len(cyc)]
@@ -241,8 +236,8 @@ def _status(reg: XCycleRegistry, i: int, opens: tuple[int, ...], dom: int, red: 
         m ^= low
     else:
         return CycleStatus.CLOSED
-    blue_leaf = dom & ~red & big
-    if any(blue_leaf >> v & 1 and (opens[v] & ~dom).bit_count() == 1 for v in reg.cycles[i]):
+    blue_big = reg.cycle_masks[i] & dom & ~red & big
+    if any((opens[v] & ~dom).bit_count() == 1 for v in vertices_of(blue_big)):
         return CycleStatus.OPEN
     if reg.cycle_masks[i] & ~(red | bwb) == 0:
         return CycleStatus.FINISHED
@@ -289,7 +284,9 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
 
     The move recolors only vertices of N[newly], newly being the vertices
     it dominates. They all lie in C(v), v's retained-edge component in s,
-    and the components outside C(v) stay as they are. An edge the move
+    and the components outside C(v) stay as they are. C(v)'s discount is 0
+    when v lies in a component of order >= 4; else a search from v that
+    stops at 4 vertices finds all of C(v) and its kind. An edge the move
     stops retaining has both ends in N[newly], so every non-red piece that
     C(v) splits into holds a non-red vertex of N[newly]. A search from those
     vertices that stops at 4 vertices thus finds every piece of order <= 3,
@@ -314,9 +311,11 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
         low = m & -m
         near |= closed[low.bit_length() - 1]
         m ^= low
-    comp = s.components()[s.component_index()[v]]
     small = small_bwb = 0
-    dec = s.f - _weight(g.n, dom, red, light) - _penalty(comp.kind)
+    dec = s.f - _weight(g.n, dom, red, light)
+    if not big >> v & 1:  # C(v) has at most 3 vertices
+        comp = retained_piece(opens, s.dominated_mask, v, 4)
+        dec -= _penalty(piece_kind(comp, s.dominated_mask, s.red_mask, s.light_mask))
     starts = near & ~red
     while starts:
         piece = retained_piece(opens, dom, (starts & -starts).bit_length() - 1, 4)
@@ -330,11 +329,15 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
         dec += _penalty(kind)
     touched = (near | small) & reg.member_mask
     if touched:
-        big = big & ~comp.mask | comp.mask & ~red & ~small
-        bwb = bwb & ~comp.mask | small_bwb
-        cycle_of = reg.cycle_of
-        for i in {cycle_of[u] for u in vertices_of(touched)}:
-            dec -= is_open[i] - (_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN)
+        # The small pieces and the new red vertices lie in C(v). If C(v) has
+        # order >= 4, its other vertices are in pieces of order >= 4; if not,
+        # it has no other vertices. A move on any vertex of a BWB component
+        # turns all three red, so the bwb bits left on such a C(v) are red.
+        big &= ~red & ~small
+        bwb |= small_bwb
+        for i, members in enumerate(reg.cycle_masks):
+            if members & touched:
+                dec -= is_open[i] - (_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN)
     decreases[v] = dec
     return dec
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable
 
 from .errors import IllegalMoveError
 from .graph import Graph
@@ -42,13 +41,12 @@ class ComponentKind(Enum):
 
 @dataclass(frozen=True)
 class Component:
-    vertices: tuple[int, ...]
     kind: ComponentKind
     mask: int
 
     @property
     def order(self) -> int:
-        return len(self.vertices)
+        return self.mask.bit_count()
 
 
 class ResidualState:
@@ -57,10 +55,10 @@ class ResidualState:
     ``dominated_mask`` holds the non-white vertices, ``red_mask`` the red
     ones and ``light_mask`` the light-blue ones; a dark-blue vertex is
     dominated, not red and not light. The weight sum ``f`` is counted from
-    the masks by the one constructor. ``colors`` is a per-vertex view
-    derived from the masks for snapshots and tests. Components are computed
-    on first use and memoized, and so is every f_decrease. ``F_memo`` is
-    where phases memoizes the potential F and its decreases per registry.
+    the masks by the one constructor, and the snapshot text is read off
+    them. Components are computed on first use and memoized, and so is
+    every f_decrease. ``F_memo`` is where phases memoizes the potential F
+    and its decreases per registry.
 
     The f-decreases also carry from one state to the next: when a move on v
     is played in phase 1 or 2, carry_f_decreases hands the state after it
@@ -74,7 +72,7 @@ class ResidualState:
     """
 
     __slots__ = ("graph", "dominated_mask", "red_mask", "light_mask", "f",
-                 "_components", "_comp_index", "_f_decreases", "F_memo")
+                 "_components", "_f_decreases", "F_memo")
 
     def __init__(self, graph: Graph, dominated_mask: int, red_mask: int, light_mask: int):
         self.graph = graph
@@ -83,14 +81,8 @@ class ResidualState:
         self.light_mask = light_mask
         self.f = _weight(graph.n, dominated_mask, red_mask, light_mask)
         self._components: tuple[Component, ...] | None = None
-        self._comp_index: tuple[int, ...] | None = None
         self._f_decreases: dict[tuple[int, Color], int] = {}
         self.F_memo: tuple | None = None
-
-    @property
-    def colors(self) -> tuple[Color, ...]:
-        """Per-vertex colors read off the masks."""
-        return tuple(map(_COLORS.__getitem__, self._color_bytes()))
 
     def _color_bytes(self) -> bytes:
         """One byte per vertex, vertex 0 first: its Color value.
@@ -108,23 +100,8 @@ class ResidualState:
     def components(self) -> tuple[Component, ...]:
         """Components over retained edges; red vertices come back as singletons."""
         if self._components is None:
-            self._build_components()
+            self._components = tuple(split_components(self, (1 << self.graph.n) - 1))
         return self._components
-
-    def component_index(self) -> tuple[int, ...]:
-        """component_index()[v] is v's position in components()."""
-        if self._comp_index is None:
-            self._build_components()
-        return self._comp_index
-
-    def _build_components(self) -> None:
-        comps = split_components(self, range(self.graph.n))
-        comp_id = [0] * self.graph.n
-        for cid, comp in enumerate(comps):
-            for v in comp.vertices:
-                comp_id[v] = cid
-        self._components = tuple(comps)
-        self._comp_index = tuple(comp_id)
 
     def snapshot(self) -> str:
         """One line per vertex: "<id> <W|LB|DB|R>"."""
@@ -134,7 +111,6 @@ class ResidualState:
         return hashlib.sha256(self.snapshot().encode()).hexdigest()[:12]
 
 
-_COLORS = tuple(Color)  # indexed by value
 _MINUS_TWO_ZEROS = bytes((b - 2 * ord("0")) % 256 for b in range(256))  # a bytes.translate table
 
 # Tables that depend only on vertex ids, shared by every graph and grown on
@@ -155,7 +131,7 @@ def _snapshot_lines(n: int) -> list[tuple[str, ...]]:
 def _red_singletons(n: int) -> list[Component]:
     """_red_singletons(n)[v] is the component of a red vertex v < n."""
     for v in range(len(_RED_SINGLETONS), n):
-        _RED_SINGLETONS.append(Component((v,), ComponentKind.ISOLATED_RED, 1 << v))
+        _RED_SINGLETONS.append(Component(ComponentKind.ISOLATED_RED, 1 << v))
     return _RED_SINGLETONS
 
 
@@ -188,11 +164,11 @@ def nth_vertex(mask: int, k: int) -> int:
     return lo - 1
 
 
-def split_components(s: ResidualState, vertices: Iterable[int]) -> list[Component]:
+def split_components(s: ResidualState, within: int) -> list[Component]:
     """Components of s over retained edges (those touching a white vertex)
-    of the vertices in `vertices`, in order of their first member there.
+    of the vertices in the mask `within`, by smallest member.
 
-    `vertices` must be closed under retained edges: all of V, or one
+    `within` must be closed under retained edges: all of V, or one
     component of an earlier state, since a later state retains a subset of
     the edges. A red vertex keeps no retained edge; it comes back as the
     shared singleton of _red_singletons, with no search.
@@ -201,17 +177,17 @@ def split_components(s: ResidualState, vertices: Iterable[int]) -> list[Componen
     dom, red, light = s.dominated_mask, s.red_mask, s.light_mask
     singletons = _red_singletons(s.graph.n)
     n = s.graph.n
-    seen = 0
     comps: list[Component] = []
-    for start in vertices:
-        if seen >> start & 1:
-            continue
-        if red >> start & 1:
+    while within:
+        low = within & -within
+        start = low.bit_length() - 1
+        if red & low:
             comps.append(singletons[start])
+            within ^= low
             continue
         comp = retained_piece(opens, dom, start, n)
-        seen |= comp
-        comps.append(Component(tuple(vertices_of(comp)), piece_kind(comp, dom, red, light), comp))
+        within &= ~comp
+        comps.append(Component(piece_kind(comp, dom, red, light), comp))
     return comps
 
 
@@ -290,7 +266,7 @@ def parse_snapshot(g: Graph, text: str) -> ResidualState:
     white = ~s.dominated_mask
     for v, closed in enumerate(g.closed_masks):  # red iff N[v] holds no white vertex
         if (s.red_mask >> v & 1) == (closed & white != 0):
-            raise ValueError(f"snapshot line {line_of[v]}: vertex {v} is {COLOR_CODE[s.colors[v]]} "
+            raise ValueError(f"snapshot line {line_of[v]}: vertex {v} is {COLOR_CODE[s._color_bytes()[v]]} "
                              f"but N[v] {'holds' if closed & white else 'lacks'} a white vertex")
     return s
 

@@ -47,6 +47,7 @@ from .residual import (
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     is_over,
     legal_moves,
+    retained_piece,
     vertices_of,
     white_degree,
     white_mask,
@@ -290,13 +291,13 @@ def _xcycle_drop_note(rep: _Replay, k: int) -> str | None:
 
 
 def _nonspecial_blue_leaf(state: ResidualState) -> int | None:
-    comps = state.components()
-    idx = state.component_index()
-    for v in vertices_of(state.dominated_mask & ~state.red_mask):
+    special = 0  # vertices of components of order 2 or of kind BWB
+    for comp in state.components():
+        if comp.order == 2 or comp.kind is ComponentKind.BWB:
+            special |= comp.mask
+    for v in vertices_of(state.dominated_mask & ~state.red_mask & ~special):
         if white_degree(state, v) == 1:
-            comp = comps[idx[v]]
-            if comp.order != 2 and comp.kind is not ComponentKind.BWB:
-                return v
+            return v
     return None
 
 
@@ -379,7 +380,7 @@ def _end3_note(rep: _Replay, k: int) -> str | None:
             return f"white vertex {v} has {blues} blue neighbors"
     for comp in state.components():
         if comp.kind not in _PHASE4_KINDS:
-            return f"component {comp.vertices} of kind {comp.kind.value} at phase-4 start"
+            return f"component {tuple(vertices_of(comp.mask))} of kind {comp.kind.value} at phase-4 start"
     return None
 
 
@@ -388,7 +389,7 @@ def _ph4_note(rep: _Replay, k: int) -> str | None:
     if m.decrease < 8:
         return f"move {m.index} dropped F by {m.decrease} < 8"
     pre, post = m.pre_state, m.post_state
-    inside = pre.components()[pre.component_index()[m.vertex]].mask
+    inside = retained_piece(pre.graph.open_masks, pre.dominated_mask, m.vertex, pre.graph.n)
     non_red = inside & ~post.red_mask
     recolored = ((pre.dominated_mask ^ post.dominated_mask) | (pre.red_mask ^ post.red_mask)
                  | (pre.light_mask ^ post.light_mask)) & ~inside

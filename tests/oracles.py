@@ -35,7 +35,6 @@ from domgame.residual import (
     is_over,
     legal_moves,
     split_components,
-    vertices_of,
 )
 from domgame.strategy import dominator_greedy, play_game
 
@@ -99,9 +98,8 @@ def is_connected(g):
 
 def retained_edges(s):
     """Edges with at least one white endpoint, in the graph's edge order."""
-    colors = s.colors
-    return tuple((u, w) for u, w in s.graph.edges
-                 if colors[u] is Color.WHITE or colors[w] is Color.WHITE)
+    white = {v for v, c in enumerate(colors(s)) if c is Color.WHITE}
+    return tuple((u, w) for u, w in s.graph.edges if u in white or w in white)
 
 
 def max_f_decrease(s):
@@ -115,11 +113,11 @@ def max_F_decrease(s, reg):
 
 
 def components_bfs(s, vertices=None):
-    """(vertices, kind, mask) of each component of s over retained edges,
-    among `vertices` (default all of V) in order of their first member
-    there, by a plain breadth-first search over sets, every red vertex
-    included, with the kind read off the colors by its definition."""
-    colors = s.colors
+    """(kind, mask) of each component of s over retained edges, among
+    `vertices` (default all of V) in order of their first member there, by
+    a plain breadth-first search over sets, every red vertex included, with
+    the kind read off the colors by its definition."""
+    col = colors(s)
     nbrs = {v: set() for v in range(s.graph.n)}
     for u, w in retained_edges(s):
         nbrs[u].add(w)
@@ -134,8 +132,8 @@ def components_bfs(s, vertices=None):
                 comp.add(w)
                 queue.append(w)
         seen |= comp
-        whites = sum(colors[u] is Color.WHITE for u in comp)
-        shades = sorted(colors[u] for u in comp if colors[u] is not Color.WHITE)
+        whites = sum(col[u] is Color.WHITE for u in comp)
+        shades = sorted(col[u] for u in comp if col[u] is not Color.WHITE)
         if len(comp) == 1 and shades == [Color.RED]:
             kind = ComponentKind.ISOLATED_RED
         elif len(comp) == 2 and whites == 2:
@@ -148,8 +146,25 @@ def components_bfs(s, vertices=None):
             kind = ComponentKind.BWB
         else:
             kind = ComponentKind.OTHER
-        out.append((tuple(sorted(comp)), kind, sum(1 << u for u in comp)))
+        out.append((kind, sum(1 << u for u in comp)))
     return out
+
+
+def nonspecial_blue_leaf(s):
+    """The smallest blue vertex with exactly one white neighbor whose
+    retained-edge component neither has order 2 nor is a BWB, by
+    components_bfs and the colors; None if there is none."""
+    col = colors(s)
+    special = set()
+    for kind, mask in components_bfs(s):
+        members = {v for v in range(s.graph.n) if mask >> v & 1}
+        if len(members) == 2 or kind is ComponentKind.BWB:
+            special |= members
+    for v in range(s.graph.n):
+        whites = sum(col[w] is Color.WHITE for w in s.graph.adjacency[v])
+        if col[v] in BLUE_SHADES and whites == 1 and v not in special:
+            return v
+    return None
 
 
 def F_decrease_resplit(s, reg, v):
@@ -159,15 +174,24 @@ def F_decrease_resplit(s, reg, v):
     outside C(v) are s's own."""
     is_open = _F_memo(s, reg)[2]
     post = apply_move(s, v, Color.DARK_BLUE)
-    comps, idx = s.components(), s.component_index()
-    comp = comps[idx[v]]
-    pieces = split_components(post, comp.vertices)
+    comps = s.components()
+    comp = next(c for c in comps if c.mask >> v & 1)
+    pieces = split_components(post, comp.mask)
     dec = s.f - post.f - _penalty(comp.kind) + sum(_penalty(c.kind) for c in pieces)
     masks = _shape_masks([c for c in comps if c is not comp] + pieces)
-    for i in {reg.cycle_of[u] for u in vertices_of(comp.mask & reg.member_mask)}:
-        status = _status(reg, i, s.graph.open_masks, post.dominated_mask, post.red_mask, *masks)
-        dec -= is_open[i] - (status is CycleStatus.OPEN)
+    for i, members in enumerate(reg.cycle_masks):
+        if members & comp.mask:
+            status = _status(reg, i, s.graph.open_masks, post.dominated_mask, post.red_mask, *masks)
+            dec -= is_open[i] - (status is CycleStatus.OPEN)
     return dec
+
+
+_COLORS = tuple(Color)  # indexed by value
+
+
+def colors(s):
+    """Per-vertex colors of s, read off its snapshot bytes."""
+    return tuple(map(_COLORS.__getitem__, s._color_bytes()))
 
 
 def state_from_colors(g, colors):
@@ -185,8 +209,8 @@ def apply_move_full(s, v, shade):
     must agree with it."""
     if shade not in BLUE_SHADES:
         raise ValueError("shade must be LIGHT_BLUE or DARK_BLUE")
-    colors = s.colors
-    if not 0 <= v < s.graph.n or colors[v] is Color.RED:
+    col = colors(s)
+    if not 0 <= v < s.graph.n or col[v] is Color.RED:
         raise IllegalMoveError(f"vertex {v} cannot be played")
     masks = s.graph.closed_masks
     new_dom = s.dominated_mask | masks[v]
@@ -196,10 +220,10 @@ def apply_move_full(s, v, shade):
             new_colors.append(Color.WHITE)
         elif masks[u] & ~new_dom == 0:
             new_colors.append(Color.RED)
-        elif colors[u] is Color.WHITE:
+        elif col[u] is Color.WHITE:
             new_colors.append(shade)
         else:
-            new_colors.append(colors[u])
+            new_colors.append(col[u])
     return state_from_colors(s.graph, tuple(new_colors))
 
 
@@ -208,7 +232,7 @@ def greedy_full_scan(ctx, s):
     move drops the active potential most, ties to the smallest id, every
     drop counted on states rebuilt from colors with every color recomputed
     (apply_move_full), so nothing memoized or carried is read."""
-    pre = state_from_colors(s.graph, s.colors)
+    pre = state_from_colors(s.graph, colors(s))
     if ctx.phase <= 2:
         shade = shade_for_phase(ctx.phase)
 
@@ -225,8 +249,8 @@ def greedy_full_scan(ctx, s):
 def cycle_closed(s, cyc):
     """Whether every edge of the cycle `cyc` (vertices in cyclic order) is
     retained in s, i.e. has a white end."""
-    colors = s.colors
-    return all(Color.WHITE in (colors[u], colors[w]) for u, w in zip(cyc, cyc[1:] + cyc[:1]))
+    col = colors(s)
+    return all(Color.WHITE in (col[u], col[w]) for u, w in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def make_staller_random_listing(seed):

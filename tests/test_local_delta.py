@@ -48,11 +48,12 @@ from domgame import (
 )
 from domgame import strategy
 from domgame.phases import CycleStatus, cycle_status
-from domgame.residual import WEIGHT, split_components
+from domgame.residual import WEIGHT, split_components, vertices_of
 from domgame.strategy import opening, step
 from oracles import (
     F_decrease_resplit,
     apply_move_full,
+    colors,
     components_bfs,
     cycle_closed,
     greedy_full_scan,
@@ -133,7 +134,7 @@ def phased_play(g, seed):
 
 def fresh(s):
     """The same position rebuilt from its colors, with nothing memoized."""
-    return state_from_colors(s.graph, s.colors)
+    return state_from_colors(s.graph, colors(s))
 
 
 def assert_mask_invariants(s):
@@ -145,7 +146,7 @@ def assert_mask_invariants(s):
     assert light & ~(dom & ~red) == 0
     assert red == sum(1 << v for v, closed in enumerate(s.graph.closed_masks)
                       if closed & ~dom == 0)
-    assert s.f == sum(WEIGHT[c] for c in s.colors)
+    assert s.f == sum(WEIGHT[c] for c in colors(s))
 
 
 @given(drawn=graphs(16, 40), seed=st.integers(0, 2**31))
@@ -159,7 +160,7 @@ def test_apply_move_and_f_decrease_match_full_recompute(drawn, seed):
                 want = apply_move_full(s, v, shade)
                 got = apply_move(s, v, shade)
                 assert_mask_invariants(got)
-                assert got.colors == want.colors
+                assert colors(got) == colors(want)
                 assert got.dominated_mask == want.dominated_mask
                 assert got.red_mask == want.red_mask
                 assert got.light_mask == want.light_mask
@@ -192,25 +193,42 @@ def test_F_decrease_matches_full_recompute(drawn, seed):
         assert checked  # a union of cycles C_k, k >= 4, enters phase 3 before move 1
 
 
-RED_SINGLETONS = {}  # vertices -> the first red singleton seen, across graphs
+RED_SINGLETONS = {}  # mask -> the first red singleton seen, across graphs
 
 
 @given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_split_components_matches_bfs(drawn, seed):
     def listed(comps):
-        return [(c.vertices, c.kind, c.mask) for c in comps]
+        return [(c.kind, c.mask) for c in comps]
 
     _, g, _ = drawn
     played = phased_play(g, seed)
     for (s, _), (post, _) in zip(played, played[1:] + [(None, None)]):
         assert listed(s.components()) == components_bfs(s)
         reds = [c for c in s.components() if c.kind is ComponentKind.ISOLATED_RED]
-        assert all(c is RED_SINGLETONS.setdefault(c.vertices, c) for c in reds)  # shared
+        assert all(c is RED_SINGLETONS.setdefault(c.mask, c) for c in reds)  # shared
         if post is None:
             continue
         for comp in s.components():  # post's components refine s's
-            assert listed(split_components(post, comp.vertices)) == components_bfs(post, comp.vertices)
+            want = components_bfs(post, vertices_of(comp.mask))
+            assert listed(split_components(post, comp.mask)) == want
+
+
+@given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
+@example(drawn=("cycles", *cycle_union([5, 6])), seed=0)  # a BWB component arises
+@settings(max_examples=100, deadline=None)
+def test_move_on_bwb_turns_it_red(drawn, seed):
+    """A move on any vertex of a BWB component turns all three of its
+    vertices red. F_decrease relies on it: the bwb bits it keeps on C(v)
+    after such a move are all red, so they need not be cleared."""
+    _, g, _ = drawn
+    for s, _ in phased_play(g, seed):
+        for comp in s.components():
+            if comp.kind is ComponentKind.BWB:
+                for v in vertices_of(comp.mask):
+                    for shade in (LIGHT, DARK):
+                        assert apply_move(s, v, shade).red_mask & comp.mask == comp.mask
 
 
 def assert_memo_exact(s):

@@ -29,7 +29,7 @@ from domgame import (
     staller_min_decrease,
 )
 from domgame.phases import phase3_active
-from oracles import max_f_decrease
+from oracles import colors, max_f_decrease
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
@@ -53,7 +53,7 @@ def test_phase2_active_spider():
 def test_phase2_inactive_examples():
     # white/dark pair: both moves drop exactly 8
     wb_minus = apply_move(init_state(gen_path(3)), 0, DARK)
-    assert wb_minus.colors == (Color.RED, DARK, Color.WHITE)
+    assert colors(wb_minus) == (Color.RED, DARK, Color.WHITE)
     assert max_f_decrease(wb_minus) == 8
     assert not phase2_active(wb_minus)
     assert max_f_decrease(init_state(gen_cycle(6))) == 9

@@ -20,7 +20,8 @@ from domgame import (
     philox_rng,
     white_degree,
 )
-from oracles import color_partition, retained_edges, state_from_colors
+from domgame.residual import vertices_of
+from oracles import color_partition, colors, retained_edges, state_from_colors
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
@@ -74,7 +75,7 @@ def test_legal_moves_examples():
 def test_apply_p4_light():
     s = init_state(gen_path(4))
     s2 = apply_move(s, 1, LIGHT)
-    assert s2.colors == (Color.RED, Color.RED, LIGHT, Color.WHITE)
+    assert colors(s2) == (Color.RED, Color.RED, LIGHT, Color.WHITE)
     assert (s.f, s2.f) == (20, 9)
     assert f_decrease(s, 1, LIGHT) == 11
 
@@ -82,13 +83,13 @@ def test_apply_p4_light():
 def test_apply_p2_any_shade_ends():
     for shade in (LIGHT, DARK):
         s2 = apply_move(init_state(gen_path(2)), 0, shade)
-        assert s2.colors == (Color.RED, Color.RED)
+        assert colors(s2) == (Color.RED, Color.RED)
         assert is_over(s2)
 
 
 def test_apply_c4_dark():
     s2 = apply_move(init_state(gen_cycle(4)), 0, DARK)
-    assert s2.colors == (Color.RED, DARK, Color.WHITE, DARK)
+    assert colors(s2) == (Color.RED, DARK, Color.WHITE, DARK)
     assert s2.f == 11
 
 
@@ -107,16 +108,16 @@ def test_f_decrease_star_center():
 def test_f_decrease_blue_leaf_dark_minimum():
     # blue leaf whose white neighbor keeps another white neighbor: 3 + 2
     s = apply_move(init_state(gen_path(4)), 0, DARK)
-    assert s.colors == (Color.RED, DARK, Color.WHITE, Color.WHITE)
+    assert colors(s) == (Color.RED, DARK, Color.WHITE, Color.WHITE)
     assert f_decrease(s, 1, DARK) == 5
 
 
 def test_existing_shade_is_kept():
     s = apply_move(init_state(gen_path(5)), 0, LIGHT)
-    assert s.colors[1] is LIGHT
+    assert colors(s)[1] is LIGHT
     s2 = apply_move(s, 4, DARK)
-    assert s2.colors[1] is LIGHT  # keeps a white neighbor, keeps its shade
-    assert s2.colors[3] is DARK
+    assert colors(s2)[1] is LIGHT  # keeps a white neighbor, keeps its shade
+    assert colors(s2)[3] is DARK
 
 
 def test_snapshot_roundtrip_and_format():
@@ -124,7 +125,7 @@ def test_snapshot_roundtrip_and_format():
     s = apply_move(init_state(g), 1, LIGHT)
     assert s.snapshot() == "0 R\n1 R\n2 LB\n3 W\n"
     back = parse_snapshot(g, s.snapshot())
-    assert back.colors == s.colors
+    assert colors(back) == colors(s)
     assert back.snapshot_hash() == s.snapshot_hash()
 
 
@@ -140,6 +141,17 @@ def test_snapshot_roundtrip_and_format():
 def test_parse_snapshot_rejects_bad_snapshots(text, line):
     with pytest.raises(ValueError, match=f"^snapshot line {line}: "):
         parse_snapshot(gen_path(3), text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 R\n1 R\n2 W", "snapshot line 2: vertex 1 is R but N[v] holds a white vertex"),
+    ("0 DB\n1 R\n2 R", "snapshot line 1: vertex 0 is DB but N[v] lacks a white vertex"),
+    ("2 R\n1 R\n0 LB", "snapshot line 3: vertex 0 is LB but N[v] lacks a white vertex"),
+])
+def test_parse_snapshot_names_the_inconsistent_color(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_snapshot(gen_path(3), text)
+    assert str(err.value) == message
 
 
 def test_components_bwb_by_definition():
@@ -160,10 +172,10 @@ def test_components_wb_pairs():
 def test_components_p4_after_center():
     s = apply_move(init_state(gen_path(4)), 1, LIGHT)
     comps = s.components()
-    assert [(c.vertices, c.kind) for c in comps] == [
-        ((0,), ComponentKind.ISOLATED_RED),
-        ((1,), ComponentKind.ISOLATED_RED),
-        ((2, 3), ComponentKind.WB_PLUS),
+    assert [(vertices_of(c.mask), c.kind) for c in comps] == [
+        ([0], ComponentKind.ISOLATED_RED),
+        ([1], ComponentKind.ISOLATED_RED),
+        ([2, 3], ComponentKind.WB_PLUS),
     ]
     assert retained_edges(s) == ((2, 3),)
 
@@ -199,22 +211,23 @@ def test_playout_invariants(n, seed):
     order = {Color.WHITE: 0, LIGHT: 1, DARK: 1, Color.RED: 2}
     for before, after in zip(states, states[1:]):
         assert after.f < before.f  # strict decrease
-        for u in range(n):
-            assert order[after.colors[u]] >= order[before.colors[u]]
-            if before.colors[u] in (LIGHT, DARK) and after.colors[u] is not Color.RED:
-                assert after.colors[u] is before.colors[u]  # shade is sticky
+        for was, now in zip(colors(before), colors(after)):
+            assert order[now] >= order[was]
+            if was in (LIGHT, DARK) and now is not Color.RED:
+                assert now is was  # shade is sticky
     final = states[-1]
     assert final.f == 0 and not legal_moves(final)
     for k, s in enumerate(states):
         white, blue, red = color_partition(g, played[:k])
-        assert {v for v in range(n) if s.colors[v] is Color.WHITE} == white
-        assert {v for v in range(n) if s.colors[v] is Color.RED} == red
+        col = colors(s)
+        assert {v for v in range(n) if col[v] is Color.WHITE} == white
+        assert {v for v in range(n) if col[v] is Color.RED} == red
         for v in white:
             # a white vertex keeps its full degree among retained edges
             assert white_degree(s, v) + sum(1 for w in g.adjacency[v]
-                                            if s.colors[w] in (LIGHT, DARK)) == g.degree(v)
+                                            if col[w] in (LIGHT, DARK)) == g.degree(v)
         for u, w in retained_edges(s):
-            assert s.colors[u] is Color.WHITE or s.colors[w] is Color.WHITE
+            assert col[u] is Color.WHITE or col[w] is Color.WHITE
 
 
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**31))
@@ -223,11 +236,11 @@ def test_components_partition_vertices(n, seed):
     g = small_random_graph(n, seed)
     for s in random_playout(g, seed)[0]:
         comps = s.components()
-        seen = sorted(v for c in comps for v in c.vertices)
+        seen = sorted(v for c in comps for v in vertices_of(c.mask))
         assert seen == list(range(n))
         for c in comps:
             if c.order == 1:
-                assert s.colors[c.vertices[0]] is Color.RED
+                assert colors(s)[vertices_of(c.mask)[0]] is Color.RED
 
 
 def test_f_decrease_memo_is_keyed_by_shade():
@@ -235,9 +248,9 @@ def test_f_decrease_memo_is_keyed_by_shade():
     s = apply_move(init_state(g), 0, LIGHT)  # 0 red, 1 light blue, 2..5 white
     for v in legal_moves(s):
         light, dark = f_decrease(s, v, LIGHT), f_decrease(s, v, DARK)
-        fresh = state_from_colors(g, s.colors)
+        fresh = state_from_colors(g, colors(s))
         assert light == f_decrease(fresh, v, LIGHT)
-        fresh = state_from_colors(g, s.colors)
+        fresh = state_from_colors(g, colors(s))
         assert dark == f_decrease(fresh, v, DARK)
     # playing 3 turns 1, 2, 3 red and 4 blue (weight 4 if light, 3 if dark)
     assert f_decrease(s, 3, DARK) == f_decrease(s, 3, LIGHT) + 1

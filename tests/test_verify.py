@@ -431,8 +431,10 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
     """PH2_LEAF tries the played move before scanning. Its verdict must
     equal the full scan's at every state that meets the precondition, and
     also at the other phase-3/4 states, where the scan can come out false
-    (a correct game never fails the claim itself)."""
-    from oracles import max_F_decrease, state_from_colors
+    (a correct game never fails the claim itself). At each of those states
+    the blue leaf the precondition names is the definition's
+    (oracles.nonspecial_blue_leaf)."""
+    from oracles import colors, max_F_decrease, nonspecial_blue_leaf, state_from_colors
     from domgame.verify import _nonspecial_blue_leaf, _ph2_leaf_holds, _replay
 
     graphs = [gen_cycle(n) for n in range(4, 25)]
@@ -446,10 +448,12 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
             for m in rep.moves:
                 if m.phase < 3:
                     continue
-                fresh = state_from_colors(g, m.pre_state.colors)
+                fresh = state_from_colors(g, colors(m.pre_state))
                 want = max_F_decrease(fresh, rep.registry) >= 11
                 assert _ph2_leaf_holds(m, rep.registry) == want
-                leaf = _nonspecial_blue_leaf(m.pre_state) is not None
+                leaf = _nonspecial_blue_leaf(m.pre_state)
+                assert leaf == nonspecial_blue_leaf(fresh)
+                leaf = leaf is not None
                 seen.add((leaf, m.decrease >= 11, want))
     # the played move decides, the scan decides either way, and both occur
     # where the precondition holds
