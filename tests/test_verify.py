@@ -453,8 +453,7 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
                 assert _ph2_leaf_holds(m, rep.registry) == want
                 leaf = _nonspecial_blue_leaf(m.pre_state)
                 assert leaf == nonspecial_blue_leaf(fresh)
-                leaf = leaf is not None
-                seen.add((leaf, m.decrease >= 11, want))
+                seen.add((leaf is not None, m.decrease >= 11, want))
     # the played move decides, the scan decides either way, and both occur
     # where the precondition holds
     assert {(True, True, True), (True, False, True), (False, False, False)} <= seen
