@@ -106,6 +106,15 @@ class Graph:
         return tuple(m | 1 << v for v, m in enumerate(self.open_masks))
 
     @cached_property
+    def maximal_closed(self) -> tuple[int, ...]:
+        """Vertices whose closed neighborhood lies in no other vertex's,
+        ascending; of equal closed neighborhoods only the smallest id."""
+        closed = self.closed_masks
+        return tuple(v for v, a in enumerate(closed)
+                     if not any(b & a == a and (b != a or w < v)
+                                for w, b in enumerate(closed) if w != v))
+
+    @cached_property
     def _ball4_masks(self) -> dict[int, int]:
         return {}
 

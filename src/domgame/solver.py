@@ -3,6 +3,11 @@
 Legality and termination depend only on which vertices are still
 undominated, so a state is an (undominated mask, side to move) pair, and
 the memo is one flat byte table indexed by both (see `game_value`).
+
+Two facts of Kinnersley, West and Zamani (KWZ, SIAM J. Discrete Math.
+2013) about every such state make the search exact with less work: the
+Continuation Principle (undominating more vertices never shortens the
+game) and the gap (the two sides to move differ by at most 1).
 """
 
 from __future__ import annotations
@@ -60,12 +65,20 @@ def game_value(g: Graph, undominated=None, dominator_to_move: bool = True,
     if not mask:
         return 0
     full = (1 << g.n) - 1
-    keeps = [full ^ c for c in g.closed_masks]  # what a move leaves undominated
+    closed = g.closed_masks
+    keeps = [full ^ c for c in closed]  # what a move leaves undominated
+    # If N[v] is inside N[w], then w is legal wherever v is and leaves a
+    # subset of what v leaves undominated, so by the Continuation Principle
+    # (Kinnersley-West-Zamani) w never serves Dominator worse than v.
+    dominator_keeps = [full ^ closed[v] for v in g.maximal_closed]
 
     # Each side reads a child's entry before recursing, so a hit costs no call.
     def dominator(m: int) -> int:
+        # By the gap |value(m, Dominator) - value(m, Staller)| <= 1 (KWZ), no
+        # child is worth less than value(m, Staller) - 2, once that is known.
+        floor = memo[m << 1] - 2
         best = 255
-        for keep in keeps:
+        for keep in dominator_keeps:
             nm = m & keep
             if nm == m:
                 continue
@@ -75,11 +88,16 @@ def game_value(g: Graph, undominated=None, dominator_to_move: bool = True,
             sub = memo[nm << 1] or staller(nm)
             if sub < best:
                 best = sub
+                if sub <= floor:
+                    break
         best += 1
         memo[m << 1 | 1] = best
         return best
 
     def staller(m: int) -> int:
+        # By the Continuation Principle (KWZ) a child, whose undominated set
+        # is a subset of m, is worth at most value(m, Dominator), once known.
+        ceiling = memo[m << 1 | 1] or 255
         best = 0
         for keep in keeps:
             nm = m & keep
@@ -87,6 +105,8 @@ def game_value(g: Graph, undominated=None, dominator_to_move: bool = True,
                 sub = memo[nm << 1 | 1] or dominator(nm)
                 if sub > best:
                     best = sub
+                    if sub >= ceiling:
+                        break
         best += 1
         memo[m << 1] = best
         return best

@@ -36,6 +36,7 @@ from domgame.residual import (
     legal_moves,
     split_components,
 )
+from domgame.solver import GameValue
 from domgame.strategy import dominator_greedy, play_game
 
 
@@ -65,6 +66,60 @@ def game_value_bruteforce(g, undominated, dominator_turn):
             continue
         values.append(1 + game_value_bruteforce(g, undominated - newly, not dominator_turn))
     return min(values) if dominator_turn else max(values)
+
+
+def game_value_unpruned(g, mask, dominator_to_move, memo):
+    """The memoized minimax without move pruning or cutoffs: both sides try
+    every vertex at every state. Same memo layout as `solver.game_value`
+    (byte 2*mask + 1 with Dominator to move, 2*mask with Staller)."""
+    if not mask:
+        return 0
+    full = (1 << g.n) - 1
+    keeps = [full ^ c for c in g.closed_masks]
+
+    def dominator(m):
+        best = 255
+        for keep in keeps:
+            nm = m & keep
+            if nm == m:
+                continue
+            if not nm:
+                best = 0
+                break
+            sub = memo[nm << 1] or staller(nm)
+            if sub < best:
+                best = sub
+        best += 1
+        memo[m << 1 | 1] = best
+        return best
+
+    def staller(m):
+        best = 0
+        for keep in keeps:
+            nm = m & keep
+            if nm != m and nm:
+                sub = memo[nm << 1 | 1] or dominator(nm)
+                if sub > best:
+                    best = sub
+        best += 1
+        memo[m << 1] = best
+        return best
+
+    if dominator_to_move:
+        return memo[mask << 1 | 1] or dominator(mask)
+    return memo[mask << 1] or staller(mask)
+
+
+def solve_game_unpruned(g):
+    """`solve_game`'s four fields from `game_value_unpruned`: both values
+    and the first moves, ties to the smallest id."""
+    full = (1 << g.n) - 1
+    memo = bytearray(2 << g.n)
+    after = [full & ~c for c in g.closed_masks]
+    val_d = [1 + game_value_unpruned(g, m, False, memo) for m in after]
+    val_s = [1 + game_value_unpruned(g, m, True, memo) for m in after]
+    best_d, best_s = min(val_d), max(val_s)
+    return GameValue(best_d, best_s, val_d.index(best_d), val_s.index(best_s))
 
 
 def domination_number(g):

@@ -1,13 +1,17 @@
 import gc
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domgame import (
+    Graph,
     ResourceLimitError,
+    enumerate_labeled_graphs,
     game_value,
+    gen_caterpillar,
     gen_cycle,
     gen_gnp_isolate_free,
     gen_path,
@@ -15,7 +19,13 @@ from domgame import (
     gen_star,
     solve_game,
 )
-from oracles import domination_number, game_value_bruteforce
+from oracles import (
+    closed_neighborhood,
+    domination_number,
+    game_value_bruteforce,
+    game_value_unpruned,
+    solve_game_unpruned,
+)
 
 
 def test_small_examples():
@@ -168,7 +178,92 @@ def test_solver_cap():
 
 
 def test_solver_needs_isolate_free():
-    from domgame import Graph
-
     with pytest.raises(ValueError):
         solve_game(Graph.from_edges(3, [(0, 1)]))
+
+
+def _with_true_twins(g, picks):
+    """g plus, for each pick in turn, a new vertex with the same closed
+    neighborhood as vertex `pick` of the graph built so far."""
+    adj = [set(a) for a in g.adjacency]
+    for v in picks:
+        t = len(adj)
+        adj.append(adj[v] | {v})
+        for w in adj[t]:
+            adj[w].add(t)
+    return Graph.from_edges(len(adj), [(u, w) for u, a in enumerate(adj) for w in a if u < w])
+
+
+@st.composite
+def solver_graphs(draw, max_n=14):
+    """Trees, caterpillars, G(n, p), cycles and G(n, p) grown by true twins."""
+    family = draw(st.sampled_from(["tree", "caterpillar", "gnp", "cycle", "twins"]))
+    if family == "caterpillar":
+        legs = draw(st.lists(st.integers(0, 3), min_size=2, max_size=6)
+                    .filter(lambda legs: len(legs) + sum(legs) <= max_n))
+        return gen_caterpillar(len(legs), legs)
+    n = draw(st.integers(3, max_n))
+    if family == "cycle":
+        return gen_cycle(n)
+    seed = draw(st.integers(0, 2**31))
+    if family == "tree":
+        return gen_random_tree(n, seed)
+    p = draw(st.sampled_from([0.2, 0.35, 0.5]))
+    if family == "gnp":
+        return gen_gnp_isolate_free(n, p, seed)
+    base = draw(st.integers(2, n - 1))
+    picks = [draw(st.integers(0, base + i - 1)) for i in range(n - base)]
+    return _with_true_twins(gen_gnp_isolate_free(base, p, seed), picks)
+
+
+@given(g=solver_graphs(),
+       queries=st.lists(st.tuples(st.integers(0, 2**14 - 1), st.booleans()),
+                        min_size=1, max_size=8))
+@settings(max_examples=600)
+def test_pruned_solver_matches_unpruned_oracle(g, queries):
+    """Random masks and sides on one table per graph, so that the cutoffs
+    read entries that earlier queries left; afterwards every solved entry
+    of the table must equal the unpruned solver's value."""
+    memo = bytearray(2 << g.n)
+    oracle = bytearray(2 << g.n)
+    for m, dom_turn in queries:
+        m &= (1 << g.n) - 1
+        assert game_value(g, m, dom_turn, memo) == game_value_unpruned(g, m, dom_turn, oracle)
+    for i, value in enumerate(memo):
+        if value:
+            assert value == game_value_unpruned(g, i >> 1, bool(i & 1), oracle), (i >> 1, i & 1)
+
+
+def test_solve_game_matches_unpruned_on_all_small_graphs():
+    for n in range(2, 6):
+        for g in enumerate_labeled_graphs(n):
+            assert solve_game(g) == solve_game_unpruned(g), g.adjacency
+
+
+@given(g=solver_graphs())
+@settings(max_examples=200)
+def test_maximal_closed_follows_its_definition(g):
+    closed = [closed_neighborhood(g, v) for v in range(g.n)]
+    assert g.maximal_closed == tuple(
+        v for v in range(g.n)
+        if not any(closed[v] < closed[w] or (closed[v] == closed[w] and w < v)
+                   for w in range(g.n)))
+
+
+def test_maximal_closed_examples():
+    assert gen_star(7).maximal_closed == (0,)
+    for n in range(3, 9):
+        assert gen_path(n).maximal_closed == tuple(range(1, n - 1))
+        assert Graph.from_edges(n, list(combinations(range(n), 2))).maximal_closed == (0,)
+    for n in range(4, 9):
+        assert gen_cycle(n).maximal_closed == tuple(range(n))
+    assert gen_caterpillar(4, [1, 2, 1, 3]).maximal_closed == (0, 1, 2, 3)
+
+
+def test_paths_and_cycles_closed_form():
+    """gamma_g(P_n) = gamma_g(C_n) = ceil(n/2) - [n = 3 mod 4] (Kosmrlj 2017
+    for paths and cycles), for n = 3..20."""
+    for n in range(3, 21):
+        want = (n + 1) // 2 - (n % 4 == 3)
+        assert solve_game(gen_path(n)).gamma_g == want, ("P", n)
+        assert solve_game(gen_cycle(n)).gamma_g == want, ("C", n)
