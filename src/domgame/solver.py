@@ -65,12 +65,11 @@ def game_value(g: Graph, undominated=None, dominator_to_move: bool = True,
     if not mask:
         return 0
     full = (1 << g.n) - 1
-    closed = g.closed_masks
-    keeps = [full ^ c for c in closed]  # what a move leaves undominated
+    keeps = [full ^ c for c in g.closed_masks]  # what a move leaves undominated
     # If N[v] is inside N[w], then w is legal wherever v is and leaves a
     # subset of what v leaves undominated, so by the Continuation Principle
-    # (Kinnersley-West-Zamani) w never serves Dominator worse than v.
-    dominator_keeps = [full ^ closed[v] for v in g.maximal_closed]
+    # (KWZ) w never serves Dominator worse than v.
+    dominator_keeps = [keeps[v] for v in g.maximal_closed]
 
     # Each side reads a child's entry before recursing, so a hit costs no call.
     def dominator(m: int) -> int:
