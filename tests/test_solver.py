@@ -195,14 +195,14 @@ def _with_true_twins(g, picks):
 
 
 @st.composite
-def solver_graphs(draw, max_n=14):
+def solver_graphs(draw):
     """Trees, caterpillars, G(n, p), cycles and G(n, p) grown by true twins."""
     family = draw(st.sampled_from(["tree", "caterpillar", "gnp", "cycle", "twins"]))
     if family == "caterpillar":
         legs = draw(st.lists(st.integers(0, 3), min_size=2, max_size=6)
-                    .filter(lambda legs: len(legs) + sum(legs) <= max_n))
+                    .filter(lambda legs: len(legs) + sum(legs) <= 14))
         return gen_caterpillar(len(legs), legs)
-    n = draw(st.integers(3, max_n))
+    n = draw(st.integers(3, 14))
     if family == "cycle":
         return gen_cycle(n)
     seed = draw(st.integers(0, 2**31))
@@ -261,8 +261,8 @@ def test_maximal_closed_examples():
 
 
 def test_paths_and_cycles_closed_form():
-    """gamma_g(P_n) = gamma_g(C_n) = ceil(n/2) - [n = 3 mod 4] (Kosmrlj 2017
-    for paths and cycles), for n = 3..20."""
+    """gamma_g(P_n) = gamma_g(C_n) = ceil(n/2) - [n = 3 mod 4] (Kosmrlj,
+    Ars Math. Contemp. 2017), for n = 3..20."""
     for n in range(3, 21):
         want = (n + 1) // 2 - (n % 4 == 3)
         assert solve_game(gen_path(n)).gamma_g == want, ("P", n)
