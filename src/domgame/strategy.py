@@ -1,15 +1,19 @@
-"""Move policies for both players and the game loop producing transcripts.
+"""Move policies for both players, the move loop and the transcript builder.
 
 A policy is a callable ``policy(ctx, state) -> vertex`` carrying a
 ``policy_name`` attribute. The Dominator of record is the greedy rule;
-Staller policies only need to return legal vertices.
+Staller policies only need to return legal vertices. The move rule lives in
+opening() and step(); _moves() is the one loop over them, which play_game
+drives with the policies and the verifier's replay with a transcript's
+vertices, and _record()/_transcript() build every record and transcript,
+the worst-case search's witness included.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import IllegalMoveError, ResourceLimitError
 from .graph import Graph, philox_rng
@@ -183,6 +187,27 @@ def move_decrease(ctx: PhaseContext, pre: ResidualState, post: ResidualState) ->
     return F_value(pre, ctx.registry) - F_value(post, ctx.registry)
 
 
+Move = tuple[PhaseContext, ResidualState, int, int, ResidualState]
+
+
+def _playable(state: ResidualState, v: object) -> bool:
+    """True if v is a vertex id of state's graph that is not yet red."""
+    return isinstance(v, int) and 0 <= v < state.graph.n and not state.red_mask >> v & 1
+
+
+def _moves(g: Graph, first: str,
+           choose: Callable[[PhaseContext, ResidualState, int], int]) -> Iterator[Move]:
+    """The one move loop: from opening(), choose(ctx, state, idx) names each
+    move, step() plays it, and (ctx, state, idx, v, post) is yielded until
+    the game is over."""
+    state, ctx, idx = opening(g, first)
+    while not is_over(state):
+        v = choose(ctx, state, idx)
+        post, next_ctx = step(ctx, state, idx, v)
+        yield ctx, state, idx, v, post
+        state, ctx, idx = post, next_ctx, idx + 1
+
+
 def _record(ctx: PhaseContext, pre: ResidualState, idx: int, v: int,
             post: ResidualState) -> MoveRecord:
     """The record of v played as move idx in ctx's phase, taking pre to post."""
@@ -191,12 +216,14 @@ def _record(ctx: PhaseContext, pre: ResidualState, idx: int, v: int,
 
 
 def _transcript(g: Graph, first: str, dominator_policy: str, staller_policy: str,
-                records: list[MoveRecord], ctx: PhaseContext) -> Transcript:
-    """The transcript of a finished game; ctx is the phase context after its
-    last move, holding the potentials handed over at the phase switch."""
-    lengths = [0, 0, 0, 0]
-    for r in records:
-        lengths[r.phase - 1] += 1
+                moves: Iterable[Move]) -> Transcript:
+    """The transcript of a finished game from its moves. step() never
+    advances the phase machine after the last move, so ctx, left at the
+    last move's context, holds the potentials handed over at the switch."""
+    records, lengths = [], [0, 0, 0, 0]
+    for ctx, pre, idx, v, post in moves:
+        records.append(_record(ctx, pre, idx, v, post))
+        lengths[ctx.phase - 1] += 1
     return Transcript(
         graph_hash=g.graph_hash, n=g.n, m=g.edge_count, first_player=first,
         dominator_policy=dominator_policy, staller_policy=staller_policy,
@@ -207,23 +234,20 @@ def _transcript(g: Graph, first: str, dominator_policy: str, staller_policy: str
 def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") -> Transcript:
     """Run one full game and return its transcript.
 
-    The game starts at opening() and every move goes through step(), which
-    holds the move rule shared with the verifier's replay and the
-    worst-case search.
+    The moves come from _moves(), the loop the verifier's replay shares;
+    every move goes through step(), which holds the move rule shared with
+    the worst-case search as well.
     """
-    state, ctx, idx = opening(g, first)
-    records: list[MoveRecord] = []
-    while not is_over(state):
+    def choose(ctx: PhaseContext, state: ResidualState, idx: int) -> int:
         policy = dominator if idx % 2 == 1 else staller
         v = policy(ctx, state)
-        if not isinstance(v, int) or not 0 <= v < g.n or state.red_mask >> v & 1:
+        if not _playable(state, v):
             name = getattr(policy, "policy_name", "policy")
             raise IllegalMoveError(f"policy {name!r} returned illegal vertex {v!r}")
-        post, next_ctx = step(ctx, state, idx, v)
-        records.append(_record(ctx, state, idx, v, post))
-        state, ctx, idx = post, next_ctx, idx + 1
+        return v
+
     return _transcript(g, first, getattr(dominator, "policy_name", "custom"),
-                       getattr(staller, "policy_name", "custom"), records, ctx)
+                       getattr(staller, "policy_name", "custom"), _moves(g, first, choose))
 
 
 def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
@@ -249,12 +273,11 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
         raise ResourceLimitError(f"n={g.n} exceeds the worst-case search cap {cap}")
     full = (1 << g.n) - 1
     masks = g.closed_masks
-    line: list[tuple[PhaseContext, ResidualState, int, int, ResidualState]] = []
+    line: list[Move] = []
     best = line.copy()  # the first longest finished line
-    end_ctx: PhaseContext | None = None  # the phase context after its last move
 
     def search(state: ResidualState, ctx: PhaseContext, idx: int) -> None:
-        nonlocal best, end_ctx
+        nonlocal best
         # each move dominates at least one new (white) vertex
         if len(line) + (full & ~state.dominated_mask).bit_count() <= len(best):
             return
@@ -270,10 +293,8 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
             if not is_over(nxt):
                 search(nxt, nctx, idx + 1)
             elif len(line) > len(best):
-                best, end_ctx = line.copy(), nctx
+                best = line.copy()
             line.pop()
 
     search(*opening(g, first))
-    records = [_record(*move) for move in best]
-    return len(best), _transcript(g, first, dominator_greedy.policy_name, "worst_case",
-                                  records, end_ctx)
+    return len(best), _transcript(g, first, dominator_greedy.policy_name, "worst_case", best)

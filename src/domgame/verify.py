@@ -1,13 +1,14 @@
 """Transcript audits and the corpus runner.
 
 Every inequality of the greedy strategy's bookkeeping is re-checked here by
-replaying a transcript's move sequence through the engine: per-move and
-per-phase potential decreases, end-of-phase structure, X-cycle accounting,
-the telescoped 5n budget, and the exact bounds against the minimax solver.
-Each transcript claim is one entry of a table, and one runner walks the
-replay once for all of them. Recorded move data that disagrees with the
-replay is itself a failure, so mutated transcripts are rejected with a
-replayable witness.
+replaying a transcript's vertices through strategy's move loop, the one
+play_game runs, and rebuilding its records with the same builder: per-move
+and per-phase potential decreases, end-of-phase structure, X-cycle
+accounting, the telescoped 5n budget, and the exact bounds against the
+minimax solver. Each transcript claim is one entry of a table, and one
+runner walks the replay once for all of them. A recorded field that
+disagrees with the rebuilt one is itself a failure, so mutated transcripts
+are rejected with a replayable witness.
 """
 
 from __future__ import annotations
@@ -32,20 +33,19 @@ from .graph import (
 )
 from .phases import (
     CycleStatus,
+    PhaseContext,
     XCycleRegistry,
     _end_of_phase2_violation,
     _white_degree_violation,
     cycle_status,
     F_decrease,
     open_cycle_count,
-    potential_kind,
 )
 from .residual import (
     Color,
     ComponentKind,
     ResidualState,
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
-    is_over,
     legal_moves,
     retained_piece,
     vertices_of,
@@ -55,15 +55,16 @@ from .residual import (
 from .solver import DEFAULT_SOLVER_CAP, solve_game
 from .strategy import (
     DEFAULT_WORST_CASE_CAP,
+    MoveRecord,
     Transcript,
+    _moves,
+    _playable,
+    _transcript,
     dominator_greedy,
     make_staller_random,
-    move_decrease,
-    opening,
     play_game,
     staller_min_decrease,
     staller_worst_case,
-    step,
 )
 
 CLAIM_IDS = (
@@ -116,92 +117,72 @@ class ClaimReport:
 
 
 @dataclass
-class _Move:
-    index: int
-    mover: str
-    vertex: int
-    phase: int
-    kind: str
-    decrease: int
-    pre_state: ResidualState
-    post_state: ResidualState
-    closed: int | None  # open X-cycles the move closed, from phase 3 on
-
-
-@dataclass
 class _Replay:
     graph: Graph
-    transcript: Transcript
-    moves: list[_Move]
+    transcript: Transcript  # as recorded
+    replayed: Transcript    # rebuilt from the replayed moves
+    states: list[ResidualState]  # the state after the first k moves, k = 0..len
     registry: XCycleRegistry | None
-    f_star: int | None
-    F_star: int | None
-    lengths: tuple[int, ...]  # moves per phase
-    drops: tuple[int, ...]    # potential decrease per phase
-
-    def state(self, k: int) -> ResidualState:
-        """The state after the first k moves."""
-        return self.moves[k - 1].post_state if k else self.moves[0].pre_state
 
 
 def _replay(g: Graph, t: Transcript) -> _Replay:
-    """Ground-truth re-execution of the recorded move sequence.
-
-    Structural problems (bad indices, illegal or missing moves) raise
-    ValueError; semantic fields of the records are NOT trusted here and are
+    """Ground-truth re-execution of the recorded vertices, with the records
+    rebuilt. Structural problems (bad indices, illegal or missing moves)
+    raise ValueError; the other record fields are NOT trusted here and are
     compared by the claim runner.
     """
     if not t.records:
         raise ValueError("empty transcript")
-    state, ctx, idx = opening(g, t.first_player)
-    moves: list[_Move] = []
-    for pos, r in enumerate(t.records):
-        if is_over(state):
-            raise ValueError("transcript continues after the game ended")
+    records = iter(enumerate(t.records))
+
+    def choose(ctx: PhaseContext, state: ResidualState, idx: int) -> int:
+        pos, r = next(records, (None, None))
+        if r is None:
+            raise ValueError("transcript ends before the game is over")
         mover = "D" if idx % 2 == 1 else "S"
         if r.index != idx or r.mover != mover:
             raise ValueError(f"record {pos}: expected move {idx} by {mover}, "
                              f"got {r.index} by {r.mover}")
-        if not 0 <= r.vertex < g.n or state.red_mask >> r.vertex & 1:
+        if not _playable(state, r.vertex):
             raise ValueError(f"record {pos}: vertex {r.vertex} is not playable")
-        post, next_ctx = step(ctx, state, idx, r.vertex)
-        closed = None
-        if ctx.phase >= 3:  # the open counts are memoized with the F values move_decrease reads
-            closed = open_cycle_count(state, ctx.registry) - open_cycle_count(post, ctx.registry)
-        moves.append(_Move(idx, mover, r.vertex, ctx.phase, potential_kind(ctx.phase),
-                           move_decrease(ctx, state, post), state, post, closed))
-        state, ctx, idx = post, next_ctx, idx + 1
-    if not is_over(state):
-        raise ValueError("transcript ends before the game is over")
-    lengths, drops = [0] * 4, [0] * 4
-    for m in moves:
-        lengths[m.phase - 1] += 1
-        drops[m.phase - 1] += m.decrease
-    return _Replay(g, t, moves, ctx.registry, ctx.f_at_phase2_end, ctx.F_at_phase3_start,
-                   tuple(lengths), tuple(drops))
+        return r.vertex
+
+    moves = list(_moves(g, t.first_player, choose))
+    if next(records, None) is not None:
+        raise ValueError("transcript continues after the game ended")
+    replayed = _transcript(g, t.first_player, t.dominator_policy, t.staller_policy, moves)
+    end_ctx, *_, last = moves[-1]
+    return _Replay(g, t, replayed, [pre for _, pre, _, _, _ in moves] + [last], end_ctx.registry)
 
 
 def replay_states(g: Graph, t: Transcript) -> list[ResidualState]:
     """States along a transcript: initial state, then one per move."""
-    rep = _replay(g, t)
-    return [rep.state(k) for k in range(len(rep.moves) + 1)]
+    return _replay(g, t).states
 
 
 def _fail(claim: str, rep: _Replay, k: int, note: str,
           move_index: int | None = None) -> ClaimReport:
     """A failure witnessed by the state after the first k moves."""
-    w = Witness(write_edge_list(rep.graph), move_index, rep.state(k).snapshot(),
+    w = Witness(write_edge_list(rep.graph), move_index, rep.states[k].snapshot(),
                 tuple(r.to_json_dict() for r in rep.transcript.records[:k]), note)
     return ClaimReport(claim, FAIL, note, w)
 
 
-def _integrity_note(r, m: _Move) -> str | None:
+def _integrity_note(r: MoveRecord, m: MoveRecord) -> str | None:
+    """How the recorded record r disagrees with the replayed record m."""
     if (r.phase, r.kind, r.decrease) != (m.phase, m.kind, m.decrease):
         return (f"recorded (phase={r.phase}, kind={r.kind}, decrease={r.decrease}) "
                 f"but replay gives (phase={m.phase}, kind={m.kind}, decrease={m.decrease})")
-    if r.snapshot_hash != m.post_state.snapshot_hash():
+    if r.snapshot_hash != m.snapshot_hash:
         return "recorded snapshot hash disagrees with replay"
     return None
+
+
+def _closed(rep: _Replay, k: int) -> int:
+    """Open X-cycles that move k, from phase 3 on, closed (the open counts
+    are memoized with the F values the replayed decreases read)."""
+    pre, post = rep.states[k], rep.states[k + 1]
+    return open_cycle_count(pre, rep.registry) - open_cycle_count(post, rep.registry)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +214,17 @@ def _counted(text: str) -> Callable[[_Replay, int, int], str]:
     return lambda rep, checked, exercised: text.format(checked=checked, exercised=exercised)
 
 
+def _required(rep: _Replay, phase: int) -> int:
+    """The total decrease guaranteed in one phase: 8 a move, but 6 for the
+    Staller-start pre-move (index 0, in phase 1)."""
+    pre_move = phase == 1 and rep.replayed.records[0].index == 0
+    return 8 * rep.replayed.phase_lengths[phase - 1] - 2 * pre_move
+
+
 def _budget(rep: _Replay, phase: int) -> tuple[int, int, int]:
-    """(total decrease, the total guaranteed, moves) of one phase: 8 a move,
-    but 6 for the Staller-start pre-move (index 0, in phase 1)."""
-    count = rep.lengths[phase - 1]
-    pre_move = phase == 1 and rep.moves[0].index == 0
-    return rep.drops[phase - 1], 8 * count - 2 * pre_move, count
+    """(total decrease, the total guaranteed, moves) of one phase."""
+    got = sum(r.decrease for r in rep.replayed.records if r.phase == phase)
+    return got, _required(rep, phase), rep.replayed.phase_lengths[phase - 1]
 
 
 def _budget_claim(phase: int) -> _Claim:
@@ -249,7 +235,7 @@ def _budget_claim(phase: int) -> _Claim:
             return f"phase-{phase} total decrease {got} < {required} over {p} moves"
         return None
 
-    return _Claim(f"AV{phase}", "end", lambda rep: rep.lengths[phase - 1] > 0,
+    return _Claim(f"AV{phase}", "end", lambda rep: rep.replayed.phase_lengths[phase - 1] > 0,
                   check, f"phase {phase} is empty",
                   lambda rep, *_: "total {} >= {} over {} moves".format(*_budget(rep, phase)))
 
@@ -257,7 +243,7 @@ def _budget_claim(phase: int) -> _Claim:
 def _ph1_note(rep: _Replay, k: int) -> str | None:
     """Phases 1-2: Dominator moves drop f by >= 11, Staller by >= 5 (the
     Staller-start pre-move by >= 6)."""
-    m = rep.moves[k]
+    m = rep.replayed.records[k]
     bound = 11 if m.mover == "D" else (6 if m.index == 0 else 5)
     if m.decrease < bound:
         return f"move {m.index} ({m.mover}) dropped f by {m.decrease} < {bound}"
@@ -280,13 +266,13 @@ def _later2_violation(state: ResidualState) -> str | None:
 
 
 def _xcycle_drop_note(rep: _Replay, k: int) -> str | None:
-    m = rep.moves[k]
-    if not m.pre_state.dominated_mask >> m.vertex & 1 or rep.registry.member_mask >> m.vertex & 1:
+    m, pre, closed = rep.replayed.records[k], rep.states[k], _closed(rep, k)
+    if not pre.dominated_mask >> m.vertex & 1 or rep.registry.member_mask >> m.vertex & 1:
         bound = 1
     else:
-        bound = white_degree(m.pre_state, m.vertex)
-    if m.closed > bound:
-        return f"move {m.index} closed {m.closed} open X-cycles, bound {bound}"
+        bound = white_degree(pre, m.vertex)
+    if closed > bound:
+        return f"move {m.index} closed {closed} open X-cycles, bound {bound}"
     return None
 
 
@@ -301,31 +287,31 @@ def _nonspecial_blue_leaf(state: ResidualState) -> int | None:
     return None
 
 
-def _ph2_leaf_holds(m: _Move, reg: XCycleRegistry) -> bool:
-    """Some move at m's pre-move state drops F by at least 11. The move
-    played is tried first: its replayed decrease is its F_decrease (phases
-    3-4 shade dark), so only when it falls short are the others scanned,
-    up to the first that qualifies."""
-    if m.decrease >= 11:
+def _ph2_leaf_holds(rep: _Replay, k: int) -> bool:
+    """Some move at the state before move k drops F by at least 11. The
+    move played is tried first: its replayed decrease is its F_decrease
+    (phases 3-4 shade dark), so only when it falls short are the others
+    scanned, up to the first that qualifies."""
+    if rep.replayed.records[k].decrease >= 11:
         return True
-    state = m.pre_state
-    return any(F_decrease(state, reg, v) >= 11 for v in legal_moves(state))
+    state = rep.states[k]
+    return any(F_decrease(state, rep.registry, v) >= 11 for v in legal_moves(state))
 
 
 def _ph2_leaf_note(rep: _Replay, k: int):
     """Wherever phase 3 still has a blue leaf in a non-special component,
     some move must drop F by at least 11."""
-    v = _nonspecial_blue_leaf(rep.state(k))
+    v = _nonspecial_blue_leaf(rep.states[k])
     if v is None:
         return _IDLE
-    if _ph2_leaf_holds(rep.moves[k], rep.registry):
+    if _ph2_leaf_holds(rep, k):
         return None
     return f"blue leaf {v} in a non-special component but no move drops F by 11"
 
 
 def _xcycle_finish_note(rep: _Replay, k: int):
-    m = rep.moves[k]
-    if m.closed < 1:
+    m = rep.replayed.records[k]
+    if _closed(rep, k) < 1:
         return _IDLE
     need = 11 if m.mover == "D" else 6
     if m.decrease < need:
@@ -337,14 +323,15 @@ def _ph3_note(rep: _Replay, k: int) -> str | None:
     """Phase 3: Dominator >= 10, Staller >= 5; any Staller move of exactly 5
     is answered by a Dominator move of >= 11; a Staller move ending the
     phase managed at least 6."""
-    m = rep.moves[k]
+    records = rep.replayed.records
+    m = records[k]
     if m.mover == "D":
         if m.decrease < 10:
             return f"Dominator move {m.index} dropped F by {m.decrease} < 10"
         return None
     if m.decrease < 5:
         return f"Staller move {m.index} dropped F by {m.decrease} < 5"
-    nxt = rep.moves[k + 1] if k + 1 < len(rep.moves) else None
+    nxt = records[k + 1] if k + 1 < len(records) else None
     if m.decrease == 5:
         if nxt is None:
             return f"game ended right after minimal Staller move {m.index}"
@@ -361,7 +348,7 @@ _PHASE4_KINDS = (ComponentKind.WB_MINUS, ComponentKind.WB_PLUS,
 
 
 def _end3_note(rep: _Replay, k: int) -> str | None:
-    state, reg = rep.state(k), rep.registry
+    state, reg = rep.states[k], rep.registry
     for i in range(len(reg)):
         st = cycle_status(reg, i, state)
         if st is not CycleStatus.FINISHED:
@@ -385,10 +372,10 @@ def _end3_note(rep: _Replay, k: int) -> str | None:
 
 
 def _ph4_note(rep: _Replay, k: int) -> str | None:
-    m = rep.moves[k]
+    m = rep.replayed.records[k]
     if m.decrease < 8:
         return f"move {m.index} dropped F by {m.decrease} < 8"
-    pre, post = m.pre_state, m.post_state
+    pre, post = rep.states[k], rep.states[k + 1]
     inside = retained_piece(pre.graph.open_masks, pre.dominated_mask, m.vertex, pre.graph.n)
     non_red = inside & ~post.red_mask
     recolored = ((pre.dominated_mask ^ post.dominated_mask) | (pre.red_mask ^ post.red_mask)
@@ -403,19 +390,20 @@ def _ph4_note(rep: _Replay, k: int) -> str | None:
 
 def _five_n(rep: _Replay) -> tuple[int, int, int]:
     """(5n, the telescoped budget's right-hand side, the f/F handoff gap)."""
-    gap = 0 if rep.f_star is None else rep.f_star - rep.F_star
-    return 5 * rep.graph.n, sum(_budget(rep, p)[1] for p in (1, 2, 3, 4)) + gap, gap
+    f_star, F_star = rep.replayed.f_at_phase2_end, rep.replayed.F_at_phase2_end
+    gap = 0 if f_star is None else f_star - F_star
+    return 5 * rep.graph.n, sum(_required(rep, p) for p in (1, 2, 3, 4)) + gap, gap
 
 
 def _total_note(rep: _Replay, k: int) -> str | None:
-    t = rep.transcript
+    t, got = rep.transcript, rep.replayed
     n5, rhs, gap = _five_n(rep)
-    total = sum(rep.drops)
+    total = sum(r.decrease for r in got.records)
     if total != n5 - gap:
         return f"decreases sum to {total}, expected 5n - gap = {n5 - gap}"
-    if rep.lengths != t.phase_lengths:
-        return f"recorded phase lengths {t.phase_lengths} but replay gives {rep.lengths}"
-    if (t.f_at_phase2_end, t.F_at_phase2_end) != (rep.f_star, rep.F_star):
+    if t.phase_lengths != got.phase_lengths:
+        return f"recorded phase lengths {t.phase_lengths} but replay gives {got.phase_lengths}"
+    if (t.f_at_phase2_end, t.F_at_phase2_end) != (got.f_at_phase2_end, got.F_at_phase2_end):
         return "recorded potential handoff disagrees with replay"
     if n5 < rhs:
         return f"budget violated: 5n={n5} < {rhs}"
@@ -434,7 +422,7 @@ def _lightblue_note(rep: _Replay, k: int) -> str | None:
     support can be dominated later through one of its light neighbors and
     turn dark while the leaf stays white.
     """
-    state, g = rep.state(k), rep.graph
+    state, g = rep.states[k], rep.graph
     dom, red, light = state.dominated_mask, state.red_mask, state.light_mask
     for v in g.leaves:
         if dom >> v & 1:
@@ -463,10 +451,10 @@ _CLAIMS = (
     _budget_claim(1),
     _budget_claim(2),
     _Claim("END2_STRUCT", "state", lambda b, a: b < 3 <= a,
-           lambda rep, k: _end_of_phase2_violation(rep.state(k)),
+           lambda rep, k: _end_of_phase2_violation(rep.states[k]),
            "game ended before the potential handoff", _counted("handoff state structure holds")),
     _Claim("LATER2", "state", lambda b, a: max(b, a) >= 3,
-           lambda rep, k: _later2_violation(rep.state(k)),
+           lambda rep, k: _later2_violation(rep.states[k]),
            "phases 3-4 never reached", _counted("{checked} states checked")),
     _Claim("XCYCLE_DROP", "move", lambda ph, nxt: ph >= 3, _xcycle_drop_note,
            "phases 3-4 never reached", _counted("{checked} moves checked")),
@@ -500,7 +488,7 @@ def _audit(rep: _Replay) -> list[ClaimReport]:
     """Walk the replay once and check every claim at its sites in move
     order, up to the claim's first failure. Record integrity is checked
     once per move, for the claim on that phase's moves, before its bound."""
-    moves, records = rep.moves, rep.transcript.records
+    records, replayed = rep.transcript.records, rep.replayed.records
     checked = dict.fromkeys(TRANSCRIPT_CHECKS, 0)
     exercised = dict.fromkeys(TRANSCRIPT_CHECKS, 0)
     failed: dict[str, ClaimReport] = {}
@@ -508,15 +496,15 @@ def _audit(rep: _Replay) -> list[ClaimReport]:
     def visit(c: _Claim, k: int, after: int, move_index: int | None = None) -> None:
         """Check c at site k; a failure is witnessed by the state after `after` moves."""
         checked[c.id] += 1
-        owns = move_index is not None and c.id == _INTEGRITY_CLAIM[moves[k].phase]
-        note = (owns and _integrity_note(records[k], moves[k])) or c.check(rep, k)
+        owns = move_index is not None and c.id == _INTEGRITY_CLAIM[replayed[k].phase]
+        note = (owns and _integrity_note(records[k], replayed[k])) or c.check(rep, k)
         if note is not _IDLE:
             exercised[c.id] += 1
             if note:
                 failed[c.id] = _fail(c.id, rep, after, note, move_index)
 
-    phases = [0] + [m.phase for m in moves] + [0, 0]
-    for k in range(len(moves) + 1):
+    phases = [0] + [m.phase for m in replayed] + [0, 0]
+    for k in range(len(replayed) + 1):
         before, phase, after = phases[k], phases[k + 1], phases[k + 2]
         for c in _AT["state"][before, phase]:
             if c.id not in failed:
@@ -525,10 +513,10 @@ def _audit(rep: _Replay) -> list[ClaimReport]:
             break
         for c in _AT["move"][phase, after]:
             if c.id not in failed:
-                visit(c, k, k + 1, moves[k].index)
+                visit(c, k, k + 1, replayed[k].index)
     for c in _AT_END:
         if c.at(rep):
-            visit(c, len(moves), len(moves))
+            visit(c, len(replayed), len(replayed))
     return [failed.get(c.id) or (
         ClaimReport(c.id, PASS, c.passed(rep, checked[c.id], exercised[c.id])) if checked[c.id]
         else ClaimReport(c.id, VACUOUS, c.vacuous)) for c in _CLAIMS]
@@ -573,54 +561,38 @@ def verify_bounds(g: Graph, solver_cap: int = DEFAULT_SOLVER_CAP,
 
 def _bound_reports(g: Graph, solver_cap: int, worst: WorstCases | None) -> list[ClaimReport]:
     """verify_bounds on worst-case search results computed by the caller."""
-    bound_d = 5 * g.n // 8
-    bound_s = (5 * g.n + 2) // 8
     gv = solve_game(g, solver_cap) if g.n <= solver_cap else None
     wc_d, wc_s = (None, None) if worst is None else worst
     gtext = write_edge_list(g)
-    reports = []
 
     def fail(claim: str, note: str) -> ClaimReport:
         return ClaimReport(claim, FAIL, note, Witness(gtext, note=note))
 
-    if gv is None and wc_d is None:
-        reports.append(ClaimReport("BOUND_5N8", SKIPPED, f"n={g.n} exceeds both caps"))
-    elif gv is not None and gv.gamma_g > bound_d:
-        reports.append(fail("BOUND_5N8", f"gamma_g={gv.gamma_g} > {bound_d}"))
-    elif wc_d is not None and wc_d[0] > bound_d:
-        reports.append(fail("BOUND_5N8", f"greedy worst-case length {wc_d[0]} > {bound_d}"))
-    elif gv is not None and wc_d is not None and gv.gamma_g > wc_d[0]:
-        reports.append(fail("BOUND_5N8",
-                            f"gamma_g={gv.gamma_g} exceeds greedy worst-case length {wc_d[0]}"))
-    else:
-        parts = []
-        if gv is not None:
-            parts.append(f"gamma_g={gv.gamma_g}")
-        else:
-            parts.append("exact skipped (cap)")
-        if wc_d is not None:
-            parts.append(f"worst={wc_d[0]}")
-        else:
-            parts.append("worst-case skipped (cap)")
-        reports.append(ClaimReport("BOUND_5N8", PASS, f"{', '.join(parts)} <= {bound_d}"))
+    def length_bound(claim: str, bound: int, name: str, value: int | None, length: str,
+                     wc: int | None, skip_notes: tuple[str, str]) -> ClaimReport:
+        """The exact value `name` and the greedy worst case wc (`length` in
+        notes), each None beyond its cap, against bound; skip_notes stand in
+        the pass detail for a skipped value and a skipped search."""
+        if value is None and wc is None:
+            return ClaimReport(claim, SKIPPED, f"n={g.n} exceeds both caps")
+        if value is not None and value > bound:
+            return fail(claim, f"{name}={value} > {bound}")
+        if wc is not None and wc > bound:
+            return fail(claim, f"{length} {wc} > {bound}")
+        if value is not None and wc is not None and value > wc:
+            return fail(claim, f"{name}={value} exceeds {length} {wc}")
+        parts = (skip_notes[0] if value is None else f"{name}={value}",
+                 skip_notes[1] if wc is None else f"worst={wc}")
+        return ClaimReport(claim, PASS, f"{', '.join(p for p in parts if p)} <= {bound}")
 
-    if gv is None and wc_s is None:
-        reports.append(ClaimReport("BOUND_STALLER_START", SKIPPED, f"n={g.n} exceeds both caps"))
-    elif gv is not None and gv.gamma_g_prime > bound_s:
-        reports.append(fail("BOUND_STALLER_START", f"gamma_g'={gv.gamma_g_prime} > {bound_s}"))
-    elif wc_s is not None and wc_s[0] > bound_s:
-        reports.append(fail("BOUND_STALLER_START",
-                            f"greedy worst-case Staller-start length {wc_s[0]} > {bound_s}"))
-    elif gv is not None and wc_s is not None and gv.gamma_g_prime > wc_s[0]:
-        reports.append(fail("BOUND_STALLER_START",
-                            f"gamma_g'={gv.gamma_g_prime} exceeds greedy worst-case "
-                            f"Staller-start length {wc_s[0]}"))
-    else:
-        got = [] if gv is None else [f"gamma_g'={gv.gamma_g_prime}"]
-        if wc_s is not None:
-            got.append(f"worst={wc_s[0]}")
-        reports.append(ClaimReport("BOUND_STALLER_START", PASS, f"{', '.join(got)} <= {bound_s}"))
-
+    reports = [
+        length_bound("BOUND_5N8", 5 * g.n // 8, "gamma_g", gv and gv.gamma_g,
+                     "greedy worst-case length", wc_d and wc_d[0],
+                     ("exact skipped (cap)", "worst-case skipped (cap)")),
+        length_bound("BOUND_STALLER_START", (5 * g.n + 2) // 8, "gamma_g'",
+                     gv and gv.gamma_g_prime, "greedy worst-case Staller-start length",
+                     wc_s and wc_s[0], ("", "")),
+    ]
     if gv is None:
         reports.append(ClaimReport("GAP_GG_GGP", SKIPPED, f"n={g.n} exceeds solver cap"))
     elif abs(gv.gamma_g - gv.gamma_g_prime) > 1:

@@ -26,7 +26,7 @@ def test_k2_freezes_the_registry_at_the_opening():
     t = play_game(g, dominator_greedy, make_staller_random(0), "D")
     rep = _replay(g, t)
     assert rep.registry is not None
-    assert rep.moves[0].phase == 3
+    assert rep.replayed.records[0].phase == 3
     end2 = {r.claim: r for r in verify_transcript(g, t)}["END2_STRUCT"]
     assert end2.status == "pass"
 

@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from domgame import (
     CLAIM_IDS,
@@ -9,10 +11,12 @@ from domgame import (
     TRANSCRIPT_CHECKS,
     ConfigError,
     Graph,
+    IllegalMoveError,
     builtin_spec,
     corpus_items,
     dominator_greedy,
     gen_cycle,
+    gen_gnp_isolate_free,
     gen_path,
     gen_random_tree,
     make_staller_random,
@@ -35,6 +39,7 @@ from transcript_cases import (
     FOOTER_FIELDS,
     HEADER_FIELDS,
     RECORD_FIELDS,
+    mutated,
     mutation_subjects,
     mutations,
 )
@@ -150,6 +155,71 @@ def test_single_field_mutation_is_rejected(name):
     assert tried
 
 
+@st.composite
+def played_games(draw):
+    """(graph, transcript): a random tree, G(n, p) or union of cycles C_k
+    (k >= 4) with n <= 24, either start, against a random Staller, the
+    min-decrease Staller or, for n <= 10, the worst-case Staller."""
+    family = draw(st.sampled_from(("tree", "gnp", "cycles")))
+    seed = draw(st.integers(0, 2**31))
+    if family == "tree":
+        g = gen_random_tree(draw(st.integers(2, 24)), seed)
+    elif family == "gnp":
+        g = gen_gnp_isolate_free(draw(st.integers(2, 24)),
+                                 draw(st.sampled_from((0.15, 0.3, 0.5))), seed)
+    else:
+        lengths = [draw(st.integers(4, 24))]
+        while 24 - sum(lengths) >= 4 and draw(st.booleans()):
+            lengths.append(draw(st.integers(4, 24 - sum(lengths))))
+        g = cycle_union(lengths)
+    first = draw(st.sampled_from("DS"))
+    staller = draw(st.sampled_from(("random", "min", "worst") if g.n <= 10 else ("random", "min")))
+    if staller == "worst":
+        return g, staller_worst_case(g, first=first)[1]
+    policy = make_staller_random(seed) if staller == "random" else staller_min_decrease
+    return g, play_game(g, dominator_greedy, policy, first)
+
+
+@given(game=played_games(), data=st.data())
+@settings(max_examples=200)
+def test_replay_rebuilds_the_transcript_and_rejects_mutations(game, data):
+    """The replay rebuilds a played transcript exactly, and one field
+    mutated at a random record (by the rules of transcript_cases) is an
+    input error or gets at least one FAIL, each with a witness."""
+    from domgame.verify import _replay
+
+    g, t = game
+    assert _replay(g, t).replayed == t
+    name = data.draw(st.sampled_from(RECORD_FIELDS + FOOTER_FIELDS + HEADER_FIELDS))
+    bad = mutated(g, t, name, data.draw(st.integers(0, t.total_moves - 1)))
+    assume(bad is not None)
+    try:
+        reports = verify_transcript(g, bad)
+    except ValueError:
+        return
+    failing = [r for r in reports if r.status == "fail"]
+    assert failing
+    assert all(r.witness is not None for r in failing)
+
+
+@pytest.mark.parametrize("vertex", [1.0, "1", None])
+def test_vertex_that_is_not_an_int_is_unplayable(vertex):
+    """A recorded vertex, or one a policy returns, that is not an int is
+    rejected as unplayable, not passed on to the bit arithmetic."""
+    g = gen_path(5)
+    t = play_game(g, dominator_greedy, staller_min_decrease, "D")
+    forged = dataclasses.replace(t.records[1], vertex=vertex)
+    bad = dataclasses.replace(t, records=t.records[:1] + (forged,) + t.records[2:])
+    with pytest.raises(ValueError, match="record 1: vertex .* is not playable"):
+        verify_transcript(g, bad)
+
+    def staller(ctx, state):
+        return vertex
+
+    with pytest.raises(IllegalMoveError, match="returned illegal vertex"):
+        play_game(g, dominator_greedy, staller, "S")
+
+
 def test_claim_table_follows_transcript_checks():
     from domgame.verify import _CLAIMS
 
@@ -215,6 +285,46 @@ def test_verify_bounds_caps_flag_skip():
     rep2 = by_claim(verify_bounds(g, solver_cap=10, worst_cap=14))
     assert rep2["BOUND_5N8"].status == "pass"
     assert "exact skipped" in rep2["BOUND_5N8"].detail
+
+
+@pytest.mark.parametrize("caps, want", [
+    ((10, 10), [("skipped-exact", "n=14 exceeds both caps"),
+                ("skipped-exact", "n=14 exceeds both caps")]),
+    ((10, 14), [("pass", "exact skipped (cap), worst=6 <= 8"),
+                ("pass", "worst=7 <= 9")]),
+    ((20, 10), [("pass", "gamma_g=6, worst-case skipped (cap) <= 8"),
+                ("pass", "gamma_g'=7 <= 9")]),
+    ((20, 14), [("pass", "gamma_g=6, worst=6 <= 8"),
+                ("pass", "gamma_g'=7, worst=7 <= 9")]),
+])
+def test_length_bound_reports_per_cap(caps, want):
+    """Both length bounds' status and detail, byte for byte, with the exact
+    value, the worst-case search, both or neither within its cap: only
+    BOUND_5N8 names the skipped side."""
+    rep = by_claim(verify_bounds(gen_random_tree(14, 0), *caps))
+    got = [(rep[c].status, rep[c].detail) for c in ("BOUND_5N8", "BOUND_STALLER_START")]
+    assert got == want
+
+
+def test_length_bound_failure_texts(monkeypatch):
+    """The failure details of both length bounds when a forged worst case,
+    or a forged exact value, exceeds the bound."""
+    import types
+
+    import domgame.verify as verify
+
+    g = gen_random_tree(14, 0)
+    (_, wit_d), (_, wit_s) = worst = verify._worst_cases(g, 14)
+    rep = by_claim(verify._bound_reports(g, 10, ((9, wit_d), (10, wit_s))))
+    assert rep["BOUND_5N8"].detail == "greedy worst-case length 9 > 8"
+    assert rep["BOUND_STALLER_START"].detail == "greedy worst-case Staller-start length 10 > 9"
+    monkeypatch.setattr(verify, "solve_game",
+                        lambda g, cap: types.SimpleNamespace(gamma_g=9, gamma_g_prime=10))
+    rep = by_claim(verify._bound_reports(g, 20, worst))
+    assert rep["BOUND_5N8"].detail == "gamma_g=9 > 8"
+    assert rep["BOUND_STALLER_START"].detail == "gamma_g'=10 > 9"
+    assert all(rep[c].status == "fail" and rep[c].witness.graph_text == write_edge_list(g)
+               for c in ("BOUND_5N8", "BOUND_STALLER_START"))
 
 
 def test_smoke_corpus_passes_and_is_deterministic():
@@ -445,13 +555,13 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
     for i, g in enumerate(graphs):
         for staller in (staller_min_decrease, make_staller_random(i)):
             rep = _replay(g, play_game(g, dominator_greedy, staller, "D"))
-            for m in rep.moves:
+            for k, m in enumerate(rep.replayed.records):
                 if m.phase < 3:
                     continue
-                fresh = state_from_colors(g, colors(m.pre_state))
+                fresh = state_from_colors(g, colors(rep.states[k]))
                 want = max_F_decrease(fresh, rep.registry) >= 11
-                assert _ph2_leaf_holds(m, rep.registry) == want
-                leaf = _nonspecial_blue_leaf(m.pre_state)
+                assert _ph2_leaf_holds(rep, k) == want
+                leaf = _nonspecial_blue_leaf(rep.states[k])
                 assert leaf == nonspecial_blue_leaf(fresh)
                 seen.add((leaf is not None, m.decrease >= 11, want))
     # the played move decides, the scan decides either way, and both occur

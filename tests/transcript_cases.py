@@ -92,6 +92,22 @@ def _mutated_value(field, value):
     return 0 if value is None else value + 1
 
 
+def mutated(g, t, name, pos=None):
+    """t with the field `name` changed, of record pos for a record field;
+    None for a vertex when no other playable vertex changes the play."""
+    if name not in RECORD_FIELDS:
+        return dataclasses.replace(t, **{name: _mutated_value(name, getattr(t, name))})
+    r = t.records[pos]
+    if name == "vertex":
+        value = _other_vertex(g, t, pos)
+        if value is None:
+            return None
+    else:
+        value = _mutated_value(name, getattr(r, name))
+    forged = dataclasses.replace(r, **{name: value})
+    return dataclasses.replace(t, records=t.records[:pos] + (forged,) + t.records[pos + 1:])
+
+
 def mutations(g, t):
     """(label, transcript) with exactly one field changed. Record fields are
     mutated at the first record of each phase and at the last record."""
@@ -99,19 +115,12 @@ def mutations(g, t):
     positions = sorted({next(i for i, r in enumerate(t.records) if r.phase == p)
                         for p in {r.phase for r in t.records}} | {len(t.records) - 1})
     for pos in positions:
-        r = t.records[pos]
         for name in RECORD_FIELDS:
-            if name == "vertex":
-                value = _other_vertex(g, t, pos)
-                if value is None:
-                    continue
-            else:
-                value = _mutated_value(name, getattr(r, name))
-            forged = dataclasses.replace(r, **{name: value})
-            records = t.records[:pos] + (forged,) + t.records[pos + 1:]
-            out.append((f"record{pos}.{name}", dataclasses.replace(t, records=records)))
+            bad = mutated(g, t, name, pos)
+            if bad is not None:
+                out.append((f"record{pos}.{name}", bad))
     for name in FOOTER_FIELDS + HEADER_FIELDS:
-        out.append((name, dataclasses.replace(t, **{name: _mutated_value(name, getattr(t, name))})))
+        out.append((name, mutated(g, t, name)))
     return out
 
 
