@@ -38,13 +38,13 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("graph needs at least one vertex")
+        if type(self.n) is not int or self.n < 1:  # a bool is an int subclass, but no vertex count
+            raise ValueError(f"graph needs a positive int vertex count, got {self.n!r}")
         if len(self.adjacency) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         for u, nbrs in enumerate(self.adjacency):
-            if any(w < 0 or w >= self.n for w in nbrs):
-                raise ValueError(f"vertex {u}: neighbor id out of range")
+            if any(type(w) is not int or not 0 <= w < self.n for w in nbrs):
+                raise ValueError(f"vertex {u}: a neighbor id is not an int in 0..{self.n - 1}")
             if u in nbrs:
                 raise ValueError(f"vertex {u}: self-loop")
             if len(set(nbrs)) != len(nbrs):

@@ -204,9 +204,10 @@ def freeze_registry(s: ResidualState) -> XCycleRegistry:
 def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:
     """Closed: every cycle edge retained. Open: some member is a blue leaf in
     a component of order >= 4. Finished: every member is red or sits in a
-    BWB component. Other: none of these."""
-    return _status(reg, i, s.graph.open_masks, s.dominated_mask, s.red_mask,
-                   *_shape_masks(s.components()))
+    BWB component. Other: none of these. The component shapes are the ones
+    memoized with F."""
+    big, bwb = _F_memo(s, reg)[3:5]
+    return _status(reg, i, s.graph.open_masks, s.dominated_mask, s.red_mask, big, bwb)
 
 
 def _shape_masks(comps: Iterable[Component]) -> tuple[int, int]:
@@ -226,7 +227,7 @@ def _status(reg: XCycleRegistry, i: int, opens: tuple[int, ...], dom: int, red: 
     """cycle_status of cycle i read off a state's dominated and red masks and
     its _shape_masks. A cycle edge stops being retained when both its ends
     are dominated, so the cycle is closed when no dominated member has a
-    dominated ring neighbor."""
+    dominated ring neighbor. No red vertex is in big."""
     ring = reg.ring_masks
     m = reg.cycle_masks[i] & dom
     while m:
@@ -236,7 +237,7 @@ def _status(reg: XCycleRegistry, i: int, opens: tuple[int, ...], dom: int, red: 
         m ^= low
     else:
         return CycleStatus.CLOSED
-    blue_big = reg.cycle_masks[i] & dom & ~red & big
+    blue_big = reg.cycle_masks[i] & dom & big
     if any((opens[v] & ~dom).bit_count() == 1 for v in vertices_of(blue_big)):
         return CycleStatus.OPEN
     if reg.cycle_masks[i] & ~(red | bwb) == 0:
@@ -315,7 +316,7 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     dec = s.f - _weight(g.n, dom, red, light)
     if not big >> v & 1:  # C(v) has at most 3 vertices
         comp = retained_piece(opens, s.dominated_mask, v, 4)
-        dec -= _penalty(piece_kind(comp, s.dominated_mask, s.red_mask, s.light_mask))
+        dec -= _penalty(piece_kind(comp, s.dominated_mask, s.light_mask))
     starts = near & ~red
     while starts:
         piece = retained_piece(opens, dom, (starts & -starts).bit_length() - 1, 4)
@@ -323,7 +324,7 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
         if piece.bit_count() >= 4:
             continue
         small |= piece
-        kind = piece_kind(piece, dom, red, light)
+        kind = piece_kind(piece, dom, light)
         if kind is ComponentKind.BWB:
             small_bwb |= piece
         dec += _penalty(kind)

@@ -5,7 +5,9 @@ still playable: some neighbor is white), and red (unplayable). Blue vertices
 carry a shade fixed when they turn blue: light (weight 4) during the opening
 phase, dark (weight 3) afterwards. Only edges incident to at least one white
 vertex are retained; legal moves, the weight sum f, and component shapes are
-all read off this state.
+all read off this state. A red vertex keeps no retained edge and belongs to
+no component: the components are the retained-edge pieces of the non-red
+vertices.
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ class ComponentKind(Enum):
     WB_PLUS = "WB+"        # white + light blue pair
     WB_MINUS = "WB-"       # white + dark blue pair
     WW = "WW"              # two adjacent whites
-    ISOLATED_RED = "red"
     OTHER = "other"
 
 
 @dataclass(frozen=True)
 class Component:
+    """A retained-edge piece of non-red vertices; its order is at least 2."""
+
     kind: ComponentKind
     mask: int
 
@@ -98,9 +101,21 @@ class ResidualState:
         return (2 * dom + red - light).to_bytes(n, "big")[::-1].translate(_MINUS_TWO_ZEROS)
 
     def components(self) -> tuple[Component, ...]:
-        """Components over retained edges; red vertices come back as singletons."""
+        """Components of the non-red vertices over retained edges (those
+        touching a white vertex), by smallest member.
+
+        Every component has order >= 2: the graph is isolate-free, so a
+        white vertex keeps its edges and a blue one has a white neighbor.
+        """
         if self._components is None:
-            self._components = tuple(split_components(self, (1 << self.graph.n) - 1))
+            g, dom, light = self.graph, self.dominated_mask, self.light_mask
+            rest = ((1 << g.n) - 1) & ~self.red_mask
+            comps = []
+            while rest:
+                piece = retained_piece(g.open_masks, dom, (rest & -rest).bit_length() - 1, g.n)
+                rest &= ~piece
+                comps.append(Component(piece_kind(piece, dom, light), piece))
+            self._components = tuple(comps)
         return self._components
 
     def snapshot(self) -> str:
@@ -113,11 +128,9 @@ class ResidualState:
 
 _MINUS_TWO_ZEROS = bytes((b - 2 * ord("0")) % 256 for b in range(256))  # a bytes.translate table
 
-# Tables that depend only on vertex ids, shared by every graph and grown on
-# demand: the snapshot line of each vertex in each color, and the red
-# singleton component of each vertex.
+# The snapshot line of each vertex in each color: it depends only on vertex
+# ids, so one table is shared by every graph and grown on demand.
 _SNAPSHOT_LINES: list[tuple[str, ...]] = []
-_RED_SINGLETONS: list[Component] = []
 
 
 def _snapshot_lines(n: int) -> list[tuple[str, ...]]:
@@ -126,13 +139,6 @@ def _snapshot_lines(n: int) -> list[tuple[str, ...]]:
     for v in range(len(_SNAPSHOT_LINES), n):
         _SNAPSHOT_LINES.append(tuple(f"{v} {code}\n" for code in COLOR_CODE))
     return _SNAPSHOT_LINES
-
-
-def _red_singletons(n: int) -> list[Component]:
-    """_red_singletons(n)[v] is the component of a red vertex v < n."""
-    for v in range(len(_RED_SINGLETONS), n):
-        _RED_SINGLETONS.append(Component(ComponentKind.ISOLATED_RED, 1 << v))
-    return _RED_SINGLETONS
 
 
 def _weight(n: int, dominated_mask: int, red_mask: int, light_mask: int) -> int:
@@ -164,33 +170,6 @@ def nth_vertex(mask: int, k: int) -> int:
     return lo - 1
 
 
-def split_components(s: ResidualState, within: int) -> list[Component]:
-    """Components of s over retained edges (those touching a white vertex)
-    of the vertices in the mask `within`, by smallest member.
-
-    `within` must be closed under retained edges: all of V, or one
-    component of an earlier state, since a later state retains a subset of
-    the edges. A red vertex keeps no retained edge; it comes back as the
-    shared singleton of _red_singletons, with no search.
-    """
-    opens = s.graph.open_masks
-    dom, red, light = s.dominated_mask, s.red_mask, s.light_mask
-    singletons = _red_singletons(s.graph.n)
-    n = s.graph.n
-    comps: list[Component] = []
-    while within:
-        low = within & -within
-        start = low.bit_length() - 1
-        if red & low:
-            comps.append(singletons[start])
-            within ^= low
-            continue
-        comp = retained_piece(opens, dom, start, n)
-        within &= ~comp
-        comps.append(Component(piece_kind(comp, dom, red, light), comp))
-    return comps
-
-
 def retained_piece(opens: tuple[int, ...], dom: int, start: int, limit: int) -> int:
     """Mask of start's component over the edges retained under the dominated
     mask `dom` (those touching a vertex outside dom) if its order is below
@@ -210,19 +189,18 @@ def retained_piece(opens: tuple[int, ...], dom: int, start: int, limit: int) -> 
     return piece
 
 
-def piece_kind(mask: int, dom: int, red: int, light: int) -> ComponentKind:
-    """Kind of the retained-edge component `mask` under the given dominated,
-    red and light masks."""
+def piece_kind(mask: int, dom: int, light: int) -> ComponentKind:
+    """Kind of the retained-edge piece `mask` of non-red vertices under the
+    given dominated and light masks; its dominated vertices are blue."""
     order = mask.bit_count()
     if order > 3:
         return ComponentKind.OTHER
     wc = (mask & ~dom).bit_count()
-    bc = (mask & dom & ~red).bit_count()
-    if order == 2 and wc == 2:
-        return ComponentKind.WW
-    if order == 2 and wc == 1 and bc == 1:
+    if order == 2:
+        if wc == 2:
+            return ComponentKind.WW
         return ComponentKind.WB_PLUS if mask & light else ComponentKind.WB_MINUS
-    if order == 3 and wc == 1 and bc == 2:
+    if order == 3 and wc == 1:
         return ComponentKind.BWB
     return ComponentKind.OTHER
 

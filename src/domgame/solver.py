@@ -31,14 +31,16 @@ class GameValue:
 def _as_mask(g: Graph, undominated) -> int:
     if undominated is None:
         return (1 << g.n) - 1
+    if isinstance(undominated, bool):  # an int subclass, but neither a mask nor ids
+        raise ValueError(f"undominated must be a mask or vertex ids, got {undominated!r}")
     if isinstance(undominated, int):
         if not 0 <= undominated < 1 << g.n:
             raise ValueError(f"mask {undominated:#x} names vertices outside 0..{g.n - 1}")
         return undominated
     mask = 0
     for v in undominated:
-        if not (isinstance(v, int) and 0 <= v < g.n):
-            raise ValueError(f"vertex id {v!r} is outside 0..{g.n - 1}")
+        if not (type(v) is int and 0 <= v < g.n):
+            raise ValueError(f"vertex id {v!r} is not an int in 0..{g.n - 1}")
         mask |= 1 << v
     return mask
 

@@ -191,8 +191,9 @@ Move = tuple[PhaseContext, ResidualState, int, int, ResidualState]
 
 
 def _playable(state: ResidualState, v: object) -> bool:
-    """True if v is a vertex id of state's graph that is not yet red."""
-    return isinstance(v, int) and 0 <= v < state.graph.n and not state.red_mask >> v & 1
+    """True if v is a vertex id of state's graph that is not yet red; a
+    bool is an int subclass but no vertex id."""
+    return type(v) is int and 0 <= v < state.graph.n and not state.red_mask >> v & 1
 
 
 def _moves(g: Graph, first: str,

@@ -343,8 +343,7 @@ def _ph3_note(rep: _Replay, k: int) -> str | None:
     return None
 
 
-_PHASE4_KINDS = (ComponentKind.WB_MINUS, ComponentKind.WB_PLUS,
-                 ComponentKind.BWB, ComponentKind.ISOLATED_RED)
+_PHASE4_KINDS = (ComponentKind.WB_MINUS, ComponentKind.WB_PLUS, ComponentKind.BWB)
 
 
 def _end3_note(rep: _Replay, k: int) -> str | None:

@@ -34,7 +34,6 @@ from domgame.residual import (
     init_state,
     is_over,
     legal_moves,
-    split_components,
 )
 from domgame.solver import GameValue
 from domgame.strategy import dominator_greedy, play_game
@@ -167,19 +166,18 @@ def max_F_decrease(s, reg):
     return max((F_decrease(s, reg, v) for v in legal_moves(s)), default=0)
 
 
-def components_bfs(s, vertices=None):
-    """(kind, mask) of each component of s over retained edges, among
-    `vertices` (default all of V) in order of their first member there, by
-    a plain breadth-first search over sets, every red vertex included, with
-    the kind read off the colors by its definition."""
+def components_bfs(s):
+    """(kind, mask) of each component of s's non-red vertices over retained
+    edges, in order of their smallest member, by a plain breadth-first
+    search over sets, with the kind read off the colors by its definition."""
     col = colors(s)
     nbrs = {v: set() for v in range(s.graph.n)}
     for u, w in retained_edges(s):
         nbrs[u].add(w)
         nbrs[w].add(u)
     seen, out = set(), []
-    for start in range(s.graph.n) if vertices is None else vertices:
-        if start in seen:
+    for start in range(s.graph.n):
+        if start in seen or col[start] is Color.RED:
             continue
         comp, queue = {start}, [start]
         while queue:
@@ -189,9 +187,7 @@ def components_bfs(s, vertices=None):
         seen |= comp
         whites = sum(col[u] is Color.WHITE for u in comp)
         shades = sorted(col[u] for u in comp if col[u] is not Color.WHITE)
-        if len(comp) == 1 and shades == [Color.RED]:
-            kind = ComponentKind.ISOLATED_RED
-        elif len(comp) == 2 and whites == 2:
+        if len(comp) == 2 and whites == 2:
             kind = ComponentKind.WW
         elif len(comp) == 2 and shades == [Color.LIGHT_BLUE]:
             kind = ComponentKind.WB_PLUS
@@ -226,12 +222,13 @@ def F_decrease_resplit(s, reg, v):
     """F(s) - F(s after v, shaded dark) by re-splitting all of C(v), v's
     retained-edge component, in the state apply_move builds, and
     classifying again every X-cycle with a member in C(v); the components
-    outside C(v) are s's own."""
+    outside C(v) are s's own. post's components refine s's, so C(v)'s
+    pieces are those of post that meet it."""
     is_open = _F_memo(s, reg)[2]
     post = apply_move(s, v, Color.DARK_BLUE)
     comps = s.components()
     comp = next(c for c in comps if c.mask >> v & 1)
-    pieces = split_components(post, comp.mask)
+    pieces = [c for c in post.components() if c.mask & comp.mask]
     dec = s.f - post.f - _penalty(comp.kind) + sum(_penalty(c.kind) for c in pieces)
     masks = _shape_masks([c for c in comps if c is not comp] + pieces)
     for i, members in enumerate(reg.cycle_masks):

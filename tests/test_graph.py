@@ -181,6 +181,17 @@ def test_graph_validation():
     assert not Graph.from_edges(3, [(0, 1)]).is_isolate_free()
 
 
+def test_graph_rejects_ids_that_are_not_ints():
+    """True == 1 would make an equal graph with another hash and an edge
+    list that does not parse back."""
+    with pytest.raises(ValueError, match="not an int"):
+        Graph.from_edges(2, [(0, True)])
+    with pytest.raises(ValueError, match="not an int"):
+        Graph(2, ((1.0,), (0,)))
+    with pytest.raises(ValueError, match="count, got True"):
+        Graph.from_edges(True, [])
+
+
 def test_graph_pickles_with_its_cached_fields():
     import pickle
 

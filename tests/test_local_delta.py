@@ -11,7 +11,7 @@ fresh states, at every phase-3/4 state under the X-cycle registry that
 maybe_advance froze, and at every state under the registry of the graph's
 own cycles, which need not match the white subgraph. The games are played
 on random trees, G(n, p), unions of cycles C_k (k >= 4, up to 40) and
-cycles with pendant paths and chords. split_components is compared with a
+cycles with pendant paths and chords. components() is compared with a
 plain breadth-first search (oracles.components_bfs). The f-decreases a
 state inherits through step from the state before it are compared with
 f_decrease on fresh states, along mixed games and at the nodes of the
@@ -47,8 +47,8 @@ from domgame import (
     staller_worst_case,
 )
 from domgame import strategy
-from domgame.phases import CycleStatus, cycle_status
-from domgame.residual import WEIGHT, split_components, vertices_of
+from domgame.phases import CycleStatus, _status, cycle_status
+from domgame.residual import WEIGHT, vertices_of
 from domgame.strategy import opening, step
 from oracles import (
     F_decrease_resplit,
@@ -168,6 +168,18 @@ def test_apply_move_and_f_decrease_match_full_recompute(drawn, seed):
                 assert f_decrease(s, v, shade) == s.f - want.f
 
 
+def shape_masks_bfs(s):
+    """(vertices in components of order >= 4, vertices in BWB components)
+    of s, read off components_bfs."""
+    big = bwb = 0
+    for kind, mask in components_bfs(s):
+        if mask.bit_count() >= 4:
+            big |= mask
+        elif kind is ComponentKind.BWB:
+            bwb |= mask
+    return big, bwb
+
+
 @given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
 @example(drawn=("gnp", gen_cycle(3), ()), seed=0)  # K3: f drops by 15, no phase 3
 @settings(max_examples=300, deadline=None)
@@ -186,33 +198,31 @@ def test_F_decrease_matches_full_recompute(drawn, seed):
                 assert dec == F_decrease_resplit(pre, reg, v)
                 assert dec == F_pre - F_value(post, reg)
             assert F_value(s, reg) == F_pre
+            shapes = shape_masks_bfs(pre)
             for i, cyc in enumerate(reg.cycles):
-                assert (cycle_status(reg, i, s) is CycleStatus.CLOSED) == cycle_closed(s, cyc)
+                status = cycle_status(reg, i, s)
+                assert (status is CycleStatus.CLOSED) == cycle_closed(s, cyc)
+                assert status is _status(reg, i, g.open_masks, pre.dominated_mask, pre.red_mask,
+                                         *shapes)
         checked += ctx.registry is not None
     if family == "cycles":
         assert checked  # a union of cycles C_k, k >= 4, enters phase 3 before move 1
 
 
-RED_SINGLETONS = {}  # mask -> the first red singleton seen, across graphs
-
-
 @given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
-def test_split_components_matches_bfs(drawn, seed):
+def test_components_match_bfs(drawn, seed):
+    """components() equals the breadth-first oracle at every state before a
+    move and at the state after every legal move from it."""
     def listed(comps):
         return [(c.kind, c.mask) for c in comps]
 
     _, g, _ = drawn
-    played = phased_play(g, seed)
-    for (s, _), (post, _) in zip(played, played[1:] + [(None, None)]):
+    for s, ctx in phased_play(g, seed):
         assert listed(s.components()) == components_bfs(s)
-        reds = [c for c in s.components() if c.kind is ComponentKind.ISOLATED_RED]
-        assert all(c is RED_SINGLETONS.setdefault(c.mask, c) for c in reds)  # shared
-        if post is None:
-            continue
-        for comp in s.components():  # post's components refine s's
-            want = components_bfs(post, vertices_of(comp.mask))
-            assert listed(split_components(post, comp.mask)) == want
+        for v in legal_moves(s):
+            post = apply_move(s, v, shade_for_phase(ctx.phase))
+            assert listed(post.components()) == components_bfs(post)
 
 
 @given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))

@@ -90,6 +90,14 @@ def test_vertices_outside_the_graph_are_rejected(bad, named):
         game_value(gen_path(4), bad)
 
 
+@pytest.mark.parametrize("bad", [True, [True], [0, 1.0]])
+def test_bool_and_float_ids_are_rejected(bad):
+    """True equals 1, but it is neither a mask nor a vertex id; as either it
+    would have read as vertex 0 or vertex 1 alone."""
+    with pytest.raises(ValueError, match="True|1.0"):
+        game_value(gen_path(4), bad)
+
+
 def test_memo_must_be_the_graph_table():
     g = gen_path(4)
     with pytest.raises(ValueError, match="bytearray"):

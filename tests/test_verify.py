@@ -220,6 +220,26 @@ def test_vertex_that_is_not_an_int_is_unplayable(vertex):
         play_game(g, dominator_greedy, staller, "S")
 
 
+def test_bool_vertex_is_unplayable():
+    """True equals 1 and is an int subclass, but no vertex id: on P4 a
+    transcript against the min-decrease Staller whose first record plays
+    vertex 1 is rejected once that vertex reads True, and so is a policy
+    returning True."""
+    g = gen_path(4)
+    t = play_game(g, dominator_greedy, staller_min_decrease, "D")
+    assert t.records[0].vertex == 1
+    bad = dataclasses.replace(t, records=(dataclasses.replace(t.records[0], vertex=True),)
+                              + t.records[1:])
+    with pytest.raises(ValueError, match="record 0: vertex True is not playable"):
+        verify_transcript(g, bad)
+
+    def staller(ctx, state):
+        return True
+
+    with pytest.raises(IllegalMoveError, match="returned illegal vertex True"):
+        play_game(g, dominator_greedy, staller, "S")
+
+
 def test_claim_table_follows_transcript_checks():
     from domgame.verify import _CLAIMS
 
