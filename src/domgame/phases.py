@@ -26,11 +26,13 @@ from .residual import (
     Component,
     ComponentKind,
     ResidualState,
+    ScoreTable,
     _masks_after,
     _weight,
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     f_decrease,
-    legal_moves,
+    f_table,
+    live_mask,
     piece_kind,
     retained_piece,
     vertices_of,
@@ -67,6 +69,11 @@ class XCycleRegistry:
     def cycle_masks(self) -> tuple[int, ...]:
         """cycle_masks[i] is the mask of cycle i's members."""
         return tuple(sum(1 << v for v in cyc) for cyc in self.cycles)
+
+    @cached_property
+    def cycle_index(self) -> dict[int, int]:
+        """The index of each member's cycle."""
+        return {v: i for i, cyc in enumerate(self.cycles) for v in cyc}
 
     @cached_property
     def ring_masks(self) -> dict[int, int]:
@@ -107,7 +114,8 @@ def phase1_active(s: ResidualState) -> bool:
 
 def phase2_active(s: ResidualState) -> bool:
     """True while some move still drops f by at least 11 (dark shading)."""
-    return any(f_decrease(s, v, Color.DARK_BLUE) >= 11 for v in legal_moves(s))
+    return f_table(s, Color.DARK_BLUE).reaches(
+        11, live_mask(s), lambda v: f_decrease(s, v, Color.DARK_BLUE))
 
 
 def _end_of_phase2_violation(s: ResidualState) -> str | None:
@@ -142,7 +150,7 @@ def _white_degree_violation(s: ResidualState) -> str | None:
     than 3, as a description, else None; phase-2 end and every later state.
     Red vertices are skipped: they have no white neighbor."""
     dom = s.dominated_mask
-    for v in vertices_of(((1 << s.graph.n) - 1) & ~s.red_mask):
+    for v in vertices_of(live_mask(s)):
         dw = white_degree(s, v)
         if not dom >> v & 1:
             if dw > 2:
@@ -267,7 +275,7 @@ def F_value(s: ResidualState, reg: XCycleRegistry) -> int:
 
 def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
     """(reg, F, open flag of each registry cycle, s's _shape_masks as big and
-    bwb, {v: F_decrease}), memoized on s for reg."""
+    bwb, the ScoreTable of F_decrease), memoized on s for reg."""
     memo = s.F_memo
     if memo is None or memo[0] is not reg:
         comps = s.components()
@@ -276,7 +284,7 @@ def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
         is_open = tuple(_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN
                         for i in range(len(reg.cycles)))
         F = s.f - sum(is_open) - sum(_penalty(c.kind) for c in comps)
-        memo = s.F_memo = (reg, F, is_open, big, bwb, {})
+        memo = s.F_memo = (reg, F, is_open, big, bwb, ScoreTable())
     return memo
 
 
@@ -293,16 +301,16 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     vertices that stops at 4 vertices thus finds every piece of order <= 3,
     the only ones with a WB+ or BWB discount; C(v)'s other non-red vertices
     lie in pieces of order >= 4. Only the X-cycles that meet N[newly] or a
-    small piece can change status, so only they are classified again. The
+    small piece can change status, so only they are classified again; they
+    are found through the registry's cycle_index, one lookup per cycle. The
     masks after the move come from _masks_after, the pieces and their kinds
-    from residual's retained_piece and piece_kind, and no state is built. The
-    result is memoized per state and registry, so the phase-3 predicate and
-    the greedy scan that follows it share one scan.
+    from residual's retained_piece and piece_kind, and no state is built.
+    The result goes into the ScoreTable memoized per state and registry, so
+    the phase-3 predicate and the greedy move that follows it share it.
     """
-    _, _, is_open, big, bwb, decreases = _F_memo(s, reg)
-    dec = decreases.get(v)
-    if dec is not None:
-        return dec
+    _, _, is_open, big, bwb, table = _F_memo(s, reg)
+    if v >= 0 and table.scored >> v & 1:
+        return table.score_of(v)
     g = s.graph
     closed, opens = g.closed_masks, g.open_masks
     dom, red, light = _masks_after(s, v, Color.DARK_BLUE)
@@ -336,16 +344,23 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
         # turns all three red, so the bwb bits left on such a C(v) are red.
         big &= ~red & ~small
         bwb |= small_bwb
-        for i, members in enumerate(reg.cycle_masks):
-            if members & touched:
-                dec -= is_open[i] - (_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN)
-    decreases[v] = dec
+        index = reg.cycle_index
+        while touched:
+            i = index[(touched & -touched).bit_length() - 1]
+            touched &= ~reg.cycle_masks[i]
+            dec -= is_open[i] - (_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN)
+    table.add(v, dec)
     return dec
+
+
+def F_table(s: ResidualState, reg: XCycleRegistry) -> ScoreTable:
+    """s's table of F-decreases under reg."""
+    return _F_memo(s, reg)[5]
 
 
 def phase3_active(s: ResidualState, reg: XCycleRegistry) -> bool:
     """True while some move still drops F by at least 10."""
-    return any(F_decrease(s, reg, v) >= 10 for v in legal_moves(s))
+    return F_table(s, reg).reaches(10, live_mask(s), lambda v: F_decrease(s, reg, v))
 
 
 def maybe_advance(ctx: PhaseContext, s: ResidualState) -> PhaseContext:
@@ -385,3 +400,10 @@ def potential_decrease(ctx: PhaseContext, s: ResidualState, v: int) -> int:
     if ctx.phase <= 2:
         return f_decrease(s, v, shade_for_phase(ctx.phase))
     return F_decrease(s, ctx.registry, v)
+
+
+def potential_table(ctx: PhaseContext, s: ResidualState) -> ScoreTable:
+    """The ScoreTable that potential_decrease fills on s."""
+    if ctx.phase <= 2:
+        return f_table(s, shade_for_phase(ctx.phase))
+    return F_table(s, ctx.registry)

@@ -8,6 +8,12 @@ vertex are retained; legal moves, the weight sum f, and component shapes are
 all read off this state. A red vertex keeps no retained edge and belongs to
 no component: the components are the retained-edge pieces of the non-red
 vertices.
+
+The greedy Dominator and the phase tests ask which move drops a potential
+most, or whether some move drops it by a threshold. Each state keeps the
+scores it has computed in ScoreTables, one mask of vertices per score, so
+both questions are read off the buckets rather than found by a loop over
+the vertices.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import Callable
 
 from .errors import IllegalMoveError
 from .graph import Graph
@@ -52,6 +59,70 @@ class Component:
         return self.mask.bit_count()
 
 
+class ScoreTable:
+    """The decreases of one potential on one state, as buckets
+    {score: mask of the vertices with that score} and the mask of the
+    scored vertices, which is the union of the buckets. No bucket is empty.
+
+    A score is a small integer, so the top bucket's lowest bit is the
+    vertex of the top score with the smallest id, and the bottom bucket's
+    lowest bit the same for the bottom score. A threshold test ("does some
+    vertex score at least t?") reads the top bucket first and scores only
+    the vertices not yet scored.
+    """
+
+    __slots__ = ("buckets", "scored")
+
+    def __init__(self):
+        self.buckets: dict[int, int] = {}
+        self.scored = 0
+
+    def score_of(self, v: int) -> int:
+        """The score of v, which must be scored: the key of its bucket."""
+        return next(score for score, mask in self.buckets.items() if mask >> v & 1)
+
+    def add(self, v: int, score: int) -> None:
+        bit = 1 << v
+        self.buckets[score] = self.buckets.get(score, 0) | bit
+        self.scored |= bit
+
+    def top(self) -> int:
+        """The vertex of the highest score with the smallest id."""
+        mask = self.buckets[max(self.buckets)]
+        return (mask & -mask).bit_length() - 1
+
+    def bottom(self) -> int:
+        """The vertex of the lowest score with the smallest id."""
+        mask = self.buckets[min(self.buckets)]
+        return (mask & -mask).bit_length() - 1
+
+    def reaches(self, t: int, live: int, score: Callable[[int], int]) -> bool:
+        """True if some vertex of `live` scores at least t. The scored ones
+        are read off the buckets; then score(v), which fills the table, is
+        called on the unscored ones in ascending order up to the first that
+        reaches t."""
+        if self.buckets and max(self.buckets) >= t:
+            return True
+        rest = live & ~self.scored
+        while rest:
+            low = rest & -rest
+            if score(low.bit_length() - 1) >= t:
+                return True
+            rest ^= low
+        return False
+
+    def without(self, drop: int) -> ScoreTable:
+        """A new table of the scores of the vertices outside `drop`."""
+        keep = ~drop
+        out = ScoreTable()
+        for score, mask in self.buckets.items():
+            mask &= keep
+            if mask:
+                out.buckets[score] = mask
+        out.scored = self.scored & keep
+        return out
+
+
 class ResidualState:
     """Immutable snapshot of the game: three vertex masks.
 
@@ -59,23 +130,24 @@ class ResidualState:
     ones and ``light_mask`` the light-blue ones; a dark-blue vertex is
     dominated, not red and not light. The weight sum ``f`` is counted from
     the masks by the one constructor, and the snapshot text is read off
-    them. Components are computed on first use and memoized, and so is
-    every f_decrease. ``F_memo`` is where phases memoizes the potential F
-    and its decreases per registry.
+    them. Components are computed on first use and memoized. So is every
+    f_decrease, in one ScoreTable per shade (f_table). ``F_memo`` is where
+    phases memoizes the potential F and the table of its decreases per
+    registry.
 
     The f-decreases also carry from one state to the next: when a move on v
     is played in phase 1 or 2, carry_f_decreases hands the state after it
-    every memoized f_decrease of the state before it whose vertex lies
-    outside N^4[v], of either shade. f_decrease(x) reads dominated bits on
-    N^3[x] and red and light bits on N^2[x], and the move changes dominated
-    bits only in N[v] and red and light bits only in N^2[v], so no score
-    outside the ball changes. In phases 3-4 nothing is carried. Callers
-    treat instances as values: apply_move returns a new state, and a carry
-    fills the new state's own memo, never the old one's.
+    every score of the state before it whose vertex lies outside N^4[v], of
+    either shade. f_decrease(x) reads dominated bits on N^3[x] and red and
+    light bits on N^2[x], and the move changes dominated bits only in N[v]
+    and red and light bits only in N^2[v], so no score outside the ball
+    changes. In phases 3-4 nothing is carried. Callers treat instances as
+    values: apply_move returns a new state, and a carry gives the new state
+    tables of its own, never changing the old state's.
     """
 
     __slots__ = ("graph", "dominated_mask", "red_mask", "light_mask", "f",
-                 "_components", "_f_decreases", "F_memo")
+                 "_components", "_f_tables", "F_memo")
 
     def __init__(self, graph: Graph, dominated_mask: int, red_mask: int, light_mask: int):
         self.graph = graph
@@ -84,7 +156,7 @@ class ResidualState:
         self.light_mask = light_mask
         self.f = _weight(graph.n, dominated_mask, red_mask, light_mask)
         self._components: tuple[Component, ...] | None = None
-        self._f_decreases: dict[tuple[int, Color], int] = {}
+        self._f_tables: dict[Color, ScoreTable] = {}
         self.F_memo: tuple | None = None
 
     def _color_bytes(self) -> bytes:
@@ -96,8 +168,10 @@ class ResidualState:
         byte then holds 2 * ord("0") more than the value.
         """
         n = self.graph.n
-        dom, red, light = (int.from_bytes(format(mask, f"0{n}b").encode(), "big")
-                           for mask in (self.dominated_mask, self.red_mask, self.light_mask))
+        bits = f"0{n}b"
+        dom = int.from_bytes(format(self.dominated_mask, bits).encode(), "big")
+        red = int.from_bytes(format(self.red_mask, bits).encode(), "big")
+        light = int.from_bytes(format(self.light_mask, bits).encode(), "big")
         return (2 * dom + red - light).to_bytes(n, "big")[::-1].translate(_MINUS_TWO_ZEROS)
 
     def components(self) -> tuple[Component, ...]:
@@ -109,7 +183,7 @@ class ResidualState:
         """
         if self._components is None:
             g, dom, light = self.graph, self.dominated_mask, self.light_mask
-            rest = ((1 << g.n) - 1) & ~self.red_mask
+            rest = live_mask(self)
             comps = []
             while rest:
                 piece = retained_piece(g.open_masks, dom, (rest & -rest).bit_length() - 1, g.n)
@@ -118,27 +192,42 @@ class ResidualState:
             self._components = tuple(comps)
         return self._components
 
+    def _snapshot_bytes(self) -> bytearray:
+        """The snapshot text, UTF-8 encoded: the code slots of the template
+        for this id width filled from _color_bytes, one extended slice per
+        byte of the code, and the pad bytes dropped."""
+        n = self.graph.n
+        digits = len(str(n - 1))
+        width = digits + 4
+        template = _SNAPSHOT_TEMPLATES.setdefault(digits, bytearray())
+        if len(template) < n * width:
+            template.extend(b"".join((b"%d" % v).rjust(digits, b"\0") + b" \0\0\n"
+                                     for v in range(len(template) // width, n)))
+        buf = template[:n * width]
+        col = self._color_bytes()
+        buf[digits + 1::width] = col.translate(_CODE_FIRST)
+        buf[digits + 2::width] = col.translate(_CODE_SECOND)
+        return buf.translate(None, b"\0")
+
     def snapshot(self) -> str:
         """One line per vertex: "<id> <W|LB|DB|R>"."""
-        return "".join(map(tuple.__getitem__, _snapshot_lines(self.graph.n), self._color_bytes()))
+        return self._snapshot_bytes().decode()
 
     def snapshot_hash(self) -> str:
-        return hashlib.sha256(self.snapshot().encode()).hexdigest()[:12]
+        return hashlib.sha256(self._snapshot_bytes()).hexdigest()[:12]
 
 
 _MINUS_TWO_ZEROS = bytes((b - 2 * ord("0")) % 256 for b in range(256))  # a bytes.translate table
+# bytes.translate tables from a Color value to the first and the second
+# byte of its code; a one-letter code's second byte is a pad byte, 0.
+_CODE_FIRST = bytes(ord(code[0]) for code in COLOR_CODE) + bytes(256 - len(COLOR_CODE))
+_CODE_SECOND = bytes(ord(code[1:] or "\0") for code in COLOR_CODE) + bytes(256 - len(COLOR_CODE))
 
-# The snapshot line of each vertex in each color: it depends only on vertex
-# ids, so one table is shared by every graph and grown on demand.
-_SNAPSHOT_LINES: list[tuple[str, ...]] = []
-
-
-def _snapshot_lines(n: int) -> list[tuple[str, ...]]:
-    """_snapshot_lines(n)[v][c] is v's snapshot line, newline included, in
-    color c, for every v < n."""
-    for v in range(len(_SNAPSHOT_LINES), n):
-        _SNAPSHOT_LINES.append(tuple(f"{v} {code}\n" for code in COLOR_CODE))
-    return _SNAPSHOT_LINES
+# For each id width d, the snapshot lines of the ids 0, 1, ..., each id
+# padded on the left to d bytes and followed by a two-byte code slot, all
+# pad bytes 0. They depend only on vertex ids, so one template per width is
+# shared by every graph and grown on demand.
+_SNAPSHOT_TEMPLATES: dict[int, bytearray] = {}
 
 
 def _weight(n: int, dominated_mask: int, red_mask: int, light_mask: int) -> int:
@@ -249,9 +338,14 @@ def parse_snapshot(g: Graph, text: str) -> ResidualState:
     return s
 
 
+def live_mask(s: ResidualState) -> int:
+    """The playable vertices as a mask: exactly the non-red ones."""
+    return ((1 << s.graph.n) - 1) & ~s.red_mask
+
+
 def legal_moves(s: ResidualState) -> list[int]:
-    """Playable vertices in ascending order: exactly the non-red ones."""
-    return vertices_of(((1 << s.graph.n) - 1) & ~s.red_mask)
+    """Playable vertices in ascending order."""
+    return vertices_of(live_mask(s))
 
 
 def is_over(s: ResidualState) -> bool:
@@ -299,40 +393,49 @@ def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
     return ResidualState(s.graph, *_masks_after(s, v, shade))
 
 
+def f_table(s: ResidualState, shade: Color) -> ScoreTable:
+    """s's table of f-decreases under the given shade."""
+    table = s._f_tables.get(shade)
+    if table is None:
+        table = s._f_tables[shade] = ScoreTable()
+    return table
+
+
 def f_decrease(s: ResidualState, v: int, shade: Color) -> int:
     """Weight-sum drop if v were played now; strictly positive for legal v.
 
     Counts f of the masks after the move without building the next state,
-    once per (v, shade) and state: the phase predicates and the greedy scan
-    that follows them share the result.
+    once per (v, shade) and state, into f_table(s, shade): the phase
+    predicates and the greedy move that follows them share the result.
     """
-    memo = s._f_decreases
-    key = (v, shade)
-    dec = memo.get(key)
-    if dec is None:
-        dec = memo[key] = s.f - _weight(s.graph.n, *_masks_after(s, v, shade))
+    table = f_table(s, shade)
+    if v >= 0 and table.scored >> v & 1:
+        return table.score_of(v)
+    dec = s.f - _weight(s.graph.n, *_masks_after(s, v, shade))
+    table.add(v, dec)
     return dec
 
 
 def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int) -> None:
     """Hand post, the state after v is played from pre, each f_decrease
-    memoized on pre whose vertex lies outside N^4[v], of either shade.
+    scored on pre whose vertex lies outside N^4[v], of either shade.
 
     f_decrease(x) reads the dominated bits on N^3[x] and the red and light
     bits on N^2[x]. The move dominates only N[v], and turns red or drops
     the light bit only of vertices in N^2[v]. For x outside N^4[v], N^3[x]
     misses N[v] and N^2[x] misses N^2[v], so f_decrease(x) is the same in
     both states. Nothing is carried when the ball covers every non-red
-    vertex of post, where every score would be dropped. pre's memo is read,
-    not changed: post gets a new dict.
+    vertex of post, where every score would be dropped. pre's tables are
+    read, not changed: post gets new ones, each bucket and scored mask cut
+    to the vertices outside the ball, in O(#buckets) mask operations.
     """
-    memo = pre._f_decreases
-    if not memo:
+    tables = pre._f_tables
+    if not tables:
         return
     ball = pre.graph.ball4_mask(v)
     if ball | post.red_mask == (1 << pre.graph.n) - 1:
         return
-    post._f_decreases = {key: dec for key, dec in memo.items() if not ball >> key[0] & 1}
+    post._f_tables = {shade: table.without(ball) for shade, table in tables.items()}
 
 
 def white_degree(s: ResidualState, v: int) -> int:

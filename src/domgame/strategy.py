@@ -23,16 +23,20 @@ from .phases import (
     maybe_advance,
     potential_decrease,
     potential_kind,
+    potential_table,
     shade_for_phase,
 )
 from .residual import (
     ResidualState,
+    ScoreTable,
     apply_move,
     carry_f_decreases,
     init_state,
     is_over,
     legal_moves,
+    live_mask,
     nth_vertex,
+    vertices_of,
 )
 
 DEFAULT_WORST_CASE_CAP = 12
@@ -100,17 +104,22 @@ class Transcript:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _scored_table(ctx: PhaseContext, s: ResidualState) -> ScoreTable:
+    """The active potential's ScoreTable on s with every legal move scored:
+    potential_decrease fills in the ones not yet scored."""
+    live = live_mask(s)
+    if not live:
+        raise IllegalMoveError("no legal moves: the game is over")
+    table = potential_table(ctx, s)
+    for v in vertices_of(live & ~table.scored):
+        potential_decrease(ctx, s, v)
+    return table
+
+
 def dominator_greedy(ctx: PhaseContext, s: ResidualState) -> int:
     """Play a vertex maximizing the active potential decrease; ties go to
     the smallest vertex id."""
-    best_v, best_dec = -1, -1
-    for v in legal_moves(s):
-        dec = potential_decrease(ctx, s, v)
-        if dec > best_dec:
-            best_v, best_dec = v, dec
-    if best_v < 0:
-        raise IllegalMoveError("no legal moves: the game is over")
-    return best_v
+    return _scored_table(ctx, s).top()
 
 
 dominator_greedy.policy_name = "greedy"
@@ -119,14 +128,7 @@ dominator_greedy.policy_name = "greedy"
 def staller_min_decrease(ctx: PhaseContext, s: ResidualState) -> int:
     """Adversarial probe: minimize the active potential decrease, ties to
     the smallest vertex id."""
-    best_v, best_dec = -1, None
-    for v in legal_moves(s):
-        dec = potential_decrease(ctx, s, v)
-        if best_dec is None or dec < best_dec:
-            best_v, best_dec = v, dec
-    if best_v < 0:
-        raise IllegalMoveError("no legal moves: the game is over")
-    return best_v
+    return _scored_table(ctx, s).bottom()
 
 
 staller_min_decrease.policy_name = "min_decrease"
@@ -137,7 +139,7 @@ def make_staller_random(seed: int) -> Policy:
     rng = philox_rng(seed)
 
     def staller_random(ctx: PhaseContext, s: ResidualState) -> int:
-        live = ((1 << s.graph.n) - 1) & ~s.red_mask  # the legal moves
+        live = live_mask(s)
         if not live:
             raise IllegalMoveError("no legal moves: the game is over")
         return nth_vertex(live, int(rng.integers(0, live.bit_count())))
@@ -169,8 +171,8 @@ def step(ctx: PhaseContext, state: ResidualState, idx: int,
     after even-indexed moves that leave the game running, never after the
     last move. A move played in phase 1 or 2 hands the state after it the
     f-decreases of the state before it that it cannot have changed
-    (residual.carry_f_decreases), so the greedy scan and the phase-2
-    predicate there re-score only vertices near the move.
+    (residual.carry_f_decreases), so the greedy move and the phase-2
+    predicate there score only the vertices near the move anew.
     """
     post = apply_move(state, v, shade_for_phase(ctx.phase))
     if ctx.phase <= 2:

@@ -37,8 +37,9 @@ from .phases import (
     XCycleRegistry,
     _end_of_phase2_violation,
     _white_degree_violation,
-    cycle_status,
     F_decrease,
+    F_table,
+    cycle_status,
     open_cycle_count,
 )
 from .residual import (
@@ -46,7 +47,7 @@ from .residual import (
     ComponentKind,
     ResidualState,
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
-    legal_moves,
+    live_mask,
     retained_piece,
     vertices_of,
     white_degree,
@@ -291,11 +292,12 @@ def _ph2_leaf_holds(rep: _Replay, k: int) -> bool:
     """Some move at the state before move k drops F by at least 11. The
     move played is tried first: its replayed decrease is its F_decrease
     (phases 3-4 shade dark), so only when it falls short are the others
-    scanned, up to the first that qualifies."""
+    read off the state's F table or scored, up to the first that
+    qualifies."""
     if rep.replayed.records[k].decrease >= 11:
         return True
-    state = rep.states[k]
-    return any(F_decrease(state, rep.registry, v) >= 11 for v in legal_moves(state))
+    state, reg = rep.states[k], rep.registry
+    return F_table(state, reg).reaches(11, live_mask(state), lambda v: F_decrease(state, reg, v))
 
 
 def _ph2_leaf_note(rep: _Replay, k: int):

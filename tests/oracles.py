@@ -26,6 +26,7 @@ from domgame.phases import (
 )
 from domgame.residual import (
     BLUE_SHADES,
+    COLOR_CODE,
     Color,
     ComponentKind,
     ResidualState,
@@ -279,23 +280,39 @@ def apply_move_full(s, v, shade):
     return state_from_colors(s.graph, tuple(new_colors))
 
 
-def greedy_full_scan(ctx, s):
-    """The greedy Dominator's move by its definition: the legal vertex whose
-    move drops the active potential most, ties to the smallest id, every
-    drop counted on states rebuilt from colors with every color recomputed
-    (apply_move_full), so nothing memoized or carried is read."""
+def _full_drops(ctx, s):
+    """{v: drop of the active potential if v were played}, over the legal
+    moves of s, every drop counted on states rebuilt from colors with every
+    color recomputed (apply_move_full), so nothing memoized or carried is
+    read."""
     pre = state_from_colors(s.graph, colors(s))
     if ctx.phase <= 2:
         shade = shade_for_phase(ctx.phase)
+        return {v: pre.f - apply_move_full(pre, v, shade).f for v in legal_moves(pre)}
+    F_pre = F_value(pre, ctx.registry)
+    return {v: F_pre - F_value(apply_move_full(pre, v, Color.DARK_BLUE), ctx.registry)
+            for v in legal_moves(pre)}
 
-        def drop(v):
-            return pre.f - apply_move_full(pre, v, shade).f
-    else:
-        F_pre = F_value(pre, ctx.registry)
 
-        def drop(v):
-            return F_pre - F_value(apply_move_full(pre, v, Color.DARK_BLUE), ctx.registry)
-    return max(legal_moves(pre), key=lambda v: (drop(v), -v))
+def greedy_full_scan(ctx, s):
+    """The greedy Dominator's move by its definition: the legal vertex whose
+    move drops the active potential most, ties to the smallest id."""
+    drops = _full_drops(ctx, s)
+    return max(drops, key=lambda v: (drops[v], -v))
+
+
+def min_decrease_full_scan(ctx, s):
+    """staller_min_decrease's move by its definition: the legal vertex whose
+    move drops the active potential least, ties to the smallest id."""
+    drops = _full_drops(ctx, s)
+    return min(drops, key=lambda v: (drops[v], v))
+
+
+def snapshot_join(s):
+    """s's snapshot text joined from a table of each vertex's line in each
+    color, the way the engine built it before its byte template."""
+    lines = [tuple(f"{v} {code}\n" for code in COLOR_CODE) for v in range(s.graph.n)]
+    return "".join(map(tuple.__getitem__, lines, s._color_bytes()))
 
 
 def cycle_closed(s, cyc):

@@ -4,8 +4,12 @@ The expected files under tests/golden/ were written by the same commands
 before the residual core switched to local move deltas; any change in
 transcripts, snapshots or verifier reports shows up here. The simulate
 cases cover a Staller-start game through phases 1, 2 and 4 (tree30), a
-phase-3/4 game on a union of cycles (cycles24) and a worst-case search
-(gnp10).
+phase-3/4 game on a union of cycles (cycles24), a worst-case search
+(gnp10) and a game through all four phases on gen_random_tree(1200, 11)
+(tree1200), whose snapshot hashes cover ids that gain a digit at 10, 100
+and 1000. tree1200 was recorded before the greedy's scores moved into
+per-score tables and the snapshot into a byte template, and without
+--trace, which would print 4 MB of snapshots.
 
 verify_reports.json holds the verifier's reports, witnesses included, for
 games on the golden graphs and for the single-field mutations of
@@ -29,6 +33,8 @@ CASES = {
                           "--first", "d", "--json", "--trace"],
     "simulate_gnp10": ["simulate", "gnp10.g", "--staller", "worst", "--first", "d",
                        "--json", "--trace"],
+    "simulate_tree1200": ["simulate", "tree1200.g", "--staller", "random", "--seed", "4",
+                          "--first", "d", "--json"],
     "verify_smoke": ["verify", "smoke", "--json"],
 }
 

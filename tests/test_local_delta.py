@@ -12,10 +12,12 @@ maybe_advance froze, and at every state under the registry of the graph's
 own cycles, which need not match the white subgraph. The games are played
 on random trees, G(n, p), unions of cycles C_k (k >= 4, up to 40) and
 cycles with pendant paths and chords. components() is compared with a
-plain breadth-first search (oracles.components_bfs). The f-decreases a
-state inherits through step from the state before it are compared with
-f_decrease on fresh states, along mixed games and at the nodes of the
-worst-case search, and the greedy move with a full-scan oracle.
+plain breadth-first search (oracles.components_bfs). The score tables,
+with the f-decreases a state inherits through step from the state before
+it, are compared with the scores on fresh states, along mixed games and
+at the nodes of the worst-case search; the greedy and min-decrease moves
+read off them with full-scan oracles, and the phase-2 and phase-3 tests
+on partly filled tables with the maxima of the scores.
 """
 
 from unittest import mock
@@ -42,12 +44,16 @@ from domgame import (
     is_over,
     legal_moves,
     maybe_advance,
+    phase2_active,
+    phase3_active,
     philox_rng,
+    potential_decrease,
     shade_for_phase,
+    staller_min_decrease,
     staller_worst_case,
 )
 from domgame import strategy
-from domgame.phases import CycleStatus, _status, cycle_status
+from domgame.phases import CycleStatus, F_table, _status, cycle_status
 from domgame.residual import WEIGHT, vertices_of
 from domgame.strategy import opening, step
 from oracles import (
@@ -57,6 +63,9 @@ from oracles import (
     components_bfs,
     cycle_closed,
     greedy_full_scan,
+    max_F_decrease,
+    max_f_decrease,
+    min_decrease_full_scan,
     state_from_colors,
 )
 
@@ -71,6 +80,12 @@ def cycle_union(lengths):
         cycles.append(tuple(range(off, off + k)))
         off += k
     return Graph.from_edges(off, edges), tuple(cycles)
+
+
+def linked_cycles():
+    """(graph, its cycles): two C6 joined by the edge 0-6."""
+    g, cycles = cycle_union([6, 6])
+    return Graph.from_edges(g.n, [*g.edges, (0, 6)]), cycles
 
 
 @st.composite
@@ -182,6 +197,7 @@ def shape_masks_bfs(s):
 
 @given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
 @example(drawn=("gnp", gen_cycle(3), ()), seed=0)  # K3: f drops by 15, no phase 3
+@example(drawn=("decorated", *linked_cycles()), seed=0)  # a move near 0 or 6 touches both cycles
 @settings(max_examples=300, deadline=None)
 def test_F_decrease_matches_full_recompute(drawn, seed):
     family, g, cycles = drawn
@@ -241,27 +257,54 @@ def test_move_on_bwb_turns_it_red(drawn, seed):
                         assert apply_move(s, v, shade).red_mask & comp.mask == comp.mask
 
 
-def assert_memo_exact(s):
-    """Every f-decrease memoized on s, carried or scored there, equals the
-    score on the same position with nothing memoized."""
+def assert_tables_exact(s):
+    """Every score table on s (one per f shade, and F's under the registry
+    memoized there) is well formed and holds only exact scores: no bucket
+    is empty, the buckets are disjoint, their union is the scored mask, and
+    each bucket's score is the score on the same position with nothing
+    memoized, whether it was carried or scored there."""
     pre = fresh(s)
-    for (v, shade), dec in s._f_decreases.items():
-        assert dec == f_decrease(pre, v, shade), (v, shade)
+    tables = [(table, lambda v, shade=shade: f_decrease(pre, v, shade))
+              for shade, table in s._f_tables.items()]
+    if s.F_memo is not None:
+        reg = s.F_memo[0]
+        tables.append((F_table(s, reg), lambda v: F_decrease(pre, reg, v)))
+    for table, score in tables:
+        union = 0
+        for dec, mask in table.buckets.items():
+            assert mask and not union & mask, dec
+            union |= mask
+            for v in vertices_of(mask):
+                assert score(v) == dec, (v, dec)
+        assert union == table.scored
 
 
 @given(drawn=graphs(40, 24), seed=st.integers(0, 2**31), first=st.sampled_from("DS"))
 @settings(max_examples=100, deadline=None)
 def test_carried_f_decreases_match_fresh_scores(drawn, seed, first):
     """Games played through step, each move the greedy Dominator's or a
-    random legal one; at every state the memo, once the greedy has read
-    it, holds only exact scores, and the greedy move is the full scan's."""
-    _, g, _ = drawn
+    random legal one. At every state a random share of the legal moves is
+    scored first, so the tables are partly filled (the f tables also hold
+    the scores carried there); phase2_active and phase3_active on them
+    answer as the maxima on the fresh position do, under the phase's
+    registry or the graph's own cycles. Then the greedy and min-decrease
+    moves are the full scans', and every table holds only exact scores."""
+    _, g, cycles = drawn
+    own = XCycleRegistry(cycles)
     rng = philox_rng(seed)
     s, ctx, idx = opening(g, first)
     while not is_over(s):
+        reg = ctx.registry or own
+        for v in legal_moves(s):
+            if int(rng.integers(0, 3)) == 0:
+                potential_decrease(ctx, s, v)
+        pre = fresh(s)
+        assert phase2_active(s) == (max_f_decrease(pre) >= 11)
+        assert phase3_active(s, reg) == (max_F_decrease(pre, reg) >= 10)
         v = dominator_greedy(ctx, s)
         assert v == greedy_full_scan(ctx, s)
-        assert_memo_exact(s)
+        assert staller_min_decrease(ctx, s) == min_decrease_full_scan(ctx, s)
+        assert_tables_exact(s)
         if int(rng.integers(0, 2)):
             moves = legal_moves(s)
             v = moves[int(rng.integers(0, len(moves)))]
@@ -289,7 +332,8 @@ def test_worst_case_search_carries_exact_scores(family, n, seed, first):
     with mock.patch.object(strategy, "step", recording_step):
         staller_worst_case(g, first=first)
     for ctx, s, idx in nodes.values():
-        assert_memo_exact(s)
+        assert_tables_exact(s)
         if idx % 2 == 1 and not is_over(s):
             assert dominator_greedy(ctx, s) == greedy_full_scan(ctx, s)
-            assert_memo_exact(s)
+            assert staller_min_decrease(ctx, s) == min_decrease_full_scan(ctx, s)
+            assert_tables_exact(s)

@@ -1,5 +1,8 @@
+import hashlib
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domgame import (
@@ -7,6 +10,7 @@ from domgame import (
     ComponentKind,
     Graph,
     IllegalMoveError,
+    ResidualState,
     apply_move,
     f_decrease,
     gen_cycle,
@@ -21,7 +25,7 @@ from domgame import (
     white_degree,
 )
 from domgame.residual import vertices_of
-from oracles import color_partition, colors, retained_edges, state_from_colors
+from oracles import color_partition, colors, retained_edges, snapshot_join, state_from_colors
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
@@ -97,6 +101,9 @@ def test_illegal_moves_raise():
     s = apply_move(init_state(gen_path(2)), 0, DARK)
     with pytest.raises(IllegalMoveError):
         apply_move(s, 1, DARK)
+    for v in (-1, 1, 2):  # a negative id is no vertex, not a bit to test
+        with pytest.raises(IllegalMoveError):
+            f_decrease(s, v, DARK)
     with pytest.raises(ValueError):
         apply_move(init_state(gen_path(2)), 0, Color.RED)
 
@@ -127,6 +134,39 @@ def test_snapshot_roundtrip_and_format():
     back = parse_snapshot(g, s.snapshot())
     assert colors(back) == colors(s)
     assert back.snapshot_hash() == s.snapshot_hash()
+
+
+def random_coloring(n, seed):
+    """A state on the path 0-1-...-(n-1) with colors a game can reach: the
+    vertices a random set of moves dominates, red where the closed
+    neighborhood is dominated, and a random share of the blue ones light."""
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    dom = 0
+    for v in vertices_of(rng.getrandbits(n) & rng.getrandbits(n)):
+        dom |= g.closed_masks[v]
+    red = sum(1 << v for v, closed in enumerate(g.closed_masks) if closed & ~dom == 0)
+    return ResidualState(g, dom, red, dom & ~red & rng.getrandbits(n))
+
+
+@given(n=st.integers(1, 3000), seed=st.integers(0, 2**31))
+@example(n=9, seed=1)
+@example(n=10, seed=2)
+@example(n=99, seed=3)
+@example(n=100, seed=4)
+@example(n=101, seed=5)
+@example(n=999, seed=6)
+@example(n=1000, seed=7)
+@example(n=1001, seed=8)
+@example(n=10_000, seed=9)
+@settings(max_examples=60, deadline=None)
+def test_snapshot_matches_line_join(n, seed):
+    """The byte-template snapshot and its hash equal those of the text
+    joined line by line, across the ids where a digit is added."""
+    s = random_coloring(n, seed)
+    text = snapshot_join(s)
+    assert s.snapshot() == text
+    assert s.snapshot_hash() == hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 @pytest.mark.parametrize("text, line", [
