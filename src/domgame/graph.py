@@ -9,6 +9,7 @@ generator keyed by an explicit seed, so a corpus graph is reproducible from
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,9 +85,9 @@ class Graph:
         return len(self.adjacency[v])
 
     @cached_property
-    def leaves(self) -> tuple[int, ...]:
-        """Vertices of degree 1, in ascending order."""
-        return tuple(v for v in range(self.n) if len(self.adjacency[v]) == 1)
+    def leaf_mask(self) -> int:
+        """Mask of the vertices of degree 1."""
+        return sum(1 << v for v, nbrs in enumerate(self.adjacency) if len(nbrs) == 1)
 
     @property
     def min_degree(self) -> int:
@@ -246,18 +247,19 @@ def gen_random_tree(n: int, seed: int) -> Graph:
 
 
 def _tree_edges_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
+    """The tree of a Pruefer sequence: each code is joined to the smallest
+    leaf, taken from a min-heap of the leaves, so decoding is O(n log n)."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
+    leaves = [j for j in range(n) if degree[j] == 1]  # ascending, so a heap
     edges = []
     for x in seq:
-        for j in range(n):
-            if degree[j] == 1:
-                edges.append((j, x))
-                degree[j] -= 1
-                degree[x] -= 1
-                break
-    u, v = (j for j in range(n) if degree[j] == 1)
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u, v = sorted(leaves)
     edges.append((u, v))
     return edges
 

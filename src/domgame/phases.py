@@ -104,11 +104,13 @@ def phase1_active(s: ResidualState) -> bool:
     is exactly "some leaf lies in a component of order at least 3".
     """
     g, dom = s.graph, s.dominated_mask
-    for u in g.leaves:
-        if not dom >> u & 1:
-            v = g.adjacency[u][0]
-            if not dom >> v & 1 and g.open_masks[v] & ~dom & ~(1 << u):
-                return True
+    rest = g.leaf_mask & ~dom  # walked bit by bit: the first hit ends the walk
+    while rest:
+        low = rest & -rest
+        v = g.adjacency[low.bit_length() - 1][0]
+        if not dom >> v & 1 and g.open_masks[v] & ~dom & ~low:
+            return True
+        rest ^= low
     return False
 
 
@@ -275,7 +277,7 @@ def F_value(s: ResidualState, reg: XCycleRegistry) -> int:
 
 def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
     """(reg, F, open flag of each registry cycle, s's _shape_masks as big and
-    bwb, the ScoreTable of F_decrease), memoized on s for reg."""
+    bwb, the ScoreTable of F_decrease's scores), memoized on s for reg."""
     memo = s.F_memo
     if memo is None or memo[0] is not reg:
         comps = s.components()
@@ -303,23 +305,14 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     lie in pieces of order >= 4. Only the X-cycles that meet N[newly] or a
     small piece can change status, so only they are classified again; they
     are found through the registry's cycle_index, one lookup per cycle. The
-    masks after the move come from _masks_after, the pieces and their kinds
-    from residual's retained_piece and piece_kind, and no state is built.
-    The result goes into the ScoreTable memoized per state and registry, so
-    the phase-3 predicate and the greedy move that follows it share it.
+    masks after the move and N[newly] come from _masks_after, the pieces
+    and their kinds from residual's retained_piece and piece_kind, and no
+    state is built. It neither reads nor writes F_table(s, reg), which adds
+    the scores it asks for.
     """
-    _, _, is_open, big, bwb, table = _F_memo(s, reg)
-    if v >= 0 and table.scored >> v & 1:
-        return table.score_of(v)
-    g = s.graph
-    closed, opens = g.closed_masks, g.open_masks
-    dom, red, light = _masks_after(s, v, Color.DARK_BLUE)
-    near = 0  # N[newly]
-    m = dom & ~s.dominated_mask
-    while m:
-        low = m & -m
-        near |= closed[low.bit_length() - 1]
-        m ^= low
+    is_open, big, bwb = _F_memo(s, reg)[2:5]
+    g, opens = s.graph, s.graph.open_masks
+    dom, red, light, near = _masks_after(s, v, Color.DARK_BLUE)
     small = small_bwb = 0
     dec = s.f - _weight(g.n, dom, red, light)
     if not big >> v & 1:  # C(v) has at most 3 vertices
@@ -349,7 +342,6 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
             i = index[(touched & -touched).bit_length() - 1]
             touched &= ~reg.cycle_masks[i]
             dec -= is_open[i] - (_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN)
-    table.add(v, dec)
     return dec
 
 
@@ -403,7 +395,7 @@ def potential_decrease(ctx: PhaseContext, s: ResidualState, v: int) -> int:
 
 
 def potential_table(ctx: PhaseContext, s: ResidualState) -> ScoreTable:
-    """The ScoreTable that potential_decrease fills on s."""
+    """The ScoreTable of potential_decrease's scores on s."""
     if ctx.phase <= 2:
         return f_table(s, shade_for_phase(ctx.phase))
     return F_table(s, ctx.registry)

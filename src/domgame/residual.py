@@ -10,10 +10,10 @@ no component: the components are the retained-edge pieces of the non-red
 vertices.
 
 The greedy Dominator and the phase tests ask which move drops a potential
-most, or whether some move drops it by a threshold. Each state keeps the
-scores it has computed in ScoreTables, one mask of vertices per score, so
-both questions are read off the buckets rather than found by a loop over
-the vertices.
+most, or whether some move drops it by a threshold. The scorers are pure;
+each state keeps the scores its ScoreTables compute, one mask of vertices
+per score, so both questions are read off the buckets rather than found by
+a loop over the vertices.
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class ScoreTable:
         self.buckets: dict[int, int] = {}
         self.scored = 0
 
-    def score_of(self, v: int) -> int:
-        """The score of v, which must be scored: the key of its bucket."""
-        return next(score for score, mask in self.buckets.items() if mask >> v & 1)
-
     def add(self, v: int, score: int) -> None:
         bit = 1 << v
         self.buckets[score] = self.buckets.get(score, 0) | bit
@@ -98,18 +94,32 @@ class ScoreTable:
 
     def reaches(self, t: int, live: int, score: Callable[[int], int]) -> bool:
         """True if some vertex of `live` scores at least t. The scored ones
-        are read off the buckets; then score(v), which fills the table, is
-        called on the unscored ones in ascending order up to the first that
+        are read off the buckets; then the unscored ones are scored with
+        score(v) and added, in ascending order, up to the first that
         reaches t."""
         if self.buckets and max(self.buckets) >= t:
             return True
         rest = live & ~self.scored
         while rest:
             low = rest & -rest
-            if score(low.bit_length() - 1) >= t:
+            v = low.bit_length() - 1
+            dec = score(v)
+            self.add(v, dec)
+            if dec >= t:
                 return True
             rest ^= low
         return False
+
+    def fill(self, live: int, score: Callable[[int], int]) -> ScoreTable:
+        """Score each unscored vertex of `live` with score(v) and add it;
+        returns the table, which then holds every vertex of `live`."""
+        rest = live & ~self.scored
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            self.add(v, score(v))
+            rest ^= low
+        return self
 
     def without(self, drop: int) -> ScoreTable:
         """A new table of the scores of the vertices outside `drop`."""
@@ -130,10 +140,10 @@ class ResidualState:
     ones and ``light_mask`` the light-blue ones; a dark-blue vertex is
     dominated, not red and not light. The weight sum ``f`` is counted from
     the masks by the one constructor, and the snapshot text is read off
-    them. Components are computed on first use and memoized. So is every
-    f_decrease, in one ScoreTable per shade (f_table). ``F_memo`` is where
-    phases memoizes the potential F and the table of its decreases per
-    registry.
+    them. Components are computed on first use and memoized. The
+    f-decreases that a table asks for are kept in one ScoreTable per shade
+    (f_table). ``F_memo`` is where phases memoizes the potential F and the
+    table of its decreases per registry.
 
     The f-decreases also carry from one state to the next: when a move on v
     is played in phase 1 or 2, carry_f_decreases hands the state after it
@@ -352,8 +362,8 @@ def is_over(s: ResidualState) -> bool:
     return s.f == 0  # weight 0 iff every vertex is red iff nothing is playable
 
 
-def _masks_after(s: ResidualState, v: int, shade: Color) -> tuple[int, int, int]:
-    """(dominated, red, light) masks after playing v.
+def _masks_after(s: ResidualState, v: int, shade: Color) -> tuple[int, int, int, int]:
+    """(dominated, red, light) masks after playing v, and N[newly].
 
     Only the newly dominated vertices, N[v] minus the dominated set (white
     to blue or red), and the non-red vertices of N[newly] (which may turn
@@ -381,7 +391,7 @@ def _masks_after(s: ResidualState, v: int, shade: Color) -> tuple[int, int, int]
         if masks[low.bit_length() - 1] & ~dom == 0:
             red |= low
     light = s.light_mask | newly if shade == Color.LIGHT_BLUE else s.light_mask
-    return dom, red, light & ~red
+    return dom, red, light & ~red, touched
 
 
 def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
@@ -390,7 +400,8 @@ def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
     Vertices turning blue with this move take `shade`; already-blue vertices
     keep theirs. Colors only ever move forward (white -> blue -> red).
     """
-    return ResidualState(s.graph, *_masks_after(s, v, shade))
+    dom, red, light, _ = _masks_after(s, v, shade)
+    return ResidualState(s.graph, dom, red, light)
 
 
 def f_table(s: ResidualState, shade: Color) -> ScoreTable:
@@ -404,16 +415,12 @@ def f_table(s: ResidualState, shade: Color) -> ScoreTable:
 def f_decrease(s: ResidualState, v: int, shade: Color) -> int:
     """Weight-sum drop if v were played now; strictly positive for legal v.
 
-    Counts f of the masks after the move without building the next state,
-    once per (v, shade) and state, into f_table(s, shade): the phase
-    predicates and the greedy move that follows them share the result.
+    Counts f of the masks after the move without building the next state.
+    It neither reads nor writes f_table(s, shade), which adds the scores it
+    asks for.
     """
-    table = f_table(s, shade)
-    if v >= 0 and table.scored >> v & 1:
-        return table.score_of(v)
-    dec = s.f - _weight(s.graph.n, *_masks_after(s, v, shade))
-    table.add(v, dec)
-    return dec
+    dom, red, light, _ = _masks_after(s, v, shade)
+    return s.f - _weight(s.graph.n, dom, red, light)
 
 
 def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int) -> None:

@@ -36,7 +36,6 @@ from .residual import (
     legal_moves,
     live_mask,
     nth_vertex,
-    vertices_of,
 )
 
 DEFAULT_WORST_CASE_CAP = 12
@@ -106,14 +105,11 @@ class Transcript:
 
 def _scored_table(ctx: PhaseContext, s: ResidualState) -> ScoreTable:
     """The active potential's ScoreTable on s with every legal move scored:
-    potential_decrease fills in the ones not yet scored."""
+    the table scores the ones not yet scored with potential_decrease."""
     live = live_mask(s)
     if not live:
         raise IllegalMoveError("no legal moves: the game is over")
-    table = potential_table(ctx, s)
-    for v in vertices_of(live & ~table.scored):
-        potential_decrease(ctx, s, v)
-    return table
+    return potential_table(ctx, s).fill(live, lambda v: potential_decrease(ctx, s, v))
 
 
 def dominator_greedy(ctx: PhaseContext, s: ResidualState) -> int:

@@ -425,9 +425,7 @@ def _lightblue_note(rep: _Replay, k: int) -> str | None:
     """
     state, g = rep.states[k], rep.graph
     dom, red, light = state.dominated_mask, state.red_mask, state.light_mask
-    for v in g.leaves:
-        if dom >> v & 1:
-            continue
+    for v in vertices_of(g.leaf_mask & ~dom):
         u = g.adjacency[v][0]
         others = g.open_masks[u] & ~(1 << v)
         if not dom >> u & 1:
@@ -451,6 +449,8 @@ _CLAIMS = (
            "no phase-1/2 moves", _counted("{checked} moves checked")),
     _budget_claim(1),
     _budget_claim(2),
+    # Cannot fail: the replay's freeze_registry raises ClaimViolationError on
+    # this same handoff state first, for any violation this check reports.
     _Claim("END2_STRUCT", "state", lambda b, a: b < 3 <= a,
            lambda rep, k: _end_of_phase2_violation(rep.states[k]),
            "game ended before the potential handoff", _counted("handoff state structure holds")),

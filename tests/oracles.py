@@ -151,6 +151,26 @@ def is_connected(g):
     return len(seen) == g.n
 
 
+def tree_edges_from_pruefer_scan(seq, n):
+    """The tree of a Pruefer sequence by the textbook decoding: for each
+    code x, join x to the smallest vertex of degree 1, found by a scan from
+    vertex 0, then join the last two such vertices."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        for j in range(n):
+            if degree[j] == 1:
+                edges.append((j, x))
+                degree[j] -= 1
+                degree[x] -= 1
+                break
+    u, v = (j for j in range(n) if degree[j] == 1)
+    edges.append((u, v))
+    return edges
+
+
 def retained_edges(s):
     """Edges with at least one white endpoint, in the graph's edge order."""
     white = {v for v, c in enumerate(colors(s)) if c is Color.WHITE}

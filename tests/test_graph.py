@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domgame import (
@@ -15,7 +15,8 @@ from domgame import (
     parse_edge_list,
     write_edge_list,
 )
-from oracles import is_connected, isolate_free_labeled_count
+from domgame.graph import _tree_edges_from_pruefer, philox_rng
+from oracles import is_connected, isolate_free_labeled_count, tree_edges_from_pruefer_scan
 
 
 def degree_sequence(g):
@@ -128,6 +129,20 @@ def test_random_tree_properties(n, seed):
     assert g.edge_count == n - 1
     assert is_connected(g)
     assert g.min_degree >= 1
+
+
+def pruefer_codes(n, seed):
+    return [int(x) for x in philox_rng(seed).integers(0, n, size=n - 2)]
+
+
+@given(code=st.integers(3, 300).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))))
+@example(code=(3000, pruefer_codes(3000, 11)))
+@settings(max_examples=100, deadline=None)
+def test_pruefer_decoding_matches_the_scan(code):
+    """The heap decoder gives the textbook scan's edge list, in its order."""
+    n, seq = code
+    assert _tree_edges_from_pruefer(seq, n) == tree_edges_from_pruefer_scan(seq, n)
 
 
 def test_gnp_extremes():

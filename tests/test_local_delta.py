@@ -53,7 +53,7 @@ from domgame import (
     staller_worst_case,
 )
 from domgame import strategy
-from domgame.phases import CycleStatus, F_table, _status, cycle_status
+from domgame.phases import CycleStatus, F_table, _status, cycle_status, potential_table
 from domgame.residual import WEIGHT, vertices_of
 from domgame.strategy import opening, step
 from oracles import (
@@ -284,8 +284,10 @@ def assert_tables_exact(s):
 def test_carried_f_decreases_match_fresh_scores(drawn, seed, first):
     """Games played through step, each move the greedy Dominator's or a
     random legal one. At every state a random share of the legal moves is
-    scored first, so the tables are partly filled (the f tables also hold
-    the scores carried there); phase2_active and phase3_active on them
+    scored first and added to the active potential's table, so the tables
+    are partly filled (the f tables also hold the scores carried there; a
+    carried vertex scored again stays in one bucket only if both scores
+    agree); phase2_active and phase3_active on them
     answer as the maxima on the fresh position do, under the phase's
     registry or the graph's own cycles. Then the greedy and min-decrease
     moves are the full scans', and every table holds only exact scores."""
@@ -297,7 +299,7 @@ def test_carried_f_decreases_match_fresh_scores(drawn, seed, first):
         reg = ctx.registry or own
         for v in legal_moves(s):
             if int(rng.integers(0, 3)) == 0:
-                potential_decrease(ctx, s, v)
+                potential_table(ctx, s).add(v, potential_decrease(ctx, s, v))
         pre = fresh(s)
         assert phase2_active(s) == (max_f_decrease(pre) >= 11)
         assert phase3_active(s, reg) == (max_F_decrease(pre, reg) >= 10)

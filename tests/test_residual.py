@@ -24,7 +24,8 @@ from domgame import (
     philox_rng,
     white_degree,
 )
-from domgame.residual import vertices_of
+from domgame.phases import F_decrease, F_table, PhaseContext, XCycleRegistry, potential_decrease
+from domgame.residual import ScoreTable, f_table, live_mask, vertices_of
 from oracles import color_partition, colors, retained_edges, snapshot_join, state_from_colors
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
@@ -278,13 +279,72 @@ def test_components_partition_vertices(n, seed):
 
 
 def test_f_decrease_memo_is_keyed_by_shade():
+    """The LIGHT and DARK tables of one state, each filled through its own
+    shade, hold only that shade's exact scores: those of a fresh state."""
     g = gen_path(6)
     s = apply_move(init_state(g), 0, LIGHT)  # 0 red, 1 light blue, 2..5 white
-    for v in legal_moves(s):
-        light, dark = f_decrease(s, v, LIGHT), f_decrease(s, v, DARK)
+    live = live_mask(s)
+    by_shade = {}
+    for shade in (LIGHT, DARK):
+        assert f_table(s, shade).scored == 0  # the other shade's fill left it empty
+        table = f_table(s, shade).fill(live, lambda v, shade=shade: f_decrease(s, v, shade))
         fresh = state_from_colors(g, colors(s))
-        assert light == f_decrease(fresh, v, LIGHT)
-        fresh = state_from_colors(g, colors(s))
-        assert dark == f_decrease(fresh, v, DARK)
+        by_shade[shade] = {v: dec for dec, mask in table.buckets.items() for v in vertices_of(mask)}
+        assert by_shade[shade] == {v: f_decrease(fresh, v, shade) for v in legal_moves(s)}
     # playing 3 turns 1, 2, 3 red and 4 blue (weight 4 if light, 3 if dark)
-    assert f_decrease(s, 3, DARK) == f_decrease(s, 3, LIGHT) + 1
+    assert by_shade[DARK][3] == by_shade[LIGHT][3] + 1
+
+
+def test_reaches_adds_each_score_it_computes():
+    """reaches scores the unscored vertices in ascending order, adds each
+    score, and stops at the first vertex that reaches t; a later question
+    reads the top bucket first."""
+    scores = {0: 3, 1: 5, 2: 12, 3: 20}
+    calls = []
+
+    def score(v):
+        calls.append(v)
+        return scores[v]
+
+    table = ScoreTable()
+    assert table.reaches(10, 0b1111, score)
+    assert calls == [0, 1, 2]
+    assert table.buckets == {3: 0b0001, 5: 0b0010, 12: 0b0100}
+    assert table.scored == 0b0111  # vertex 3 stays unscored
+    assert table.reaches(10, 0b1111, score) and calls == [0, 1, 2]
+    assert not table.reaches(30, 0b1111, score)
+    assert calls == [0, 1, 2, 3] and table.scored == 0b1111 and table.top() == 3
+
+
+def test_fill_scores_each_unscored_vertex_once():
+    calls = []
+
+    def score(v):
+        calls.append(v)
+        return 7 - v
+
+    table = ScoreTable()
+    table.add(1, 6)
+    assert table.fill(0b1011, score) is table
+    assert sorted(calls) == [0, 3]
+    assert table.buckets == {7: 0b0001, 6: 0b0010, 4: 0b1000} and table.scored == 0b1011
+    table.fill(0b1011, score)
+    assert len(calls) == 2
+    assert (table.top(), table.bottom()) == (0, 3)
+
+
+def test_scorers_leave_the_tables_empty():
+    """f_decrease, F_decrease and potential_decrease are pure: scoring every
+    legal move, in every phase, adds nothing to the state's tables."""
+    g = gen_cycle(8)
+    s = apply_move(init_state(g), 0, DARK)
+    reg = XCycleRegistry(((0, 1, 2, 3, 4, 5, 6, 7),))
+    contexts = [PhaseContext(phase=p) for p in (1, 2)] + [PhaseContext(phase=3, registry=reg)]
+    for v in legal_moves(s):
+        for shade in (LIGHT, DARK):
+            f_decrease(s, v, shade)
+        F_decrease(s, reg, v)
+        for ctx in contexts:
+            potential_decrease(ctx, s, v)
+    for table in (f_table(s, LIGHT), f_table(s, DARK), F_table(s, reg)):
+        assert table.buckets == {} and table.scored == 0
