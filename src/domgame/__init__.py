@@ -45,6 +45,7 @@ from .residual import (
     ResidualState,
     apply_move,
     f_decrease,
+    f_decreases,
     init_state,
     is_over,
     legal_moves,

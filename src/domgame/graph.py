@@ -116,28 +116,6 @@ class Graph:
                                 for w, b in enumerate(closed) if w != v))
 
     @cached_property
-    def _ball4_masks(self) -> dict[int, int]:
-        return {}
-
-    def ball4_mask(self, v: int) -> int:
-        """Mask of N^4[v], the vertices within distance 4 of v; built on
-        first use for each v and kept."""
-        ball = self._ball4_masks.get(v)
-        if ball is None:
-            closed = self.closed_masks
-            ball = frontier = closed[v]
-            for _ in range(3):
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= closed[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = reach & ~ball
-                ball |= frontier
-            self._ball4_masks[v] = ball
-        return ball
-
-    @cached_property
     def graph_hash(self) -> str:
         return hashlib.sha256(write_edge_list(self).encode()).hexdigest()[:12]
 

@@ -121,6 +121,17 @@ class ScoreTable:
             rest ^= low
         return self
 
+    def add_all(self, scores: dict[int, int]) -> ScoreTable:
+        """Add each vertex of `scores` with its score; returns the table."""
+        buckets = self.buckets
+        bits = 0
+        for v, score in scores.items():
+            bit = 1 << v
+            buckets[score] = buckets.get(score, 0) | bit
+            bits |= bit
+        self.scored |= bits
+        return self
+
     def without(self, drop: int) -> ScoreTable:
         """A new table of the scores of the vertices outside `drop`."""
         keep = ~drop
@@ -147,11 +158,13 @@ class ResidualState:
 
     The f-decreases also carry from one state to the next: when a move on v
     is played in phase 1 or 2, carry_f_decreases hands the state after it
-    every score of the state before it whose vertex lies outside N^4[v], of
-    either shade. f_decrease(x) reads dominated bits on N^3[x] and red and
-    light bits on N^2[x], and the move changes dominated bits only in N[v]
-    and red and light bits only in N^2[v], so no score outside the ball
-    changes. In phases 3-4 nothing is carried. Callers treat instances as
+    every score of the state before it, of either shade, whose vertex lies
+    outside N[A] ∪ N[W' ∩ N^2[A]], with A = N[v] ∩ W the newly dominated
+    vertices and W' the white set after the move. f_decrease(x) reads W on
+    N[x] and the red bit, light bit and W ∩ N[u] of each u in
+    N[W ∩ N[x]]; the move changes W only on A and red and light bits only
+    on N[A], so no score outside the ball changes. In phases 3-4 nothing
+    is carried. Callers treat instances as
     values: apply_move returns a new state, and a carry gives the new state
     tables of its own, never changing the old state's.
     """
@@ -269,6 +282,16 @@ def nth_vertex(mask: int, k: int) -> int:
     return lo - 1
 
 
+def _neighborhood(closed: tuple[int, ...], mask: int) -> int:
+    """N[mask]: the union of closed[x] over the vertices x of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= closed[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def retained_piece(opens: tuple[int, ...], dom: int, start: int, limit: int) -> int:
     """Mask of start's component over the edges retained under the dominated
     mask `dom` (those touching a vertex outside dom) if its order is below
@@ -377,12 +400,7 @@ def _masks_after(s: ResidualState, v: int, shade: Color) -> tuple[int, int, int,
     masks = s.graph.closed_masks
     newly = masks[v] & ~s.dominated_mask
     dom = s.dominated_mask | newly
-    touched = 0
-    m = newly
-    while m:
-        low = m & -m
-        touched |= masks[low.bit_length() - 1]
-        m ^= low
+    touched = _neighborhood(masks, newly)
     red = s.red_mask
     m = touched & dom & ~red
     while m:
@@ -423,23 +441,84 @@ def f_decrease(s: ResidualState, v: int, shade: Color) -> int:
     return s.f - _weight(s.graph.n, dom, red, light)
 
 
+def f_decreases(s: ResidualState, xs: int, shade: Color) -> dict[int, int]:
+    """{x: f_decrease(s, x, shade)} for every vertex x of the mask xs, from
+    one pass over the vertices that can turn red.
+
+    Write W for the white set. A non-red u turns red under x exactly when
+    W ∩ N[u] ⊆ N[x], that is when x lies in X_u, the intersection of N[w]
+    over w in W ∩ N[u]. So f_decrease(x) is c·|N[x] ∩ W| (c = 5 minus the
+    shade's weight: the drop of a white vertex that turns blue) plus, over
+    the non-red u with x in X_u, 3 + [u light] + [u white and the shade
+    light] (the rest of the drop of u when it turns red). Only the u of
+    N[W ∩ N[xs]] can have X_u meet xs, and X_u lies in N[w], so the pass
+    costs O(sum of white degrees) mask operations, where scoring each x
+    alone costs O(deg^2). Raises IllegalMoveError if xs holds a red or
+    out-of-range vertex.
+    """
+    if shade not in BLUE_SHADES:
+        raise ValueError("shade must be LIGHT_BLUE or DARK_BLUE")
+    g, red, light = s.graph, s.red_mask, s.light_mask
+    if xs < 0 or xs >> g.n or xs & red:
+        raise IllegalMoveError("xs holds a vertex that cannot be played")
+    closed = g.closed_masks
+    white = ((1 << g.n) - 1) & ~s.dominated_mask
+    c = 5 - WEIGHT[shade]
+    white_turns_red = 4 if shade == Color.LIGHT_BLUE else 3
+    scores = {}
+    reach = 0  # N[xs]
+    m = xs
+    while m:
+        low = m & -m
+        x = low.bit_length() - 1
+        scores[x] = c * (closed[x] & white).bit_count()
+        reach |= closed[x]
+        m ^= low
+    us = _neighborhood(closed, reach & white) & ~red
+    while us:
+        low = us & -us
+        u = low.bit_length() - 1
+        us ^= low
+        hit = xs  # X_u ∩ xs
+        m = closed[u] & white
+        while m and hit:
+            w = m & -m
+            hit &= closed[w.bit_length() - 1]
+            m ^= w
+        if hit:
+            dec = white_turns_red if white & low else 4 if light & low else 3
+            while hit:
+                x = hit & -hit
+                scores[x.bit_length() - 1] += dec
+                hit ^= x
+    return scores
+
+
 def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int) -> None:
     """Hand post, the state after v is played from pre, each f_decrease
-    scored on pre whose vertex lies outside N^4[v], of either shade.
+    scored on pre whose vertex lies outside N[A] ∪ N[W' ∩ N^2[A]], of
+    either shade, where A = N[v] ∩ W is what the move newly dominates and
+    W' is post's white set.
 
-    f_decrease(x) reads the dominated bits on N^3[x] and the red and light
-    bits on N^2[x]. The move dominates only N[v], and turns red or drops
-    the light bit only of vertices in N^2[v]. For x outside N^4[v], N^3[x]
-    misses N[v] and N^2[x] misses N^2[v], so f_decrease(x) is the same in
-    both states. Nothing is carried when the ball covers every non-red
-    vertex of post, where every score would be dropped. pre's tables are
-    read, not changed: post gets new ones, each bucket and scored mask cut
-    to the vertices outside the ball, in O(#buckets) mask operations.
+    f_decrease(x) reads W on N[x], and the red bit, the light bit and
+    W ∩ N[u] of each u in N[W ∩ N[x]] (f_decreases). The move changes W
+    only on A, and red and light bits only on N[A]. For x outside N[A],
+    W ∩ N[x] = W' ∩ N[x] is unchanged, and a u of N[W' ∩ N[x]] lies in
+    N[A] only if x lies in N[W' ∩ N^2[A]]; so outside the ball nothing the
+    score reads changes. The ball lies inside N^4[v]. Nothing is carried
+    when the ball covers every non-red vertex of post, where every score
+    would be dropped. pre's tables are read, not changed: post gets new
+    ones, each bucket and scored mask cut to the vertices outside the
+    ball, in O(#buckets) mask operations.
     """
     tables = pre._f_tables
     if not tables:
         return
-    ball = pre.graph.ball4_mask(v)
+    closed = pre.graph.closed_masks
+    ball = _neighborhood(closed, closed[v] & ~pre.dominated_mask)  # N[A]
+    # W' ∩ N^2[A], from N[A] less post's red vertices, which have no white neighbor
+    near = _neighborhood(closed, ball & ~post.red_mask) & ~post.dominated_mask
+    ball |= _neighborhood(closed, near)
     if ball | post.red_mask == (1 << pre.graph.n) - 1:
         return
     post._f_tables = {shade: table.without(ball) for shade, table in tables.items()}

@@ -31,6 +31,7 @@ from .residual import (
     ScoreTable,
     apply_move,
     carry_f_decreases,
+    f_decreases,
     init_state,
     is_over,
     legal_moves,
@@ -105,11 +106,15 @@ class Transcript:
 
 def _scored_table(ctx: PhaseContext, s: ResidualState) -> ScoreTable:
     """The active potential's ScoreTable on s with every legal move scored:
-    the table scores the ones not yet scored with potential_decrease."""
+    in phases 1-2 the ones not yet scored are scored in one f_decreases
+    pass, in phases 3-4 one by one with potential_decrease."""
     live = live_mask(s)
     if not live:
         raise IllegalMoveError("no legal moves: the game is over")
-    return potential_table(ctx, s).fill(live, lambda v: potential_decrease(ctx, s, v))
+    table = potential_table(ctx, s)
+    if ctx.phase <= 2:
+        return table.add_all(f_decreases(s, live & ~table.scored, shade_for_phase(ctx.phase)))
+    return table.fill(live, lambda v: potential_decrease(ctx, s, v))
 
 
 def dominator_greedy(ctx: PhaseContext, s: ResidualState) -> int:
@@ -167,8 +172,10 @@ def step(ctx: PhaseContext, state: ResidualState, idx: int,
     after even-indexed moves that leave the game running, never after the
     last move. A move played in phase 1 or 2 hands the state after it the
     f-decreases of the state before it that it cannot have changed
-    (residual.carry_f_decreases), so the greedy move and the phase-2
-    predicate there score only the vertices near the move anew.
+    (residual.carry_f_decreases): all but those of N[A] ∪ N[W' ∩ N^2[A]],
+    A the vertices the move newly dominates and W' the white set after
+    it. So the greedy move and the phase-2 predicate there score only the
+    vertices near the newly dominated ones anew.
     """
     post = apply_move(state, v, shade_for_phase(ctx.phase))
     if ctx.phase <= 2:

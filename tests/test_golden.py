@@ -9,7 +9,12 @@ phase-3/4 game on a union of cycles (cycles24), a worst-case search
 (tree1200), whose snapshot hashes cover ids that gain a digit at 10, 100
 and 1000. tree1200 was recorded before the greedy's scores moved into
 per-score tables and the snapshot into a byte template, and without
---trace, which would print 4 MB of snapshots.
+--trace, which would print 4 MB of snapshots. gnp500 is
+gen_gnp_isolate_free(500, 0.006, 2) (`domgame gen gnp 500 0.006 --seed 2`),
+a G(n, 3/n) game through all four phases (128, 28, 4 and 12 moves); it
+was recorded, also without --trace, before phases 1-2 scored their moves
+in one f_decreases pass and carried scores outside a white-path ball
+rather than outside N^4[v].
 
 verify_reports.json holds the verifier's reports, witnesses included, for
 games on the golden graphs and for the single-field mutations of
@@ -35,6 +40,8 @@ CASES = {
                        "--json", "--trace"],
     "simulate_tree1200": ["simulate", "tree1200.g", "--staller", "random", "--seed", "4",
                           "--first", "d", "--json"],
+    "simulate_gnp500": ["simulate", "gnp500.g", "--staller", "random", "--seed", "2",
+                        "--first", "d", "--json"],
     "verify_smoke": ["verify", "smoke", "--json"],
 }
 

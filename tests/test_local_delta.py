@@ -12,7 +12,9 @@ maybe_advance froze, and at every state under the registry of the graph's
 own cycles, which need not match the white subgraph. The games are played
 on random trees, G(n, p), unions of cycles C_k (k >= 4, up to 40) and
 cycles with pendant paths and chords. components() is compared with a
-plain breadth-first search (oracles.components_bfs). The score tables,
+plain breadth-first search (oracles.components_bfs). f_decreases, the
+batch scorer, is compared with the oracle move on random sets of live
+vertices, in games from both starts. The score tables,
 with the f-decreases a state inherits through step from the state before
 it, are compared with the scores on fresh states, along mixed games and
 at the nodes of the worst-case search; the greedy and min-decrease moves
@@ -36,6 +38,7 @@ from domgame import (
     apply_move,
     dominator_greedy,
     f_decrease,
+    f_decreases,
     gen_cycle,
     gen_gnp_isolate_free,
     gen_path,
@@ -54,7 +57,7 @@ from domgame import (
 )
 from domgame import strategy
 from domgame.phases import CycleStatus, F_table, _status, cycle_status, potential_table
-from domgame.residual import WEIGHT, vertices_of
+from domgame.residual import WEIGHT, live_mask, vertices_of
 from domgame.strategy import opening, step
 from oracles import (
     F_decrease_resplit,
@@ -181,6 +184,34 @@ def test_apply_move_and_f_decrease_match_full_recompute(drawn, seed):
                 assert got.light_mask == want.light_mask
                 assert got.f == want.f
                 assert f_decrease(s, v, shade) == s.f - want.f
+
+
+@given(drawn=graphs(24, 40), seed=st.integers(0, 2**31), first=st.sampled_from("DS"))
+@settings(max_examples=150, deadline=None)
+def test_f_decreases_match_the_oracle_move(drawn, seed, first):
+    """At every state of a game played through step, each move the greedy
+    Dominator's or a random legal one, f_decreases on the live vertices
+    and on random submasks of them, and f_decrease on each live vertex,
+    give under both shades the drop of f by the oracle move that recolors
+    all n vertices. The states of phase 1 hold light blues."""
+    _, g, _ = drawn
+    rng = philox_rng(seed)
+    s, ctx, idx = opening(g, first)
+    while not is_over(s):
+        live = live_mask(s)
+        subs = [live] + [live & int.from_bytes(rng.bytes(g.n // 8 + 1), "little")
+                         for _ in range(3)]
+        for shade in (LIGHT, DARK):
+            want = {x: s.f - apply_move_full(s, x, shade).f for x in vertices_of(live)}
+            for xs in subs:
+                assert f_decreases(s, xs, shade) == {x: want[x] for x in vertices_of(xs)}
+            assert {x: f_decrease(s, x, shade) for x in want} == want
+        v = dominator_greedy(ctx, s)
+        if int(rng.integers(0, 2)):
+            moves = legal_moves(s)
+            v = moves[int(rng.integers(0, len(moves)))]
+        s, ctx = step(ctx, s, idx, v)
+        idx += 1
 
 
 def shape_masks_bfs(s):
@@ -320,8 +351,9 @@ def test_carried_f_decreases_match_fresh_scores(drawn, seed, first):
 def test_worst_case_search_carries_exact_scores(family, n, seed, first):
     """At every node of the worst-case search the memo holds only exact
     scores, and at every Dominator node the greedy move is the full scan's.
-    Paths and trees of diameter > 4 have moves whose ball N^4[v] leaves
-    non-red vertices out, so the search carries scores there."""
+    Paths and trees have moves whose ball N[A] ∪ N[W' ∩ N^2[A]] (A newly
+    dominated, W' white after the move) leaves non-red vertices out, so
+    the search carries scores there."""
     g = gen_path(n) if family == "path" else gen_random_tree(n, seed)
     nodes = {}
 

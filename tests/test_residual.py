@@ -13,6 +13,7 @@ from domgame import (
     ResidualState,
     apply_move,
     f_decrease,
+    f_decreases,
     gen_cycle,
     gen_gnp_isolate_free,
     gen_path,
@@ -105,8 +106,14 @@ def test_illegal_moves_raise():
     for v in (-1, 1, 2):  # a negative id is no vertex, not a bit to test
         with pytest.raises(IllegalMoveError):
             f_decrease(s, v, DARK)
+    for xs in (-1, 0b10, 0b100, 0b110):  # a red vertex, or one past n
+        with pytest.raises(IllegalMoveError):
+            f_decreases(s, xs, DARK)
+    assert f_decreases(s, 0, DARK) == {}
     with pytest.raises(ValueError):
         apply_move(init_state(gen_path(2)), 0, Color.RED)
+    with pytest.raises(ValueError):
+        f_decreases(init_state(gen_path(2)), 0b11, Color.RED)
 
 
 def test_f_decrease_star_center():
@@ -334,8 +341,9 @@ def test_fill_scores_each_unscored_vertex_once():
 
 
 def test_scorers_leave_the_tables_empty():
-    """f_decrease, F_decrease and potential_decrease are pure: scoring every
-    legal move, in every phase, adds nothing to the state's tables."""
+    """f_decrease, f_decreases, F_decrease and potential_decrease are pure:
+    scoring every legal move, in every phase, adds nothing to the state's
+    tables."""
     g = gen_cycle(8)
     s = apply_move(init_state(g), 0, DARK)
     reg = XCycleRegistry(((0, 1, 2, 3, 4, 5, 6, 7),))
@@ -346,5 +354,16 @@ def test_scorers_leave_the_tables_empty():
         F_decrease(s, reg, v)
         for ctx in contexts:
             potential_decrease(ctx, s, v)
+    for shade in (LIGHT, DARK):
+        f_decreases(s, live_mask(s), shade)
     for table in (f_table(s, LIGHT), f_table(s, DARK), F_table(s, reg)):
         assert table.buckets == {} and table.scored == 0
+
+
+def test_add_all_adds_every_score_in_one_call():
+    table = ScoreTable()
+    table.add(1, 6)
+    assert table.add_all({0: 7, 3: 6, 4: 2}) is table
+    assert table.buckets == {7: 0b00001, 6: 0b01010, 2: 0b10000} and table.scored == 0b11011
+    assert table.add_all({}) is table and table.scored == 0b11011
+    assert (table.top(), table.bottom()) == (0, 4)

@@ -24,7 +24,7 @@ from domgame import (
     staller_min_decrease,
     staller_worst_case,
 )
-from domgame import residual, strategy
+from domgame import phases, strategy
 from domgame.residual import nth_vertex, vertices_of
 from oracles import make_scripted_staller, make_staller_random_listing
 
@@ -104,32 +104,38 @@ def test_staller_random_draws_as_listing_the_moves(seed):
 
 
 def test_carry_halves_the_scores_computed(monkeypatch):
-    """Greedy games against a random Staller on random trees with n = 300
-    compute at most half the f-decreases (counted as _masks_after calls,
-    the moves played included) of the same games with nothing carried
-    between states."""
-    calls = [0]
-    masks_after = residual._masks_after
+    """Greedy games against a random Staller on random trees and on
+    G(n, 3/n), n = 300, score at most half the vertices of the same games
+    with nothing carried between states. A scored vertex is one of a mask
+    handed to f_decreases, or one f_decrease call; the moves played are
+    not counted."""
+    scored = [0]
+    batch, point = strategy.f_decreases, phases.f_decrease
 
-    def counted(*args):
-        calls[0] += 1
-        return masks_after(*args)
+    def counted_batch(s, xs, shade):
+        scored[0] += xs.bit_count()
+        return batch(s, xs, shade)
+
+    def counted_point(*args):
+        scored[0] += 1
+        return point(*args)
 
     def count(g, seed, first):
-        calls[0] = 0
+        scored[0] = 0
         t = play_game(g, dominator_greedy, make_staller_random(seed), first)
-        return t, calls[0]
+        return t, scored[0]
 
-    monkeypatch.setattr(residual, "_masks_after", counted)
+    monkeypatch.setattr(strategy, "f_decreases", counted_batch)
+    monkeypatch.setattr(phases, "f_decrease", counted_point)
     for seed in (1, 2, 3):
-        g = gen_random_tree(300, seed)
-        for first in "DS":
-            carried = count(g, seed, first)
-            with monkeypatch.context() as m:
-                m.setattr(strategy, "carry_f_decreases", lambda pre, post, v: None)
-                scanned = count(g, seed, first)
-            assert carried[0] == scanned[0]
-            assert 2 * carried[1] <= scanned[1], (seed, first, carried[1], scanned[1])
+        for g in (gen_random_tree(300, seed), gen_gnp_isolate_free(300, 3 / 300, seed)):
+            for first in "DS":
+                carried = count(g, seed, first)
+                with monkeypatch.context() as m:
+                    m.setattr(strategy, "carry_f_decreases", lambda pre, post, v: None)
+                    scanned = count(g, seed, first)
+                assert carried[0] == scanned[0]
+                assert 2 * carried[1] <= scanned[1], (seed, first, carried[1], scanned[1])
 
 
 def test_play_p2():
