@@ -355,21 +355,30 @@ def phase3_active(s: ResidualState, reg: XCycleRegistry) -> bool:
     return F_table(s, reg).reaches(10, live_mask(s), lambda v: F_decrease(s, reg, v))
 
 
+def advance_phases_1_2(ctx: PhaseContext, s: ResidualState) -> tuple[int, XCycleRegistry | None]:
+    """The phase-1/2 part of maybe_advance: (phase, registry) once phases 1
+    and 2 are tested on s. Where phase 2 ends, the registry is frozen, which
+    raises ClaimViolationError if s lacks the phase-2 end structure; from
+    phase 3 on, ctx's pair comes back as it is."""
+    phase, registry = ctx.phase, ctx.registry
+    if phase == 1 and not phase1_active(s):
+        phase = 2
+    if phase == 2 and not phase2_active(s):
+        registry = freeze_registry(s)
+        phase = 3
+    return phase, registry
+
+
 def maybe_advance(ctx: PhaseContext, s: ResidualState) -> PhaseContext:
     """Cascade the phase machine; call before move 1 and after even moves.
 
     Entering phase 3 freezes the X-cycle registry and records the f/F
     handoff pair used by the completion audit. Skipped phases get length 0.
     """
-    phase, registry = ctx.phase, ctx.registry
+    phase, registry = advance_phases_1_2(ctx, s)
     f2, f3 = ctx.f_at_phase2_end, ctx.F_at_phase3_start
-    if phase == 1 and not phase1_active(s):
-        phase = 2
-    if phase == 2 and not phase2_active(s):
-        registry = freeze_registry(s)
-        f2 = s.f
-        f3 = F_value(s, registry)
-        phase = 3
+    if ctx.phase < 3 <= phase:  # phase 2 ended on s
+        f2, f3 = s.f, F_value(s, registry)
     if phase == 3 and not phase3_active(s, registry):
         phase = 4
     if phase == ctx.phase:

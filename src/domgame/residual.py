@@ -158,7 +158,7 @@ class ResidualState:
 
     The f-decreases also carry from one state to the next: when a move on v
     is played in phase 1 or 2, carry_f_decreases hands the state after it
-    every score of the state before it, of either shade, whose vertex lies
+    every score of the state before it, in the move's shade, whose vertex lies
     outside N[A] ∪ N[W' ∩ N^2[A]], with A = N[v] ∩ W the newly dominated
     vertices and W' the white set after the move. f_decrease(x) reads W on
     N[x] and the red bit, light bit and W ∩ N[u] of each u in
@@ -494,11 +494,14 @@ def f_decreases(s: ResidualState, xs: int, shade: Color) -> dict[int, int]:
     return scores
 
 
-def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int) -> None:
-    """Hand post, the state after v is played from pre, each f_decrease
-    scored on pre whose vertex lies outside N[A] ∪ N[W' ∩ N^2[A]], of
-    either shade, where A = N[v] ∩ W is what the move newly dominates and
-    W' is post's white set.
+def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int, shade: Color) -> None:
+    """Hand post, the state after v is played from pre in the given shade,
+    each f_decrease of that shade scored on pre whose vertex lies outside
+    N[A] ∪ N[W' ∩ N^2[A]], where A = N[v] ∩ W is what the move newly
+    dominates and W' is post's white set. A phase's moves are played in
+    its shade, and phases never go back, so later states read f in the
+    move's shade or not at all: phase 1 reads light scores, phase 2 dark
+    ones, and a phase-1 state holds no dark scores to hand on.
 
     f_decrease(x) reads W on N[x], and the red bit, the light bit and
     W ∩ N[u] of each u in N[W ∩ N[x]] (f_decreases). The move changes W
@@ -511,8 +514,8 @@ def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int) -> None:
     ones, each bucket and scored mask cut to the vertices outside the
     ball, in O(#buckets) mask operations.
     """
-    tables = pre._f_tables
-    if not tables:
+    table = pre._f_tables.get(shade)
+    if table is None:
         return
     closed = pre.graph.closed_masks
     ball = _neighborhood(closed, closed[v] & ~pre.dominated_mask)  # N[A]
@@ -521,7 +524,7 @@ def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int) -> None:
     ball |= _neighborhood(closed, near)
     if ball | post.red_mask == (1 << pre.graph.n) - 1:
         return
-    post._f_tables = {shade: table.without(ball) for shade, table in tables.items()}
+    post._f_tables = {shade: table.without(ball)}
 
 
 def white_degree(s: ResidualState, v: int) -> int:

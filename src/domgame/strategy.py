@@ -20,6 +20,7 @@ from .graph import Graph, philox_rng
 from .phases import (
     F_value,
     PhaseContext,
+    advance_phases_1_2,
     maybe_advance,
     potential_decrease,
     potential_kind,
@@ -171,18 +172,26 @@ def step(ctx: PhaseContext, state: ResidualState, idx: int,
     New blues are light only in phase 1. The phase machine is evaluated
     after even-indexed moves that leave the game running, never after the
     last move. A move played in phase 1 or 2 hands the state after it the
-    f-decreases of the state before it that it cannot have changed
-    (residual.carry_f_decreases): all but those of N[A] ∪ N[W' ∩ N^2[A]],
+    f-decreases of the state before it, in the move's shade, that it cannot
+    have changed (residual.carry_f_decreases): all but those of
+    N[A] ∪ N[W' ∩ N^2[A]],
     A the vertices the move newly dominates and W' the white set after
     it. So the greedy move and the phase-2 predicate there score only the
     vertices near the newly dominated ones anew.
     """
-    post = apply_move(state, v, shade_for_phase(ctx.phase))
-    if ctx.phase <= 2:
-        carry_f_decreases(state, post, v)
+    post = _play(ctx, state, v)
     if idx % 2 == 0 and not is_over(post):
         ctx = maybe_advance(ctx, post)
     return post, ctx
+
+
+def _play(ctx: PhaseContext, state: ResidualState, v: int) -> ResidualState:
+    """The state after v, with the scores of step()'s carry."""
+    shade = shade_for_phase(ctx.phase)
+    post = apply_move(state, v, shade)
+    if ctx.phase <= 2:
+        carry_f_decreases(state, post, v, shade)
+    return post
 
 
 def move_decrease(ctx: PhaseContext, pre: ResidualState, post: ResidualState) -> int:
@@ -267,11 +276,24 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
     so two of them lead to equal colors exactly when they dominate the same
     new vertices. A move whose newly dominated set equals that of a smaller
     vertex's move is skipped before it is played: that subtree was just
-    searched and cannot give a longer line. There is no table across
-    nodes; the cutoff on `moves made + |undominated|` would turn its values
-    into bounds. Returns (length, witness), the witness being the first
-    maximizing line in ascending-id order, recorded from the states that
-    line played.
+    searched and cannot give a longer line.
+
+    Every move dominates at least one new (white) vertex, so a line through
+    a child has at most `moves made + 1 + |undominated| - |newly|` moves:
+    the child's move, then at most one per vertex it leaves undominated. A
+    child whose bound is not above the longest line found so far is cut
+    before it is played. The phase machine still runs the part of the
+    child's step that can raise: a Staller move in phase 1 or 2 is played,
+    its scores carried, and phases 1-2 tested on the state after it
+    (phases.advance_phases_1_2), so a phase-2 end there is audited on the
+    same states as if the child had been stepped. The phase-3 test, F at
+    the handoff and the new context are skipped: they cannot raise, and
+    the search does not go on from the child. The greedy's moves and
+    Staller moves from phase 3 on run no audit in step() and are skipped
+    outright. There is no table across nodes; the cutoff would turn its
+    values into bounds. Returns (length, witness), the witness being the
+    first maximizing line in ascending-id order, recorded from the states
+    that line played.
     """
     if first not in ("D", "S"):
         raise ValueError("first must be 'D' or 'S'")
@@ -284,22 +306,27 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
 
     def search(state: ResidualState, ctx: PhaseContext, idx: int) -> None:
         nonlocal best
-        # each move dominates at least one new (white) vertex
-        if len(line) + (full & ~state.dominated_mask).bit_count() <= len(best):
-            return
+        dom = state.dominated_mask
+        left = len(line) + 1 + (full & ~dom).bit_count()  # bound on a line through a child
         options = [dominator_greedy(ctx, state)] if idx % 2 == 1 else legal_moves(state)
         seen: set[int] = set()
         for v in options:
-            newly = masks[v] & ~state.dominated_mask
+            newly = masks[v] & ~dom
             if newly in seen:
                 continue
             seen.add(newly)
+            if left - newly.bit_count() <= len(best):  # best grows in this loop
+                if idx % 2 == 0 and ctx.phase <= 2:
+                    post = _play(ctx, state, v)
+                    if not is_over(post):
+                        advance_phases_1_2(ctx, post)
+                continue
             nxt, nctx = step(ctx, state, idx, v)
             line.append((ctx, state, idx, v, nxt))
-            if not is_over(nxt):
-                search(nxt, nctx, idx + 1)
-            elif len(line) > len(best):
+            if is_over(nxt):
                 best = line.copy()
+            else:
+                search(nxt, nctx, idx + 1)
             line.pop()
 
     search(*opening(g, first))

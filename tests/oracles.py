@@ -3,7 +3,8 @@
 Everything here follows the definitions rather than the engine's shortcuts:
 plain Python sets with no memoization, a full recomputation over all n
 vertices where the engine patches a local delta, or a search that branches
-on every Staller move where the engine merges equal successors and that
+on every Staller move where the engine merges equal successors (and one
+that also plays every line to its end where the engine cuts) and that
 rebuilds its witness by replaying the line through play_game.
 """
 
@@ -391,11 +392,46 @@ def staller_worst_case_unmerged(g, first="D"):
             nctx = maybe_advance(ctx, nxt) if idx % 2 == 0 else ctx
             search(nxt, nctx, idx + 1, made + 1, nscript)
 
-    state0 = init_state(g)
+    search(*_search_opening(g, first), 0, ())
+    return best_len, _scripted_witness(g, first, best_script)
+
+
+def staller_worst_case_all_lines(g, first="D"):
+    """(length, witness) of the longest game against the greedy Dominator,
+    from a walk over every Staller line to its end: no cutoff on the moves
+    left and no merging of equal successors. The witness is the first
+    longest line in ascending-id order, replayed through play_game from the
+    Staller's moves."""
+    best_len, best_script = -1, ()
+
+    def walk(state, ctx, idx, made, script):
+        nonlocal best_len, best_script
+        if is_over(state):
+            if made > best_len:
+                best_len, best_script = made, script
+            return
+        options = [dominator_greedy(ctx, state)] if idx % 2 == 1 else legal_moves(state)
+        for v in options:
+            nxt = apply_move(state, v, shade_for_phase(ctx.phase))
+            if idx % 2 == 1:
+                walk(nxt, ctx, idx + 1, made + 1, script)
+            else:
+                nctx = ctx if is_over(nxt) else maybe_advance(ctx, nxt)
+                walk(nxt, nctx, idx + 1, made + 1, script + (v,))
+
+    walk(*_search_opening(g, first), 0, ())
+    return best_len, _scripted_witness(g, first, best_script)
+
+
+def _search_opening(g, first):
+    """(state, context, index) before the first move: the phase machine is
+    evaluated before move 1 when Dominator starts."""
+    state = init_state(g)
     if first == "S":
-        search(state0, PhaseContext(), 0, 0, ())
-    else:
-        search(state0, maybe_advance(PhaseContext(), state0), 1, 0, ())
-    witness = play_game(g, dominator_greedy,
-                        make_scripted_staller(best_script, name="worst_case"), first)
-    return best_len, witness
+        return state, PhaseContext(), 0
+    return state, maybe_advance(PhaseContext(), state), 1
+
+
+def _scripted_witness(g, first, script):
+    """The game of the greedy Dominator against the Staller moves `script`."""
+    return play_game(g, dominator_greedy, make_scripted_staller(script, name="worst_case"), first)

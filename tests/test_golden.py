@@ -20,6 +20,13 @@ verify_reports.json holds the verifier's reports, witnesses included, for
 games on the golden graphs and for the single-field mutations of
 tests/transcript_cases.py; it was recorded by that script before the
 transcript claims became one table.
+
+verify_search12 runs `domgame verify` on search12.json, one graph each of
+trees with n = 11 and 12, G(12, 0.25), G(12, 0.5), a caterpillar with
+spine 4 and C12, so the worst-case search runs at its cap of n = 12 on
+graphs the smoke corpus (paths, cycles and stars up to n = 10) lacks. It
+was recorded before the search tested its cutoff on a child before
+playing it.
 """
 
 from pathlib import Path
@@ -43,13 +50,14 @@ CASES = {
     "simulate_gnp500": ["simulate", "gnp500.g", "--staller", "random", "--seed", "2",
                         "--first", "d", "--json"],
     "verify_smoke": ["verify", "smoke", "--json"],
+    "verify_search12": ["verify", "search12.json", "--json"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # a failing verify writes its witnesses here
-    argv = [str(GOLDEN / a) if a.endswith(".g") else a for a in CASES[name]]
+    argv = [str(GOLDEN / a) if a.endswith((".g", ".json")) else a for a in CASES[name]]
     assert main(argv) == 0
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

@@ -132,10 +132,30 @@ def test_carry_halves_the_scores_computed(monkeypatch):
             for first in "DS":
                 carried = count(g, seed, first)
                 with monkeypatch.context() as m:
-                    m.setattr(strategy, "carry_f_decreases", lambda pre, post, v: None)
+                    m.setattr(strategy, "carry_f_decreases", lambda pre, post, v, shade: None)
                     scanned = count(g, seed, first)
                 assert carried[0] == scanned[0]
                 assert 2 * carried[1] <= scanned[1], (seed, first, carried[1], scanned[1])
+
+
+def test_a_move_carries_only_its_shade():
+    """A move hands on only the f-table of the shade it was played in:
+    phase 1 reads light scores and phase 2 dark ones, and phases never go
+    back, so no state after a phase-2 move holds light scores."""
+    phase2_moves = 0
+    for seed in range(4):
+        staller = make_staller_random(seed)
+
+        def choose(ctx, s, idx):
+            return (dominator_greedy if idx % 2 else staller)(ctx, s)
+
+        for g in (gen_random_tree(100, seed), gen_gnp_isolate_free(100, 3 / 100, seed)):
+            for first in "DS":
+                for ctx, pre, idx, v, post in strategy._moves(g, first, choose):
+                    if ctx.phase == 2:
+                        phase2_moves += 1
+                        assert Color.LIGHT_BLUE not in post._f_tables
+    assert phase2_moves > 0
 
 
 def test_play_p2():
