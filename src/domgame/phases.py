@@ -120,18 +120,19 @@ def phase2_active(s: ResidualState) -> bool:
         11, live_mask(s), lambda v: f_decrease(s, v, Color.DARK_BLUE))
 
 
-def _end_of_phase2_violation(s: ResidualState) -> str | None:
+def _end_of_phase2_violation(s: ResidualState, comps: list[int] | None = None) -> str | None:
     """Structure forced at a correct phase-2 end; returns a description or None.
 
     When no move drops f by 11 or more: white vertices have at most 2 white
     neighbors and blue ones at most 3; white-subgraph components are single
     vertices, single edges, or cycles of length >= 4; and no white vertex
     whose neighbors are all blue touches a blue vertex with 3 white neighbors.
+    `comps` is _white_components(s) if the caller has it.
     """
     violation = _white_degree_violation(s)
     if violation is not None:
         return violation
-    for members in _white_components(s):
+    for members in _white_components(s) if comps is None else comps:
         if members.bit_count() <= 2:
             continue
         if _white_cycle_order(s, members) is None:
@@ -203,12 +204,12 @@ def freeze_registry(s: ResidualState) -> XCycleRegistry:
     Raises ClaimViolationError (with the offending snapshot) if the state
     does not have the structure forced at a correct phase-2 end.
     """
-    violation = _end_of_phase2_violation(s)
+    comps = _white_components(s)
+    violation = _end_of_phase2_violation(s, comps)
     if violation is not None:
         raise ClaimViolationError(f"phase-2 end structure violated: {violation}", s.snapshot())
     return XCycleRegistry(tuple(_white_cycle_order(s, members)
-                                for members in _white_components(s)
-                                if members.bit_count() >= 3))
+                                for members in comps if members.bit_count() >= 3))
 
 
 def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:
@@ -216,7 +217,7 @@ def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:
     a component of order >= 4. Finished: every member is red or sits in a
     BWB component. Other: none of these. The component shapes are the ones
     memoized with F."""
-    big, bwb = _F_memo(s, reg)[3:5]
+    big, bwb = _F_memo(s, reg)[2:4]
     return _status(reg, i, s.graph.open_masks, s.dominated_mask, s.red_mask, big, bwb)
 
 
@@ -257,7 +258,7 @@ def _status(reg: XCycleRegistry, i: int, opens: tuple[int, ...], dom: int, red: 
 
 def open_cycle_count(s: ResidualState, reg: XCycleRegistry) -> int:
     """Open X-cycles of s, from the flags memoized with F."""
-    return sum(_F_memo(s, reg)[2])
+    return sum(_F_memo(s, reg)[1])
 
 
 def _penalty(kind: ComponentKind) -> int:
@@ -272,22 +273,47 @@ def F_value(s: ResidualState, reg: XCycleRegistry) -> int:
     components and the status of every X-cycle, once per state and
     registry; F_decrease's local count is checked against it.
     """
-    return _F_memo(s, reg)[1]
+    return _F_memo(s, reg)[0]
+
+
+def _F_entry(s: ResidualState, reg: XCycleRegistry) -> list:
+    """s.F_memo for reg, started if it holds another registry's: [reg, the
+    ScoreTable of F_decrease's scores, _F_memo's summary or None]."""
+    memo = s.F_memo
+    if memo is None or memo[0] is not reg:
+        memo = s.F_memo = [reg, ScoreTable(), None]
+    return memo
 
 
 def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
-    """(reg, F, open flag of each registry cycle, s's _shape_masks as big and
-    bwb, the ScoreTable of F_decrease's scores), memoized on s for reg."""
-    memo = s.F_memo
-    if memo is None or memo[0] is not reg:
+    """(F, open flag of each registry cycle, s's _shape_masks as big and
+    bwb, the mask of the WB+ components, the open witnesses), computed
+    once per state and registry. An open witness is a dominated member in
+    big with exactly one white neighbor. A cycle is open exactly when it
+    holds one: a witness has a dominated ring neighbor, so its cycle is
+    not closed."""
+    memo = _F_entry(s, reg)
+    if memo[2] is None:
         comps = s.components()
         big, bwb = _shape_masks(comps)
         opens, dom, red = s.graph.open_masks, s.dominated_mask, s.red_mask
         is_open = tuple(_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN
                         for i in range(len(reg.cycles)))
-        F = s.f - sum(is_open) - sum(_penalty(c.kind) for c in comps)
-        memo = s.F_memo = (reg, F, is_open, big, bwb, ScoreTable())
-    return memo
+        wb_plus = 0
+        for c in comps:
+            if c.kind is ComponentKind.WB_PLUS:
+                wb_plus |= c.mask
+        # a WB+ component has 2 vertices and a BWB one 3
+        F = s.f - sum(is_open) - wb_plus.bit_count() // 2 - bwb.bit_count()
+        witness = 0
+        m = reg.member_mask & dom & big
+        while m:
+            low = m & -m
+            m ^= low
+            if (opens[low.bit_length() - 1] & ~dom).bit_count() == 1:
+                witness |= low
+        memo[2] = (F, is_open, big, bwb, wb_plus, witness)
+    return memo[2]
 
 
 def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
@@ -295,59 +321,111 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
 
     The move recolors only vertices of N[newly], newly being the vertices
     it dominates. They all lie in C(v), v's retained-edge component in s,
-    and the components outside C(v) stay as they are. C(v)'s discount is 0
-    when v lies in a component of order >= 4; else a search from v that
-    stops at 4 vertices finds all of C(v) and its kind. An edge the move
-    stops retaining has both ends in N[newly], so every non-red piece that
-    C(v) splits into holds a non-red vertex of N[newly]. A search from those
-    vertices that stops at 4 vertices thus finds every piece of order <= 3,
-    the only ones with a WB+ or BWB discount; C(v)'s other non-red vertices
-    lie in pieces of order >= 4. Only the X-cycles that meet N[newly] or a
-    small piece can change status, so only they are classified again; they
-    are found through the registry's cycle_index, one lookup per cycle. The
-    masks after the move and N[newly] come from _masks_after, the pieces
-    and their kinds from residual's retained_piece and piece_kind, and no
-    state is built. It neither reads nor writes F_table(s, reg), which adds
-    the scores it asks for.
+    and the components outside C(v) stay as they are. C(v)'s discount is
+    read off the masks memoized with F: 0 when v lies in a component of
+    order >= 4, else 1 in a WB+ component, 3 in a BWB one and 0 otherwise.
+    An edge the move stops retaining has both ends in N[newly], so every
+    non-red piece that C(v) splits into holds a non-red vertex of
+    N[newly]. A search from those vertices that stops at 4 vertices thus
+    finds every piece of order <= 3, the only ones with a WB+ or BWB
+    discount; C(v)'s other non-red vertices lie in pieces of order >= 4.
+
+    A cycle is open when it holds an open witness (_F_memo). A member
+    outside N[newly] and the small pieces keeps its dominated bit, its
+    white degree and whether its piece has order >= 4, so it is a witness
+    after the move exactly when it was before; the members of the small
+    pieces are none after it, and those of N[newly] outside them are
+    tested again. So only the X-cycles that meet N[newly] or a small piece
+    can change status; they are found through the registry's cycle_index,
+    one lookup per cycle. The masks after the move and N[newly] come from
+    _masks_after, the pieces and their kinds from residual's
+    retained_piece and piece_kind, and no state is built. It neither reads
+    nor writes F_table(s, reg), which adds the scores it asks for.
     """
-    is_open, big, bwb = _F_memo(s, reg)[2:5]
+    big, bwb, wb_plus, witness = _F_memo(s, reg)[2:]
     g, opens = s.graph, s.graph.open_masks
     dom, red, light, near = _masks_after(s, v, Color.DARK_BLUE)
-    small = small_bwb = 0
     dec = s.f - _weight(g.n, dom, red, light)
     if not big >> v & 1:  # C(v) has at most 3 vertices
-        comp = retained_piece(opens, s.dominated_mask, v, 4)
-        dec -= _penalty(piece_kind(comp, s.dominated_mask, s.light_mask))
+        dec -= 1 if wb_plus >> v & 1 else 3 if bwb >> v & 1 else 0
+    small = 0
     starts = near & ~red
     while starts:
         piece = retained_piece(opens, dom, (starts & -starts).bit_length() - 1, 4)
         starts &= ~piece
-        if piece.bit_count() >= 4:
-            continue
-        small |= piece
-        kind = piece_kind(piece, dom, light)
-        if kind is ComponentKind.BWB:
-            small_bwb |= piece
-        dec += _penalty(kind)
-    touched = (near | small) & reg.member_mask
+        if piece.bit_count() < 4:
+            small |= piece
+            dec += _penalty(piece_kind(piece, dom, light))
+    changed = near | small
+    touched = changed & reg.member_mask
     if touched:
-        # The small pieces and the new red vertices lie in C(v). If C(v) has
-        # order >= 4, its other vertices are in pieces of order >= 4; if not,
-        # it has no other vertices. A move on any vertex of a BWB component
-        # turns all three red, so the bwb bits left on such a C(v) are red.
-        big &= ~red & ~small
-        bwb |= small_bwb
-        index = reg.cycle_index
+        # A non-red vertex of N[newly] outside the small pieces lies in a
+        # piece of C(v) of order >= 4, so C(v) has order >= 4 as well: the
+        # vertex is in big after the move exactly when it was before.
+        after = witness & ~changed
+        m = touched & dom & big & ~red & ~small
+        while m:
+            low = m & -m
+            m ^= low
+            if (opens[low.bit_length() - 1] & ~dom).bit_count() == 1:
+                after |= low
+        index, cycle_masks = reg.cycle_index, reg.cycle_masks
         while touched:
-            i = index[(touched & -touched).bit_length() - 1]
-            touched &= ~reg.cycle_masks[i]
-            dec -= is_open[i] - (_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN)
+            members = cycle_masks[index[(touched & -touched).bit_length() - 1]]
+            touched &= ~members
+            dec -= ((witness & members) != 0) - ((after & members) != 0)
     return dec
 
 
 def F_table(s: ResidualState, reg: XCycleRegistry) -> ScoreTable:
     """s's table of F-decreases under reg."""
-    return _F_memo(s, reg)[5]
+    return _F_entry(s, reg)[1]
+
+
+def carry_F_decreases(pre: ResidualState, post: ResidualState, v: int,
+                      reg: XCycleRegistry) -> None:
+    """Hand post, the state after v is played from pre in phase 3 or 4,
+    each F_decrease under reg scored on pre whose vertex lies outside C(v),
+    v's retained-edge component in pre, and outside every component of pre
+    that meets an X-cycle meeting C(v).
+
+    The move recolors only vertices of C(v) (F_decrease), so the other
+    components stay as they are, and only the X-cycles that meet C(v) can
+    change status. F_decrease(x) reads only C(x) and the X-cycles that
+    meet C(x); outside the dropped set neither changes. The drop is found
+    by searches over the retained edges of pre: one from v, then one from
+    each non-red member of those cycles not yet dropped. Nothing is carried
+    when pre has no scores under reg, or when the drop and post's red
+    vertices cover every vertex; a member v whose own cycle and the red
+    vertices do so is caught before any search. pre's table is read, not
+    changed: post gets a new one, each bucket and the scored mask cut to
+    the vertices outside the drop; post's F and masks are computed when
+    first asked for.
+    """
+    memo = pre.F_memo
+    if memo is None or memo[0] is not reg or not memo[1].scored:
+        return
+    g, red = pre.graph, post.red_mask
+    full = (1 << g.n) - 1
+    index, cycle_masks = reg.cycle_index, reg.cycle_masks
+    if reg.member_mask >> v & 1 and cycle_masks[index[v]] | red == full:
+        return
+    opens, dom = g.open_masks, pre.dominated_mask
+    drop = retained_piece(opens, dom, v, g.n)  # C(v)
+    cycles = 0
+    touched = drop & reg.member_mask
+    while touched:
+        members = cycle_masks[index[(touched & -touched).bit_length() - 1]]
+        touched &= ~members
+        cycles |= members
+    rest = cycles & ~drop & ~pre.red_mask
+    while rest:
+        piece = retained_piece(opens, dom, (rest & -rest).bit_length() - 1, g.n)
+        drop |= piece
+        rest &= ~piece
+    if drop | red == full:
+        return
+    post.F_memo = [reg, memo[1].without(drop), None]
 
 
 def phase3_active(s: ResidualState, reg: XCycleRegistry) -> bool:

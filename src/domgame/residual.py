@@ -153,8 +153,9 @@ class ResidualState:
     the masks by the one constructor, and the snapshot text is read off
     them. Components are computed on first use and memoized. The
     f-decreases that a table asks for are kept in one ScoreTable per shade
-    (f_table). ``F_memo`` is where phases memoizes the potential F and the
-    table of its decreases per registry.
+    (f_table). ``F_memo`` is where phases memoizes the potential F, its
+    masks and the table of its decreases per registry. A state apply_move
+    builds keeps the move's N[newly] as ``move_near`` (None on the others).
 
     The f-decreases also carry from one state to the next: when a move on v
     is played in phase 1 or 2, carry_f_decreases hands the state after it
@@ -163,14 +164,16 @@ class ResidualState:
     vertices and W' the white set after the move. f_decrease(x) reads W on
     N[x] and the red bit, light bit and W ∩ N[u] of each u in
     N[W ∩ N[x]]; the move changes W only on A and red and light bits only
-    on N[A], so no score outside the ball changes. In phases 3-4 nothing
-    is carried. Callers treat instances as
-    values: apply_move returns a new state, and a carry gives the new state
-    tables of its own, never changing the old state's.
+    on N[A], so no score outside the ball changes. In phases 3 and 4,
+    phases.carry_F_decreases hands on the F-decreases outside C(v), v's
+    retained-edge component, and outside every component that meets an
+    X-cycle meeting C(v). Callers treat instances as values: apply_move
+    returns a new state, and a carry gives the new state tables of its
+    own, never changing the old state's.
     """
 
     __slots__ = ("graph", "dominated_mask", "red_mask", "light_mask", "f",
-                 "_components", "_f_tables", "F_memo")
+                 "_components", "_f_tables", "F_memo", "move_near")
 
     def __init__(self, graph: Graph, dominated_mask: int, red_mask: int, light_mask: int):
         self.graph = graph
@@ -180,7 +183,8 @@ class ResidualState:
         self.f = _weight(graph.n, dominated_mask, red_mask, light_mask)
         self._components: tuple[Component, ...] | None = None
         self._f_tables: dict[Color, ScoreTable] = {}
-        self.F_memo: tuple | None = None
+        self.F_memo: list | None = None
+        self.move_near: int | None = None
 
     def _color_bytes(self) -> bytes:
         """One byte per vertex, vertex 0 first: its Color value.
@@ -416,10 +420,14 @@ def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
     """Play v: the dominated set grows by N[v].
 
     Vertices turning blue with this move take `shade`; already-blue vertices
-    keep theirs. Colors only ever move forward (white -> blue -> red).
+    keep theirs. Colors only ever move forward (white -> blue -> red). The
+    new state's move_near is N[newly], newly being the vertices the move
+    dominates, which carry_f_decreases reads rather than walks again.
     """
-    dom, red, light, _ = _masks_after(s, v, shade)
-    return ResidualState(s.graph, dom, red, light)
+    dom, red, light, near = _masks_after(s, v, shade)
+    post = ResidualState(s.graph, dom, red, light)
+    post.move_near = near
+    return post
 
 
 def f_table(s: ResidualState, shade: Color) -> ScoreTable:
@@ -495,10 +503,10 @@ def f_decreases(s: ResidualState, xs: int, shade: Color) -> dict[int, int]:
 
 
 def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int, shade: Color) -> None:
-    """Hand post, the state after v is played from pre in the given shade,
-    each f_decrease of that shade scored on pre whose vertex lies outside
-    N[A] ∪ N[W' ∩ N^2[A]], where A = N[v] ∩ W is what the move newly
-    dominates and W' is post's white set. A phase's moves are played in
+    """Hand post, the state apply_move built by playing v from pre in the
+    given shade, each f_decrease of that shade scored on pre whose vertex
+    lies outside N[A] ∪ N[W' ∩ N^2[A]], where A = N[v] ∩ W is what the
+    move newly dominates and W' is post's white set. A phase's moves are played in
     its shade, and phases never go back, so later states read f in the
     move's shade or not at all: phase 1 reads light scores, phase 2 dark
     ones, and a phase-1 state holds no dark scores to hand on.
@@ -508,9 +516,9 @@ def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int, shade: Co
     only on A, and red and light bits only on N[A]. For x outside N[A],
     W ∩ N[x] = W' ∩ N[x] is unchanged, and a u of N[W' ∩ N[x]] lies in
     N[A] only if x lies in N[W' ∩ N^2[A]]; so outside the ball nothing the
-    score reads changes. The ball lies inside N^4[v]. Nothing is carried
-    when the ball covers every non-red vertex of post, where every score
-    would be dropped. pre's tables are read, not changed: post gets new
+    score reads changes. The ball lies inside N^4[v]; its N[A] is post's
+    move_near. Nothing is carried when the ball covers every non-red
+    vertex of post, where every score would be dropped. pre's tables are read, not changed: post gets new
     ones, each bucket and scored mask cut to the vertices outside the
     ball, in O(#buckets) mask operations.
     """
@@ -518,7 +526,7 @@ def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int, shade: Co
     if table is None:
         return
     closed = pre.graph.closed_masks
-    ball = _neighborhood(closed, closed[v] & ~pre.dominated_mask)  # N[A]
+    ball = post.move_near  # N[A], from apply_move
     # W' ∩ N^2[A], from N[A] less post's red vertices, which have no white neighbor
     near = _neighborhood(closed, ball & ~post.red_mask) & ~post.dominated_mask
     ball |= _neighborhood(closed, near)

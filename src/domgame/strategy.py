@@ -21,6 +21,7 @@ from .phases import (
     F_value,
     PhaseContext,
     advance_phases_1_2,
+    carry_F_decreases,
     maybe_advance,
     potential_decrease,
     potential_kind,
@@ -171,13 +172,15 @@ def step(ctx: PhaseContext, state: ResidualState, idx: int,
 
     New blues are light only in phase 1. The phase machine is evaluated
     after even-indexed moves that leave the game running, never after the
-    last move. A move played in phase 1 or 2 hands the state after it the
-    f-decreases of the state before it, in the move's shade, that it cannot
-    have changed (residual.carry_f_decreases): all but those of
-    N[A] ∪ N[W' ∩ N^2[A]],
-    A the vertices the move newly dominates and W' the white set after
-    it. So the greedy move and the phase-2 predicate there score only the
-    vertices near the newly dominated ones anew.
+    last move. A move hands the state after it the scores of the state
+    before it that it cannot have changed. In phase 1 or 2 these are the
+    f-decreases in the move's shade outside N[A] ∪ N[W' ∩ N^2[A]], A the
+    vertices the move newly dominates and W' the white set after it
+    (residual.carry_f_decreases). In phase 3 or 4 they are the
+    F-decreases outside C(v), v's retained-edge component, and outside
+    every component that meets an X-cycle meeting C(v)
+    (phases.carry_F_decreases). So the greedy move and the phase tests
+    there score only the vertices near the move anew.
     """
     post = _play(ctx, state, v)
     if idx % 2 == 0 and not is_over(post):
@@ -191,6 +194,8 @@ def _play(ctx: PhaseContext, state: ResidualState, v: int) -> ResidualState:
     post = apply_move(state, v, shade)
     if ctx.phase <= 2:
         carry_f_decreases(state, post, v, shade)
+    else:
+        carry_F_decreases(state, post, v, ctx.registry)
     return post
 
 

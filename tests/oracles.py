@@ -246,7 +246,7 @@ def F_decrease_resplit(s, reg, v):
     classifying again every X-cycle with a member in C(v); the components
     outside C(v) are s's own. post's components refine s's, so C(v)'s
     pieces are those of post that meet it."""
-    is_open = _F_memo(s, reg)[2]
+    is_open = _F_memo(s, reg)[1]
     post = apply_move(s, v, Color.DARK_BLUE)
     comps = s.components()
     comp = next(c for c in comps if c.mask >> v & 1)

@@ -14,7 +14,10 @@ gen_gnp_isolate_free(500, 0.006, 2) (`domgame gen gnp 500 0.006 --seed 2`),
 a G(n, 3/n) game through all four phases (128, 28, 4 and 12 moves); it
 was recorded, also without --trace, before phases 1-2 scored their moves
 in one f_decreases pass and carried scores outside a white-path ball
-rather than outside N^4[v].
+rather than outside N^4[v]. cycles475 is the union of C5, C6, ..., C14
+taken five times (n = 475), a game of 176 phase-3 and 7 phase-4 moves; it
+was recorded, without --trace, before phases 3-4 carried F-scores across
+moves and read cycle status off the open witnesses.
 
 verify_reports.json holds the verifier's reports, witnesses included, for
 games on the golden graphs and for the single-field mutations of
@@ -49,6 +52,8 @@ CASES = {
                           "--first", "d", "--json"],
     "simulate_gnp500": ["simulate", "gnp500.g", "--staller", "random", "--seed", "2",
                         "--first", "d", "--json"],
+    "simulate_cycles475": ["simulate", "cycles475.g", "--staller", "random", "--seed", "5",
+                           "--first", "d", "--json"],
     "verify_smoke": ["verify", "smoke", "--json"],
     "verify_search12": ["verify", "search12.json", "--json"],
 }

@@ -14,12 +14,15 @@ on random trees, G(n, p), unions of cycles C_k (k >= 4, up to 40) and
 cycles with pendant paths and chords. components() is compared with a
 plain breadth-first search (oracles.components_bfs). f_decreases, the
 batch scorer, is compared with the oracle move on random sets of live
-vertices, in games from both starts. The score tables,
-with the f-decreases a state inherits through step from the state before
-it, are compared with the scores on fresh states, along mixed games and
-at the nodes of the worst-case search; the greedy and min-decrease moves
-read off them with full-scan oracles, and the phase-2 and phase-3 tests
-on partly filled tables with the maxima of the scores.
+vertices, in games from both starts. The open witnesses memoized with F
+are compared with their definition on components_bfs, and the open flags
+they give with _status. The score tables, with the f- and F-decreases a
+state inherits through step from the state before it, are compared with
+the scores on fresh states, along mixed games and at the nodes of the
+worst-case search (on paths, trees, cycles and unions of cycles); the
+greedy and min-decrease moves read off them with full-scan oracles, and
+the phase-2 and phase-3 tests on partly filled tables with the maxima of
+the scores.
 """
 
 from unittest import mock
@@ -56,7 +59,7 @@ from domgame import (
     staller_worst_case,
 )
 from domgame import strategy
-from domgame.phases import CycleStatus, F_table, _status, cycle_status, potential_table
+from domgame.phases import CycleStatus, F_table, _F_memo, _status, cycle_status, potential_table
 from domgame.residual import WEIGHT, live_mask, vertices_of
 from domgame.strategy import opening, step
 from oracles import (
@@ -288,6 +291,33 @@ def test_move_on_bwb_turns_it_red(drawn, seed):
                         assert apply_move(s, v, shade).red_mask & comp.mask == comp.mask
 
 
+@given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
+@example(drawn=("cycles", *cycle_union([5, 6])), seed=0)
+@settings(max_examples=150, deadline=None)
+def test_open_flags_from_witness_masks_match_status(drawn, seed):
+    """At every state of a phased game and at the state after each legal
+    move from it, under the frozen registry and the graph's own cycles,
+    the open witnesses memoized with F are the dominated members of the
+    components of order >= 4 (by components_bfs) with exactly one white
+    neighbor, and a cycle holds one exactly when _status on those
+    components calls it open."""
+    _, g, cycles = drawn
+    own = XCycleRegistry(cycles)
+    opens = g.open_masks
+    for s, ctx in phased_play(g, seed):
+        regs = [own] if ctx.registry is None else [ctx.registry, own]
+        for state in [s, *(apply_move(s, v, DARK) for v in legal_moves(s))]:
+            dom, red = state.dominated_mask, state.red_mask
+            big, bwb = shape_masks_bfs(fresh(state))
+            for reg in regs:
+                witness = _F_memo(state, reg)[5]
+                assert witness == sum(1 << u for u in vertices_of(reg.member_mask & dom & big)
+                                      if (opens[u] & ~dom).bit_count() == 1)
+                for i, members in enumerate(reg.cycle_masks):
+                    status = _status(reg, i, opens, dom, red, big, bwb)
+                    assert bool(witness & members) == (status is CycleStatus.OPEN)
+
+
 def assert_tables_exact(s):
     """Every score table on s (one per f shade, and F's under the registry
     memoized there) is well formed and holds only exact scores: no bucket
@@ -311,12 +341,16 @@ def assert_tables_exact(s):
 
 
 @given(drawn=graphs(40, 24), seed=st.integers(0, 2**31), first=st.sampled_from("DS"))
+# a move on one piece of the C11 takes away open witnesses of the cycle;
+# a vertex of another piece then scores one less, as its move now takes
+# away the cycle's last one
+@example(drawn=("cycles", *cycle_union([4, 11])), seed=0, first="D")
 @settings(max_examples=100, deadline=None)
 def test_carried_f_decreases_match_fresh_scores(drawn, seed, first):
     """Games played through step, each move the greedy Dominator's or a
     random legal one. At every state a random share of the legal moves is
     scored first and added to the active potential's table, so the tables
-    are partly filled (the f tables also hold the scores carried there; a
+    are partly filled (they also hold the scores carried there; a
     carried vertex scored again stays in one bucket only if both scores
     agree); phase2_active and phase3_active on them
     answer as the maxima on the fresh position do, under the phase's
@@ -345,16 +379,32 @@ def test_carried_f_decreases_match_fresh_scores(drawn, seed, first):
         idx += 1
 
 
-@given(family=st.sampled_from(("path", "tree")), n=st.integers(4, 12),
+def search_graph(family, n, seed):
+    """P_n, a random tree, C_n, or the union of C_k and C_(n-k) with k >= 4
+    and n - k >= 4 drawn at random (C_n when n < 8)."""
+    if family == "path":
+        return gen_path(n)
+    if family == "tree":
+        return gen_random_tree(n, seed)
+    if family == "cycle" or n < 8:
+        return gen_cycle(n)
+    k = int(philox_rng(seed).integers(4, n - 3))
+    return cycle_union([k, n - k])[0]
+
+
+@given(family=st.sampled_from(("path", "tree", "cycle", "cycles")), n=st.integers(4, 12),
        seed=st.integers(0, 2**31), first=st.sampled_from("DS"))
-@settings(max_examples=40, deadline=None)
+@example(family="cycles", n=12, seed=0, first="D")
+@settings(max_examples=80, deadline=None)
 def test_worst_case_search_carries_exact_scores(family, n, seed, first):
     """At every node of the worst-case search the memo holds only exact
     scores, and at every Dominator node the greedy move is the full scan's.
     Paths and trees have moves whose ball N[A] ∪ N[W' ∩ N^2[A]] (A newly
     dominated, W' white after the move) leaves non-red vertices out, so
-    the search carries scores there."""
-    g = gen_path(n) if family == "path" else gen_random_tree(n, seed)
+    the search carries f-scores there. On cycles and their unions the
+    search reaches phases 3-4, and a move on v there leaves out the
+    components that meet no X-cycle meeting C(v), so F-scores carry."""
+    g = search_graph(family, n, seed)
     nodes = {}
 
     def recording_step(ctx, state, idx, v):

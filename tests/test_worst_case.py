@@ -77,10 +77,10 @@ def test_cut_child_keeps_the_phase2_end_audit(monkeypatch):
     audit = phases._end_of_phase2_violation
     planted = 0b110  # the dominated set after vertex 2
 
-    def flagged(s):
+    def flagged(s, comps=None):
         if s.graph.n == 3 and s.dominated_mask == planted:
             return "planted violation"
-        return audit(s)
+        return audit(s, comps)
 
     monkeypatch.setattr(phases, "_end_of_phase2_violation", flagged)
     with pytest.raises(ClaimViolationError, match="planted violation"):
