@@ -125,8 +125,8 @@ def parse_edge_list(text: str) -> Graph:
 
     Line 1 is a header ``n m``; the next m lines are edges ``u v`` with
     0 <= u,v < n and u != v, tokens separated by single spaces. Duplicate
-    edges and self-loops are rejected. Raises ParseError naming the
-    offending 1-based line.
+    edges and self-loops are rejected, and so is n > 2m, which leaves a
+    vertex isolated. Raises ParseError naming the offending 1-based line.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -165,6 +165,8 @@ def parse_edge_list(text: str) -> Graph:
     for extra_no, ln in enumerate(lines[m + 1:], start=m + 2):
         if ln.strip():
             raise ParseError(extra_no, f"unexpected content after {m} edges: {ln!r}")
+    if n > 2 * m:  # checked before building n adjacency lists
+        raise ParseError(1, f"n={n} exceeds 2m={2 * m}, so some vertex is isolated")
     return Graph.from_edges(n, edges)
 
 

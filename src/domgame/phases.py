@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
 
 from .errors import ClaimViolationError
 from .residual import (
     Color,
-    Component,
     ComponentKind,
     ResidualState,
     ScoreTable,
@@ -214,33 +212,15 @@ def freeze_registry(s: ResidualState) -> XCycleRegistry:
 
 def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:
     """Closed: every cycle edge retained. Open: some member is a blue leaf in
-    a component of order >= 4. Finished: every member is red or sits in a
-    BWB component. Other: none of these. The component shapes are the ones
-    memoized with F."""
-    big, bwb = _F_memo(s, reg)[2:4]
-    return _status(reg, i, s.graph.open_masks, s.dominated_mask, s.red_mask, big, bwb)
+    a component of order >= 4, that is an open witness (_F_memo). Finished:
+    every member is red or sits in a BWB component. Other: none of these.
 
-
-def _shape_masks(comps: Iterable[Component]) -> tuple[int, int]:
-    """(vertices in components of order >= 4, vertices in BWB components):
-    all that cycle_status reads of the components."""
-    big = bwb = 0
-    for c in comps:
-        if c.order >= 4:
-            big |= c.mask
-        elif c.kind is ComponentKind.BWB:
-            bwb |= c.mask
-    return big, bwb
-
-
-def _status(reg: XCycleRegistry, i: int, opens: tuple[int, ...], dom: int, red: int,
-            big: int, bwb: int) -> CycleStatus:
-    """cycle_status of cycle i read off a state's dominated and red masks and
-    its _shape_masks. A cycle edge stops being retained when both its ends
-    are dominated, so the cycle is closed when no dominated member has a
-    dominated ring neighbor. No red vertex is in big."""
-    ring = reg.ring_masks
-    m = reg.cycle_masks[i] & dom
+    A cycle edge stops being retained when both its ends are dominated, so
+    the cycle is closed when no dominated member has a dominated ring
+    neighbor. The witnesses and the BWB mask are the ones memoized with F.
+    """
+    members, dom, ring = reg.cycle_masks[i], s.dominated_mask, reg.ring_masks
+    m = members & dom
     while m:
         low = m & -m
         if ring[low.bit_length() - 1] & dom:
@@ -248,17 +228,18 @@ def _status(reg: XCycleRegistry, i: int, opens: tuple[int, ...], dom: int, red: 
         m ^= low
     else:
         return CycleStatus.CLOSED
-    blue_big = reg.cycle_masks[i] & dom & big
-    if any((opens[v] & ~dom).bit_count() == 1 for v in vertices_of(blue_big)):
+    summary = _F_memo(s, reg)
+    bwb, witness = summary[3], summary[5]
+    if witness & members:
         return CycleStatus.OPEN
-    if reg.cycle_masks[i] & ~(red | bwb) == 0:
+    if members & ~(s.red_mask | bwb) == 0:
         return CycleStatus.FINISHED
     return CycleStatus.OTHER
 
 
 def open_cycle_count(s: ResidualState, reg: XCycleRegistry) -> int:
-    """Open X-cycles of s, from the flags memoized with F."""
-    return sum(_F_memo(s, reg)[1])
+    """Open X-cycles of s, from the count memoized with F."""
+    return _F_memo(s, reg)[1]
 
 
 def _penalty(kind: ComponentKind) -> int:
@@ -270,8 +251,8 @@ def F_value(s: ResidualState, reg: XCycleRegistry) -> int:
     """f minus open X-cycles, minus WB+ components, minus 3x BWB components.
 
     Zero exactly on the all-red state. Recomputed in full from s's
-    components and the status of every X-cycle, once per state and
-    registry; F_decrease's local count is checked against it.
+    components and its open witnesses, once per state and registry;
+    F_decrease's local count is checked against it.
     """
     return _F_memo(s, reg)[0]
 
@@ -285,34 +266,56 @@ def _F_entry(s: ResidualState, reg: XCycleRegistry) -> list:
     return memo
 
 
+def _witnesses(opens: tuple[int, ...], dom: int, m: int) -> int:
+    """The vertices of the mask m with exactly one neighbor outside the
+    dominated mask dom: one white neighbor, in a state with that mask."""
+    witness = 0
+    while m:
+        low = m & -m
+        m ^= low
+        if (opens[low.bit_length() - 1] & ~dom).bit_count() == 1:
+            witness |= low
+    return witness
+
+
+def _cycles_meeting(reg: XCycleRegistry, m: int) -> list[int]:
+    """The member masks of the X-cycles that meet m, a mask of members,
+    found through the registry's cycle_index, one lookup per cycle."""
+    index, cycle_masks = reg.cycle_index, reg.cycle_masks
+    cycles = []
+    while m:
+        members = cycle_masks[index[(m & -m).bit_length() - 1]]
+        m &= ~members
+        cycles.append(members)
+    return cycles
+
+
 def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
-    """(F, open flag of each registry cycle, s's _shape_masks as big and
-    bwb, the mask of the WB+ components, the open witnesses), computed
-    once per state and registry. An open witness is a dominated member in
-    big with exactly one white neighbor. A cycle is open exactly when it
-    holds one: a witness has a dominated ring neighbor, so its cycle is
-    not closed."""
+    """(F, the number of open X-cycles, the mask big of the components of
+    order >= 4, the mask of the BWB components, that of the WB+
+    components, the open witnesses), computed once per state and registry
+    from one pass over s's components.
+
+    An open witness is a dominated member in big with exactly one white
+    neighbor, and an X-cycle is open exactly when it holds one. A witness
+    has a dominated ring neighbor, so its cycle is not closed.
+    """
     memo = _F_entry(s, reg)
     if memo[2] is None:
-        comps = s.components()
-        big, bwb = _shape_masks(comps)
-        opens, dom, red = s.graph.open_masks, s.dominated_mask, s.red_mask
-        is_open = tuple(_status(reg, i, opens, dom, red, big, bwb) is CycleStatus.OPEN
-                        for i in range(len(reg.cycles)))
-        wb_plus = 0
-        for c in comps:
-            if c.kind is ComponentKind.WB_PLUS:
+        big = bwb = wb_plus = 0
+        for c in s.components():
+            if c.order >= 4:
+                big |= c.mask
+            elif c.kind is ComponentKind.BWB:
+                bwb |= c.mask
+            elif c.kind is ComponentKind.WB_PLUS:
                 wb_plus |= c.mask
+        dom = s.dominated_mask
+        witness = _witnesses(s.graph.open_masks, dom, reg.member_mask & dom & big)
+        n_open = len(_cycles_meeting(reg, witness))
         # a WB+ component has 2 vertices and a BWB one 3
-        F = s.f - sum(is_open) - wb_plus.bit_count() // 2 - bwb.bit_count()
-        witness = 0
-        m = reg.member_mask & dom & big
-        while m:
-            low = m & -m
-            m ^= low
-            if (opens[low.bit_length() - 1] & ~dom).bit_count() == 1:
-                witness |= low
-        memo[2] = (F, is_open, big, bwb, wb_plus, witness)
+        F = s.f - n_open - wb_plus.bit_count() // 2 - bwb.bit_count()
+        memo[2] = (F, n_open, big, bwb, wb_plus, witness)
     return memo[2]
 
 
@@ -336,11 +339,11 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     after the move exactly when it was before; the members of the small
     pieces are none after it, and those of N[newly] outside them are
     tested again. So only the X-cycles that meet N[newly] or a small piece
-    can change status; they are found through the registry's cycle_index,
-    one lookup per cycle. The masks after the move and N[newly] come from
-    _masks_after, the pieces and their kinds from residual's
-    retained_piece and piece_kind, and no state is built. It neither reads
-    nor writes F_table(s, reg), which adds the scores it asks for.
+    can change status; _cycles_meeting finds them. The masks after the
+    move and N[newly] come from _masks_after, the pieces and their kinds
+    from residual's retained_piece and piece_kind, and no state is built.
+    It neither reads nor writes F_table(s, reg), which adds the scores it
+    asks for.
     """
     big, bwb, wb_plus, witness = _F_memo(s, reg)[2:]
     g, opens = s.graph, s.graph.open_masks
@@ -362,17 +365,8 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
         # A non-red vertex of N[newly] outside the small pieces lies in a
         # piece of C(v) of order >= 4, so C(v) has order >= 4 as well: the
         # vertex is in big after the move exactly when it was before.
-        after = witness & ~changed
-        m = touched & dom & big & ~red & ~small
-        while m:
-            low = m & -m
-            m ^= low
-            if (opens[low.bit_length() - 1] & ~dom).bit_count() == 1:
-                after |= low
-        index, cycle_masks = reg.cycle_index, reg.cycle_masks
-        while touched:
-            members = cycle_masks[index[(touched & -touched).bit_length() - 1]]
-            touched &= ~members
+        after = witness & ~changed | _witnesses(opens, dom, touched & dom & big & ~red & ~small)
+        for members in _cycles_meeting(reg, touched):
             dec -= ((witness & members) != 0) - ((after & members) != 0)
     return dec
 
@@ -407,17 +401,11 @@ def carry_F_decreases(pre: ResidualState, post: ResidualState, v: int,
         return
     g, red = pre.graph, post.red_mask
     full = (1 << g.n) - 1
-    index, cycle_masks = reg.cycle_index, reg.cycle_masks
-    if reg.member_mask >> v & 1 and cycle_masks[index[v]] | red == full:
+    if reg.member_mask >> v & 1 and reg.cycle_masks[reg.cycle_index[v]] | red == full:
         return
     opens, dom = g.open_masks, pre.dominated_mask
     drop = retained_piece(opens, dom, v, g.n)  # C(v)
-    cycles = 0
-    touched = drop & reg.member_mask
-    while touched:
-        members = cycle_masks[index[(touched & -touched).bit_length() - 1]]
-        touched &= ~members
-        cycles |= members
+    cycles = sum(_cycles_meeting(reg, drop & reg.member_mask))  # the cycles are disjoint
     rest = cycles & ~drop & ~pre.red_mask
     while rest:
         piece = retained_piece(opens, dom, (rest & -rest).bit_length() - 1, g.n)

@@ -18,10 +18,7 @@ from domgame.phases import (
     F_decrease,
     F_value,
     PhaseContext,
-    _F_memo,
     _penalty,
-    _shape_masks,
-    _status,
     maybe_advance,
     shade_for_phase,
 )
@@ -36,6 +33,7 @@ from domgame.residual import (
     init_state,
     is_over,
     legal_moves,
+    vertices_of,
 )
 from domgame.solver import GameValue
 from domgame.strategy import dominator_greedy, play_game
@@ -240,23 +238,55 @@ def nonspecial_blue_leaf(s):
     return None
 
 
+def _shape_masks(comps):
+    """(vertices in components of order >= 4, vertices in BWB components):
+    all that _status reads of the components."""
+    big = bwb = 0
+    for c in comps:
+        if c.order >= 4:
+            big |= c.mask
+        elif c.kind is ComponentKind.BWB:
+            bwb |= c.mask
+    return big, bwb
+
+
+def _status(reg, i, opens, dom, red, big, bwb):
+    """The status of X-cycle i from its definition, read off a state's
+    dominated and red masks and its _shape_masks. A cycle edge stops being
+    retained when both its ends are dominated, so the cycle is closed when
+    no dominated member has a dominated ring neighbor; it is open when
+    some dominated member in big has exactly one white neighbor, and
+    finished when every member is red or in a BWB component. No red
+    vertex is in big."""
+    members = reg.cycle_masks[i]
+    if not any(reg.ring_masks[u] & dom for u in vertices_of(members & dom)):
+        return CycleStatus.CLOSED
+    if any((opens[u] & ~dom).bit_count() == 1 for u in vertices_of(members & dom & big)):
+        return CycleStatus.OPEN
+    if members & ~(red | bwb) == 0:
+        return CycleStatus.FINISHED
+    return CycleStatus.OTHER
+
+
 def F_decrease_resplit(s, reg, v):
     """F(s) - F(s after v, shaded dark) by re-splitting all of C(v), v's
     retained-edge component, in the state apply_move builds, and
-    classifying again every X-cycle with a member in C(v); the components
-    outside C(v) are s's own. post's components refine s's, so C(v)'s
-    pieces are those of post that meet it."""
-    is_open = _F_memo(s, reg)[1]
+    classifying again with _status, before and after the move, every
+    X-cycle with a member in C(v); the components outside C(v) are s's
+    own. post's components refine s's, so C(v)'s pieces are those of post
+    that meet it."""
     post = apply_move(s, v, Color.DARK_BLUE)
     comps = s.components()
     comp = next(c for c in comps if c.mask >> v & 1)
     pieces = [c for c in post.components() if c.mask & comp.mask]
     dec = s.f - post.f - _penalty(comp.kind) + sum(_penalty(c.kind) for c in pieces)
+    opens, pre_masks = s.graph.open_masks, _shape_masks(comps)
     masks = _shape_masks([c for c in comps if c is not comp] + pieces)
     for i, members in enumerate(reg.cycle_masks):
         if members & comp.mask:
-            status = _status(reg, i, s.graph.open_masks, post.dominated_mask, post.red_mask, *masks)
-            dec -= is_open[i] - (status is CycleStatus.OPEN)
+            was = _status(reg, i, opens, s.dominated_mask, s.red_mask, *pre_masks)
+            status = _status(reg, i, opens, post.dominated_mask, post.red_mask, *masks)
+            dec -= (was is CycleStatus.OPEN) - (status is CycleStatus.OPEN)
     return dec
 
 

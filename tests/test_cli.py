@@ -65,9 +65,10 @@ def test_solve_cap_above_default_exits_2(p3_file, capsys):
 
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.g"
-    bad.write_text("2 1\n0 0\n", encoding="utf-8")
-    assert main(["solve", str(bad)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    for text, where in [("2 1\n0 0\n", "line 2"), ("2000000 1\n0 1\n", "line 1: n=2000000")]:
+        bad.write_text(text, encoding="utf-8")
+        assert main(["solve", str(bad)]) == 2
+        assert where in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(p2_file):

@@ -22,7 +22,11 @@ moves and read cycle status off the open witnesses.
 verify_reports.json holds the verifier's reports, witnesses included, for
 games on the golden graphs and for the single-field mutations of
 tests/transcript_cases.py; it was recorded by that script before the
-transcript claims became one table.
+transcript claims became one table. Its cycles475 games were added before
+the X-cycle status was read off the open witnesses alone: with Dominator
+first, the min-decrease and random0 games play 240 and 190 phase-3/4
+moves, 50 of each closing an open cycle, and the random0 audit reads the
+status of all 50 cycles where phase 4 starts.
 
 verify_search12 runs `domgame verify` on search12.json, one graph each of
 trees with n = 11 and 12, G(12, 0.25), G(12, 0.5), a caterpillar with

@@ -47,6 +47,7 @@ def test_parse_c4():
     ("3 1\n1 1", 2),               # self-loop
     ("3 2\n0 1\n1 0", 3),          # duplicate edge
     ("2 1\n0 1\nrest", 3),         # trailing garbage
+    ("2000000 1\n0 1", 1),         # n > 2m: isolated vertices, rejected before allocating
 ])
 def test_parse_errors_name_line(text, line):
     with pytest.raises(ParseError) as exc:

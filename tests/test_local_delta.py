@@ -15,8 +15,10 @@ cycles with pendant paths and chords. components() is compared with a
 plain breadth-first search (oracles.components_bfs). f_decreases, the
 batch scorer, is compared with the oracle move on random sets of live
 vertices, in games from both starts. The open witnesses memoized with F
-are compared with their definition on components_bfs, and the open flags
-they give with _status. The score tables, with the f- and F-decreases a
+are compared with their definition on components_bfs, and the cycles
+they call open, the open-cycle count and cycle_status with the oracle
+status (oracles._status) on those components, before and after every
+move. The score tables, with the f- and F-decreases a
 state inherits through step from the state before it, are compared with
 the scores on fresh states, along mixed games and at the nodes of the
 worst-case search (on paths, trees, cycles and unions of cycles); the
@@ -59,11 +61,19 @@ from domgame import (
     staller_worst_case,
 )
 from domgame import strategy
-from domgame.phases import CycleStatus, F_table, _F_memo, _status, cycle_status, potential_table
+from domgame.phases import (
+    CycleStatus,
+    F_table,
+    _F_memo,
+    cycle_status,
+    open_cycle_count,
+    potential_table,
+)
 from domgame.residual import WEIGHT, live_mask, vertices_of
 from domgame.strategy import opening, step
 from oracles import (
     F_decrease_resplit,
+    _status,
     apply_move_full,
     colors,
     components_bfs,
@@ -299,8 +309,9 @@ def test_open_flags_from_witness_masks_match_status(drawn, seed):
     move from it, under the frozen registry and the graph's own cycles,
     the open witnesses memoized with F are the dominated members of the
     components of order >= 4 (by components_bfs) with exactly one white
-    neighbor, and a cycle holds one exactly when _status on those
-    components calls it open."""
+    neighbor, a cycle holds one exactly when the oracle _status on those
+    components calls it open, open_cycle_count counts the cycles it calls
+    open, and cycle_status gives its status."""
     _, g, cycles = drawn
     own = XCycleRegistry(cycles)
     opens = g.open_masks
@@ -313,9 +324,11 @@ def test_open_flags_from_witness_masks_match_status(drawn, seed):
                 witness = _F_memo(state, reg)[5]
                 assert witness == sum(1 << u for u in vertices_of(reg.member_mask & dom & big)
                                       if (opens[u] & ~dom).bit_count() == 1)
+                statuses = [_status(reg, i, opens, dom, red, big, bwb) for i in range(len(reg))]
                 for i, members in enumerate(reg.cycle_masks):
-                    status = _status(reg, i, opens, dom, red, big, bwb)
-                    assert bool(witness & members) == (status is CycleStatus.OPEN)
+                    assert bool(witness & members) == (statuses[i] is CycleStatus.OPEN)
+                    assert cycle_status(reg, i, state) is statuses[i]
+                assert open_cycle_count(state, reg) == statuses.count(CycleStatus.OPEN)
 
 
 def assert_tables_exact(s):

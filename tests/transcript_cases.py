@@ -39,7 +39,7 @@ def played_transcripts():
     the min-decrease Staller, a random Staller and, for n <= 12, the
     worst-case Staller."""
     out = []
-    for name in ("tree30", "cycles24", "gnp10"):
+    for name in ("tree30", "cycles24", "gnp10", "cycles475"):
         g = golden_graph(name)
         for first in "DS":
             out.append((f"{name}/{first}/min", g,
