@@ -1,13 +1,14 @@
-"""Exact game values by memoized minimax over undominated-vertex bitmasks.
+"""Exact game values by threshold tests over undominated-vertex bitmasks.
 
-Legality and termination depend only on which vertices are still
-undominated, so a state is an (undominated mask, side to move) pair, and
-the memo is one flat byte table indexed by both (see `game_value`).
-
-Two facts of Kinnersley, West and Zamani (KWZ, SIAM J. Discrete Math.
-2013) about every such state make the search exact with less work: the
-Continuation Principle (undominating more vertices never shortens the
-game) and the gap (the two sides to move differ by at most 1).
+A state is an (undominated mask, side to move) pair, since legality and
+termination depend only on which vertices are still undominated. As in the
+null-window searches of Plaat, Schaeffer, Pijls and de Bruin (Artificial
+Intelligence 1996), a test asks only whether a state's value is at most k:
+it stops at the first child that decides it, and its answer is kept as a
+bound in one table of lower and upper bounds (see `game_value`). An exact
+value is the first k, counted up from the lower bound, that passes. By the
+Continuation Principle of Kinnersley, West and Zamani (SIAM J. Discrete
+Math. 2013), Dominator plays only `Graph.maximal_closed`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,61 @@ def _as_mask(g: Graph, undominated) -> int:
     return mask
 
 
+def _search(g: Graph, memo: bytearray, query):
+    """``query(at_most, value)``, where ``at_most(m, dominator_to_move, k)``
+    tests value <= k on the table `memo` and ``value`` is the exact value."""
+    full = (1 << g.n) - 1
+    keeps = [full ^ c for c in g.closed_masks]  # what a move leaves undominated
+    # If N[v] lies in N[w], then w is legal wherever v is and leaves less
+    # undominated, so by the Continuation Principle it is no worse for Dominator.
+    dominator_keeps = [keeps[v] for v in g.maximal_closed]
+
+    # Both tests take a non-empty m and a k >= 1 that m's bounds leave open,
+    # and read a child's bounds before recursing. An empty child passes
+    # every test at k - 1 >= 0, a non-empty one fails every test at 0.
+    def dominator(m: int, k: int) -> bool:
+        j = k - 1
+        for keep in dominator_keeps:
+            nm = m & keep
+            if nm != m and (not nm or j and memo[nm << 2] <= j and (
+                    0 < memo[nm << 2 | 1] <= j or staller(nm, j))):
+                memo[m << 2 | 3] = k
+                return True
+        memo[m << 2 | 2] = k + 1
+        return False
+
+    def staller(m: int, k: int) -> bool:
+        j = k - 1
+        for keep in keeps:
+            nm = m & keep
+            if nm != m and nm and not 0 < memo[nm << 2 | 3] <= j and (
+                    not j or memo[nm << 2 | 2] > j or not dominator(nm, j)):
+                memo[m << 2] = k + 1
+                return False
+        memo[m << 2 | 1] = k
+        return True
+
+    def at_most(m: int, dominator_to_move: bool, k: int) -> bool:
+        if not m or k < 1:
+            return not m and k >= 0
+        i = m << 2 | dominator_to_move << 1
+        if memo[i] > k or 0 < memo[i | 1] <= k:
+            return memo[i] <= k
+        return dominator(m, k) if dominator_to_move else staller(m, k)
+
+    def value(m: int, dominator_to_move: bool) -> int:
+        k = memo[m << 2 | dominator_to_move << 1]
+        while not at_most(m, dominator_to_move, k):
+            k += 1
+        return k
+
+    result = query(at_most, value)
+    # The two tests refer to each other; breaking that cycle frees memo
+    # as soon as the last caller drops it, not at the next gc pass.
+    del dominator, staller
+    return result
+
+
 def game_value(g: Graph, undominated=None, dominator_to_move: bool = True,
                memo: bytearray | None = None) -> int:
     """Optimal remaining game length from the given undominated set.
@@ -53,92 +109,36 @@ def game_value(g: Graph, undominated=None, dominator_to_move: bool = True,
     dominates at least one new vertex. `undominated` may be a bitmask, an
     iterable of vertex ids, or None for all vertices.
 
-    `memo` is a ``bytearray(2 << g.n)`` that may be shared across calls on
-    the same graph: entry ``2*mask + 1`` caches the value of `mask` with
-    Dominator to move, entry ``2*mask`` with Staller to move, and 0 marks
-    an entry not yet solved (every non-empty mask has value at least 1).
+    `memo` is a ``bytearray(4 << g.n)`` of bounds that calls on the same
+    graph may share: bytes ``4*mask + 2`` and ``4*mask + 3`` hold a lower
+    and an upper bound on the value of `mask` with Dominator to move, bytes
+    ``4*mask`` and ``4*mask + 1`` with Staller to move; 0 means unknown.
     """
     mask = _as_mask(g, undominated)
     if memo is None:
-        memo = bytearray(2 << g.n)
-    elif len(memo) != 2 << g.n:
-        raise ValueError(f"memo must be bytearray(2 << n) = {2 << g.n} bytes, "
-                         f"got {len(memo)}")
-    if not mask:
-        return 0
-    full = (1 << g.n) - 1
-    keeps = [full ^ c for c in g.closed_masks]  # what a move leaves undominated
-    # If N[v] is inside N[w], then w is legal wherever v is and leaves a
-    # subset of what v leaves undominated, so by the Continuation Principle
-    # (KWZ) w never serves Dominator worse than v.
-    dominator_keeps = [keeps[v] for v in g.maximal_closed]
-
-    # Each side reads a child's entry before recursing, so a hit costs no call.
-    def dominator(m: int) -> int:
-        # By the gap |value(m, Dominator) - value(m, Staller)| <= 1 (KWZ), no
-        # child is worth less than value(m, Staller) - 2, once that is known.
-        floor = memo[m << 1] - 2
-        best = 255
-        for keep in dominator_keeps:
-            nm = m & keep
-            if nm == m:
-                continue
-            if not nm:
-                best = 0  # ending now is optimal for the minimizer
-                break
-            sub = memo[nm << 1] or staller(nm)
-            if sub < best:
-                best = sub
-                if sub <= floor:
-                    break
-        best += 1
-        memo[m << 1 | 1] = best
-        return best
-
-    def staller(m: int) -> int:
-        # By the Continuation Principle (KWZ) a child, whose undominated set
-        # is a subset of m, is worth at most value(m, Dominator), once known.
-        ceiling = memo[m << 1 | 1] or 255
-        best = 0
-        for keep in keeps:
-            nm = m & keep
-            if nm != m and nm:
-                sub = memo[nm << 1 | 1] or dominator(nm)
-                if sub > best:
-                    best = sub
-                    if sub >= ceiling:
-                        break
-        best += 1
-        memo[m << 1] = best
-        return best
-
-    if dominator_to_move:
-        value = memo[mask << 1 | 1] or dominator(mask)
-    else:
-        value = memo[mask << 1] or staller(mask)
-    # The two closures refer to each other; breaking that cycle frees memo
-    # as soon as the last caller drops it, not at the next gc pass.
-    del dominator, staller
-    return value
+        memo = bytearray(4 << g.n)
+    elif len(memo) != 4 << g.n:
+        raise ValueError(f"memo must be bytearray(4 << n) = {4 << g.n} bytes, got {len(memo)}")
+    return _search(g, memo, lambda _, value: value(mask, bool(dominator_to_move)))
 
 
 def solve_game(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> GameValue:
-    """Both game values plus optimal first moves (ties to the smallest id)."""
+    """Both game values plus optimal first moves (ties to the smallest id);
+    past vertex 0 a move is solved only once a test shows it strictly better."""
     if not g.is_isolate_free():
         raise ValueError("game values need an isolate-free graph")
     if g.n > cap:
         raise ResourceLimitError(f"n={g.n} exceeds solver cap {cap}")
-    masks = g.closed_masks
-    full = (1 << g.n) - 1
-    memo = bytearray(2 << g.n)
-    best_d = best_s = None
-    move_d = move_s = 0
-    for v in range(g.n):
-        after = full & ~masks[v]
-        val_d = 1 + game_value(g, after, False, memo)
-        val_s = 1 + game_value(g, after, True, memo)
-        if best_d is None or val_d < best_d:
-            best_d, move_d = val_d, v
-        if best_s is None or val_s > best_s:
-            best_s, move_s = val_s, v
-    return GameValue(best_d, best_s, move_d, move_s)
+    after = [(1 << g.n) - 1 ^ c for c in g.closed_masks]  # undominated after each move
+
+    def first_moves(at_most, value) -> GameValue:
+        best_d, best_s = 1 + value(after[0], False), 1 + value(after[0], True)
+        move_d = move_s = 0
+        for v in range(1, g.n):
+            if at_most(after[v], False, best_d - 2):
+                best_d, move_d = 1 + value(after[v], False), v
+            if not at_most(after[v], True, best_s - 1):
+                best_s, move_s = 1 + value(after[v], True), v
+        return GameValue(best_d, best_s, move_d, move_s)
+
+    return _search(g, bytearray(4 << g.n), first_moves)

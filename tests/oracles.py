@@ -68,9 +68,11 @@ def game_value_bruteforce(g, undominated, dominator_turn):
 
 
 def game_value_unpruned(g, mask, dominator_to_move, memo):
-    """The memoized minimax without move pruning or cutoffs: both sides try
-    every vertex at every state. Same memo layout as `solver.game_value`
-    (byte 2*mask + 1 with Dominator to move, 2*mask with Staller)."""
+    """The memoized minimax without move pruning, cutoffs or bounds: both
+    sides try every vertex at every state and every child is solved
+    exactly. `memo` is a bytearray(2 << n) of exact values, byte 2*mask + 1
+    with Dominator to move and 2*mask with Staller, 0 if not yet solved;
+    `solver.game_value` keeps bounds in a table of its own layout."""
     if not mask:
         return 0
     full = (1 << g.n) - 1

@@ -34,6 +34,12 @@ spine 4 and C12, so the worst-case search runs at its cap of n = 12 on
 graphs the smoke corpus (paths, cycles and stars up to n = 10) lacks. It
 was recorded before the search tested its cutoff on a child before
 playing it.
+
+solve_tree20 runs `domgame solve` on tree20.g, gen_random_tree(20, 7)
+(`domgame gen tree 20 tree20.g --seed 7`): gamma_g = gamma_g' = 10 with
+first moves 2 and 0. It was recorded while the solver still computed the
+exact value of every child, before it ran threshold tests on a table of
+bounds.
 """
 
 from pathlib import Path
@@ -58,6 +64,7 @@ CASES = {
                         "--first", "d", "--json"],
     "simulate_cycles475": ["simulate", "cycles475.g", "--staller", "random", "--seed", "5",
                            "--first", "d", "--json"],
+    "solve_tree20": ["solve", "tree20.g", "--json"],
     "verify_smoke": ["verify", "smoke", "--json"],
     "verify_search12": ["verify", "search12.json", "--json"],
 }

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domgame import (
+    GameValue,
     Graph,
     ResourceLimitError,
     enumerate_labeled_graphs,
@@ -69,7 +70,7 @@ def test_value_depends_only_on_undominated_set():
 
 def test_optimal_moves_walk_down_by_one():
     g = gen_gnp_isolate_free(8, 0.3, 11)
-    memo = bytearray(2 << g.n)
+    memo = bytearray(4 << g.n)
     full = (1 << g.n) - 1
     masks = g.closed_masks
     mask, turn = full, True
@@ -100,8 +101,9 @@ def test_bool_and_float_ids_are_rejected(bad):
 
 def test_memo_must_be_the_graph_table():
     g = gen_path(4)
-    with pytest.raises(ValueError, match="bytearray"):
-        game_value(g, memo=bytearray(2 << 5))
+    for size in (4 << 5, 2 << 4):  # the table of n = 5, and of n = 4 with one byte per state
+        with pytest.raises(ValueError, match="bytearray"):
+            game_value(g, memo=bytearray(size))
 
 
 def test_game_value_lets_go_of_its_memo():
@@ -109,7 +111,7 @@ def test_game_value_lets_go_of_its_memo():
     the table's reference count is back where it was once game_value
     returns, so the table is freed with its last owner."""
     g = gen_random_tree(10, 3)
-    memo = bytearray(2 << g.n)
+    memo = bytearray(4 << g.n)
     gc.disable()
     try:
         before = sys.getrefcount(memo)
@@ -131,7 +133,7 @@ def test_residual_states_match_bruteforce(n, seed, tree, masks):
     """Random undominated sets, either side to move, one table per graph so
     that Dominator and Staller entries of the same mask coexist."""
     g = _graph(n, seed, tree)
-    memo = bytearray(2 << n)
+    memo = bytearray(4 << n)
     for m in masks:
         m &= (1 << n) - 1
         rest = frozenset(v for v in range(n) if m >> v & 1)
@@ -147,7 +149,7 @@ def test_continuation_principle_and_gap(n, seed, tree, pairs):
     """Kinnersley-West-Zamani: undominating more vertices never shortens the
     game, and the two starts differ by at most one on any residual state."""
     g = _graph(n, seed, tree)
-    memo = bytearray(2 << n)
+    memo = bytearray(4 << n)
     for big, sub in pairs:
         big &= (1 << n) - 1
         small = big & sub
@@ -203,14 +205,15 @@ def _with_true_twins(g, picks):
 
 
 @st.composite
-def solver_graphs(draw):
-    """Trees, caterpillars, G(n, p), cycles and G(n, p) grown by true twins."""
+def solver_graphs(draw, n_max=14):
+    """Trees, caterpillars, G(n, p), cycles and G(n, p) grown by true twins,
+    with at most n_max vertices."""
     family = draw(st.sampled_from(["tree", "caterpillar", "gnp", "cycle", "twins"]))
     if family == "caterpillar":
         legs = draw(st.lists(st.integers(0, 3), min_size=2, max_size=6)
-                    .filter(lambda legs: len(legs) + sum(legs) <= 14))
+                    .filter(lambda legs: len(legs) + sum(legs) <= n_max))
         return gen_caterpillar(len(legs), legs)
-    n = draw(st.integers(3, 14))
+    n = draw(st.integers(3, n_max))
     if family == "cycle":
         return gen_cycle(n)
     seed = draw(st.integers(0, 2**31))
@@ -229,17 +232,36 @@ def solver_graphs(draw):
                         min_size=1, max_size=8))
 @settings(max_examples=600)
 def test_pruned_solver_matches_unpruned_oracle(g, queries):
-    """Random masks and sides on one table per graph, so that the cutoffs
-    read entries that earlier queries left; afterwards every solved entry
-    of the table must equal the unpruned solver's value."""
-    memo = bytearray(2 << g.n)
+    """Random masks and sides on one table per graph, so that the tests
+    read bounds that earlier queries left; afterwards every entry of the
+    table must bracket the unpruned solver's value, so that an entry with
+    equal bounds holds exactly that value."""
+    memo = bytearray(4 << g.n)
     oracle = bytearray(2 << g.n)
     for m, dom_turn in queries:
         m &= (1 << g.n) - 1
         assert game_value(g, m, dom_turn, memo) == game_value_unpruned(g, m, dom_turn, oracle)
-    for i, value in enumerate(memo):
-        if value:
-            assert value == game_value_unpruned(g, i >> 1, bool(i & 1), oracle), (i >> 1, i & 1)
+    for i in range(0, len(memo), 2):
+        lower, upper = memo[i], memo[i + 1]
+        if lower or upper:
+            mask, dom_turn = i >> 2, bool(i & 2)
+            value = game_value_unpruned(g, mask, dom_turn, oracle)
+            assert lower <= value and (not upper or value <= upper), (mask, dom_turn)
+
+
+@given(g=solver_graphs(n_max=12))
+@settings(max_examples=200)
+def test_solve_game_matches_unpruned_on_random_graphs(g):
+    """Both values and both first moves, ties to the smallest id, where
+    the solver past vertex 0 only tests whether a move is strictly better."""
+    assert solve_game(g) == solve_game_unpruned(g), g.adjacency
+
+
+def test_first_moves_with_several_dominating_vertices():
+    """In K4 every vertex ends the game at once, so vertex 0 is both first
+    moves: a later move that ends the game ties and is no improvement."""
+    k4 = Graph.from_edges(4, list(combinations(range(4), 2)))
+    assert solve_game(k4) == GameValue(1, 1, 0, 0) == solve_game_unpruned(k4)
 
 
 def test_solve_game_matches_unpruned_on_all_small_graphs():
