@@ -155,6 +155,8 @@ def cmd_verify(args) -> int:
             print(f"FAILURES: {len(report.failures)}")
             for path in witness_paths:
                 print(f"  witness: {path}")
+        elif not spec.checks:
+            print("no checks requested")
         else:
             print("all checks that ran passed" if never else "all checks passed")
     return 0 if report.ok else 1

@@ -29,10 +29,10 @@ from .residual import (
     _weight,
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     f_decrease,
-    f_table,
     live_mask,
     piece_kind,
     retained_piece,
+    score_table,
     vertices_of,
     white_degree,
     white_mask,
@@ -46,12 +46,13 @@ class CycleStatus(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XCycleRegistry:
     """Cycle components of the white subgraph, frozen when phase 3 begins.
 
     Each entry lists its vertices in cyclic order; entries are pairwise
-    disjoint and each had length >= 4 at freeze time.
+    disjoint and each had length >= 4 at freeze time. A registry keys its
+    F table in a state's tables, so it hashes and compares by identity.
     """
 
     cycles: tuple[tuple[int, ...], ...]
@@ -114,7 +115,7 @@ def phase1_active(s: ResidualState) -> bool:
 
 def phase2_active(s: ResidualState) -> bool:
     """True while some move still drops f by at least 11 (dark shading)."""
-    return f_table(s, Color.DARK_BLUE).reaches(
+    return score_table(s, Color.DARK_BLUE).reaches(
         11, live_mask(s), lambda v: f_decrease(s, v, Color.DARK_BLUE))
 
 
@@ -257,15 +258,6 @@ def F_value(s: ResidualState, reg: XCycleRegistry) -> int:
     return _F_memo(s, reg)[0]
 
 
-def _F_entry(s: ResidualState, reg: XCycleRegistry) -> list:
-    """s.F_memo for reg, started if it holds another registry's: [reg, the
-    ScoreTable of F_decrease's scores, _F_memo's summary or None]."""
-    memo = s.F_memo
-    if memo is None or memo[0] is not reg:
-        memo = s.F_memo = [reg, ScoreTable(), None]
-    return memo
-
-
 def _witnesses(opens: tuple[int, ...], dom: int, m: int) -> int:
     """The vertices of the mask m with exactly one neighbor outside the
     dominated mask dom: one white neighbor, in a state with that mask."""
@@ -293,30 +285,32 @@ def _cycles_meeting(reg: XCycleRegistry, m: int) -> list[int]:
 def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
     """(F, the number of open X-cycles, the mask big of the components of
     order >= 4, the mask of the BWB components, that of the WB+
-    components, the open witnesses), computed once per state and registry
-    from one pass over s's components.
+    components, the open witnesses), computed from one pass over s's
+    components and kept in s.F_memo with reg until another registry asks.
 
     An open witness is a dominated member in big with exactly one white
     neighbor, and an X-cycle is open exactly when it holds one. A witness
     has a dominated ring neighbor, so its cycle is not closed.
     """
-    memo = _F_entry(s, reg)
-    if memo[2] is None:
-        big = bwb = wb_plus = 0
-        for c in s.components():
-            if c.order >= 4:
-                big |= c.mask
-            elif c.kind is ComponentKind.BWB:
-                bwb |= c.mask
-            elif c.kind is ComponentKind.WB_PLUS:
-                wb_plus |= c.mask
-        dom = s.dominated_mask
-        witness = _witnesses(s.graph.open_masks, dom, reg.member_mask & dom & big)
-        n_open = len(_cycles_meeting(reg, witness))
-        # a WB+ component has 2 vertices and a BWB one 3
-        F = s.f - n_open - wb_plus.bit_count() // 2 - bwb.bit_count()
-        memo[2] = (F, n_open, big, bwb, wb_plus, witness)
-    return memo[2]
+    memo = s.F_memo
+    if memo is not None and memo[0] is reg:
+        return memo[1]
+    big = bwb = wb_plus = 0
+    for c in s.components():
+        if c.order >= 4:
+            big |= c.mask
+        elif c.kind is ComponentKind.BWB:
+            bwb |= c.mask
+        elif c.kind is ComponentKind.WB_PLUS:
+            wb_plus |= c.mask
+    dom = s.dominated_mask
+    witness = _witnesses(s.graph.open_masks, dom, reg.member_mask & dom & big)
+    n_open = len(_cycles_meeting(reg, witness))
+    # a WB+ component has 2 vertices and a BWB one 3
+    F = s.f - n_open - wb_plus.bit_count() // 2 - bwb.bit_count()
+    summary = (F, n_open, big, bwb, wb_plus, witness)
+    s.F_memo = (reg, summary)
+    return summary
 
 
 def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
@@ -342,8 +336,8 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     can change status; _cycles_meeting finds them. The masks after the
     move and N[newly] come from _masks_after, the pieces and their kinds
     from residual's retained_piece and piece_kind, and no state is built.
-    It neither reads nor writes F_table(s, reg), which adds the scores it
-    asks for.
+    It neither reads nor writes score_table(s, reg), which adds the
+    scores it asks for.
     """
     big, bwb, wb_plus, witness = _F_memo(s, reg)[2:]
     g, opens = s.graph, s.graph.open_masks
@@ -371,11 +365,6 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     return dec
 
 
-def F_table(s: ResidualState, reg: XCycleRegistry) -> ScoreTable:
-    """s's table of F-decreases under reg."""
-    return _F_entry(s, reg)[1]
-
-
 def carry_F_decreases(pre: ResidualState, post: ResidualState, v: int,
                       reg: XCycleRegistry) -> None:
     """Hand post, the state after v is played from pre in phase 3 or 4,
@@ -396,8 +385,8 @@ def carry_F_decreases(pre: ResidualState, post: ResidualState, v: int,
     the vertices outside the drop; post's F and masks are computed when
     first asked for.
     """
-    memo = pre.F_memo
-    if memo is None or memo[0] is not reg or not memo[1].scored:
+    table = pre.tables.get(reg)
+    if table is None or not table.scored:
         return
     g, red = pre.graph, post.red_mask
     full = (1 << g.n) - 1
@@ -413,12 +402,12 @@ def carry_F_decreases(pre: ResidualState, post: ResidualState, v: int,
         rest &= ~piece
     if drop | red == full:
         return
-    post.F_memo = [reg, memo[1].without(drop), None]
+    post.tables[reg] = table.without(drop)
 
 
 def phase3_active(s: ResidualState, reg: XCycleRegistry) -> bool:
     """True while some move still drops F by at least 10."""
-    return F_table(s, reg).reaches(10, live_mask(s), lambda v: F_decrease(s, reg, v))
+    return score_table(s, reg).reaches(10, live_mask(s), lambda v: F_decrease(s, reg, v))
 
 
 def advance_phases_1_2(ctx: PhaseContext, s: ResidualState) -> tuple[int, XCycleRegistry | None]:
@@ -471,6 +460,4 @@ def potential_decrease(ctx: PhaseContext, s: ResidualState, v: int) -> int:
 
 def potential_table(ctx: PhaseContext, s: ResidualState) -> ScoreTable:
     """The ScoreTable of potential_decrease's scores on s."""
-    if ctx.phase <= 2:
-        return f_table(s, shade_for_phase(ctx.phase))
-    return F_table(s, ctx.registry)
+    return score_table(s, shade_for_phase(ctx.phase) if ctx.phase <= 2 else ctx.registry)

@@ -110,17 +110,6 @@ class ScoreTable:
             rest ^= low
         return False
 
-    def fill(self, live: int, score: Callable[[int], int]) -> ScoreTable:
-        """Score each unscored vertex of `live` with score(v) and add it;
-        returns the table, which then holds every vertex of `live`."""
-        rest = live & ~self.scored
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            self.add(v, score(v))
-            rest ^= low
-        return self
-
     def add_all(self, scores: dict[int, int]) -> ScoreTable:
         """Add each vertex of `scores` with its score; returns the table."""
         buckets = self.buckets
@@ -151,29 +140,18 @@ class ResidualState:
     ones and ``light_mask`` the light-blue ones; a dark-blue vertex is
     dominated, not red and not light. The weight sum ``f`` is counted from
     the masks by the one constructor, and the snapshot text is read off
-    them. Components are computed on first use and memoized. The
-    f-decreases that a table asks for are kept in one ScoreTable per shade
-    (f_table). ``F_memo`` is where phases memoizes the potential F, its
-    masks and the table of its decreases per registry. A state apply_move
-    builds keeps the move's N[newly] as ``move_near`` (None on the others).
-
-    The f-decreases also carry from one state to the next: when a move on v
-    is played in phase 1 or 2, carry_f_decreases hands the state after it
-    every score of the state before it, in the move's shade, whose vertex lies
-    outside N[A] ∪ N[W' ∩ N^2[A]], with A = N[v] ∩ W the newly dominated
-    vertices and W' the white set after the move. f_decrease(x) reads W on
-    N[x] and the red bit, light bit and W ∩ N[u] of each u in
-    N[W ∩ N[x]]; the move changes W only on A and red and light bits only
-    on N[A], so no score outside the ball changes. In phases 3 and 4,
-    phases.carry_F_decreases hands on the F-decreases outside C(v), v's
-    retained-edge component, and outside every component that meets an
-    X-cycle meeting C(v). Callers treat instances as values: apply_move
-    returns a new state, and a carry gives the new state tables of its
-    own, never changing the old state's.
+    them. Components are computed on first use and memoized. ``tables``
+    holds one ScoreTable per potential (score_table): f's keyed by its
+    shade, F's by its X-cycle registry. ``F_memo`` is where phases
+    memoizes F's summary, as (registry, summary). A state apply_move
+    builds keeps the move's N[newly] as ``move_near`` (None on the
+    others). Callers treat instances as values: apply_move returns a new
+    state, and a carry (carry_f_decreases, phases.carry_F_decreases) gives
+    it tables of its own, never changing the old state's.
     """
 
     __slots__ = ("graph", "dominated_mask", "red_mask", "light_mask", "f",
-                 "_components", "_f_tables", "F_memo", "move_near")
+                 "_components", "tables", "F_memo", "move_near")
 
     def __init__(self, graph: Graph, dominated_mask: int, red_mask: int, light_mask: int):
         self.graph = graph
@@ -182,8 +160,8 @@ class ResidualState:
         self.light_mask = light_mask
         self.f = _weight(graph.n, dominated_mask, red_mask, light_mask)
         self._components: tuple[Component, ...] | None = None
-        self._f_tables: dict[Color, ScoreTable] = {}
-        self.F_memo: list | None = None
+        self.tables: dict[object, ScoreTable] = {}
+        self.F_memo: tuple | None = None
         self.move_near: int | None = None
 
     def _color_bytes(self) -> bytes:
@@ -430,11 +408,12 @@ def apply_move(s: ResidualState, v: int, shade: Color) -> ResidualState:
     return post
 
 
-def f_table(s: ResidualState, shade: Color) -> ScoreTable:
-    """s's table of f-decreases under the given shade."""
-    table = s._f_tables.get(shade)
+def score_table(s: ResidualState, key: object) -> ScoreTable:
+    """s's ScoreTable of one potential's decreases: f's under the shade
+    `key`, or F's under the X-cycle registry `key`."""
+    table = s.tables.get(key)
     if table is None:
-        table = s._f_tables[shade] = ScoreTable()
+        table = s.tables[key] = ScoreTable()
     return table
 
 
@@ -442,8 +421,8 @@ def f_decrease(s: ResidualState, v: int, shade: Color) -> int:
     """Weight-sum drop if v were played now; strictly positive for legal v.
 
     Counts f of the masks after the move without building the next state.
-    It neither reads nor writes f_table(s, shade), which adds the scores it
-    asks for.
+    It neither reads nor writes score_table(s, shade), which adds the
+    scores it asks for.
     """
     dom, red, light, _ = _masks_after(s, v, shade)
     return s.f - _weight(s.graph.n, dom, red, light)
@@ -506,10 +485,10 @@ def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int, shade: Co
     """Hand post, the state apply_move built by playing v from pre in the
     given shade, each f_decrease of that shade scored on pre whose vertex
     lies outside N[A] ∪ N[W' ∩ N^2[A]], where A = N[v] ∩ W is what the
-    move newly dominates and W' is post's white set. A phase's moves are played in
-    its shade, and phases never go back, so later states read f in the
-    move's shade or not at all: phase 1 reads light scores, phase 2 dark
-    ones, and a phase-1 state holds no dark scores to hand on.
+    move newly dominates and W' is post's white set. A phase's moves are
+    played in its shade, and phases never go back, so later states read f
+    in the move's shade or not at all: phase 1 reads light scores, phase 2
+    dark ones, and a phase-1 state holds no dark scores to hand on.
 
     f_decrease(x) reads W on N[x], and the red bit, the light bit and
     W ∩ N[u] of each u in N[W ∩ N[x]] (f_decreases). The move changes W
@@ -518,11 +497,12 @@ def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int, shade: Co
     N[A] only if x lies in N[W' ∩ N^2[A]]; so outside the ball nothing the
     score reads changes. The ball lies inside N^4[v]; its N[A] is post's
     move_near. Nothing is carried when the ball covers every non-red
-    vertex of post, where every score would be dropped. pre's tables are read, not changed: post gets new
-    ones, each bucket and scored mask cut to the vertices outside the
-    ball, in O(#buckets) mask operations.
+    vertex of post, where every score would be dropped. pre's table is
+    read, not changed: post gets a new one, each bucket and the scored
+    mask cut to the vertices outside the ball, in O(#buckets) mask
+    operations.
     """
-    table = pre._f_tables.get(shade)
+    table = pre.tables.get(shade)
     if table is None:
         return
     closed = pre.graph.closed_masks
@@ -532,7 +512,7 @@ def carry_f_decreases(pre: ResidualState, post: ResidualState, v: int, shade: Co
     ball |= _neighborhood(closed, near)
     if ball | post.red_mask == (1 << pre.graph.n) - 1:
         return
-    post._f_tables = {shade: table.without(ball)}
+    post.tables[shade] = table.without(ball)
 
 
 def white_degree(s: ResidualState, v: int) -> int:

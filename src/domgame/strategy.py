@@ -39,6 +39,7 @@ from .residual import (
     legal_moves,
     live_mask,
     nth_vertex,
+    vertices_of,
 )
 
 DEFAULT_WORST_CASE_CAP = 12
@@ -114,9 +115,10 @@ def _scored_table(ctx: PhaseContext, s: ResidualState) -> ScoreTable:
     if not live:
         raise IllegalMoveError("no legal moves: the game is over")
     table = potential_table(ctx, s)
+    rest = live & ~table.scored
     if ctx.phase <= 2:
-        return table.add_all(f_decreases(s, live & ~table.scored, shade_for_phase(ctx.phase)))
-    return table.fill(live, lambda v: potential_decrease(ctx, s, v))
+        return table.add_all(f_decreases(s, rest, shade_for_phase(ctx.phase)))
+    return table.add_all({v: potential_decrease(ctx, s, v) for v in vertices_of(rest)})
 
 
 def dominator_greedy(ctx: PhaseContext, s: ResidualState) -> int:
@@ -173,14 +175,9 @@ def step(ctx: PhaseContext, state: ResidualState, idx: int,
     New blues are light only in phase 1. The phase machine is evaluated
     after even-indexed moves that leave the game running, never after the
     last move. A move hands the state after it the scores of the state
-    before it that it cannot have changed. In phase 1 or 2 these are the
-    f-decreases in the move's shade outside N[A] ∪ N[W' ∩ N^2[A]], A the
-    vertices the move newly dominates and W' the white set after it
-    (residual.carry_f_decreases). In phase 3 or 4 they are the
-    F-decreases outside C(v), v's retained-edge component, and outside
-    every component that meets an X-cycle meeting C(v)
-    (phases.carry_F_decreases). So the greedy move and the phase tests
-    there score only the vertices near the move anew.
+    before it that it cannot have changed (residual.carry_f_decreases in
+    phases 1-2, phases.carry_F_decreases in 3-4), so the greedy move and
+    the phase tests there score only the vertices near the move anew.
     """
     post = _play(ctx, state, v)
     if idx % 2 == 0 and not is_over(post):

@@ -38,7 +38,6 @@ from .phases import (
     _end_of_phase2_violation,
     _white_degree_violation,
     F_decrease,
-    F_table,
     cycle_status,
     open_cycle_count,
 )
@@ -49,6 +48,7 @@ from .residual import (
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     live_mask,
     retained_piece,
+    score_table,
     vertices_of,
     white_degree,
     white_mask,
@@ -297,7 +297,7 @@ def _ph2_leaf_holds(rep: _Replay, k: int) -> bool:
     if rep.replayed.records[k].decrease >= 11:
         return True
     state, reg = rep.states[k], rep.registry
-    return F_table(state, reg).reaches(11, live_mask(state), lambda v: F_decrease(state, reg, v))
+    return score_table(state, reg).reaches(11, live_mask(state), lambda v: F_decrease(state, reg, v))
 
 
 def _ph2_leaf_note(rep: _Replay, k: int):
@@ -734,9 +734,9 @@ FAMILIES = {
 def spec_from_json(d: dict) -> CorpusSpec:
     """Parse a corpus spec; the one place that rejects a bad one.
 
-    Every key, type, family name, required parameter and cap is checked
-    here (ConfigError), and each family's params come back with defaults
-    filled in. Only a family that yields no graph is left to corpus_items.
+    Every key, type, family name, required parameter, sign, seed and cap
+    is checked here (ConfigError), and each family's params come back with
+    defaults filled in. Only a family that yields no graph is left to corpus_items.
     """
     if not isinstance(d, dict):
         raise ConfigError("corpus spec must be a JSON object")
@@ -761,8 +761,14 @@ def spec_from_json(d: dict) -> CorpusSpec:
         missing = [k for k, value in params.items() if value is None]
         if missing:
             raise ConfigError(f"family {name!r} needs the parameter {missing[0]!r}")
+        negative = [k for k, value in params.items() if type(value) is int and value < 0]
+        if negative:
+            raise ConfigError(f"family {name!r}: {negative[0]!r} must be non-negative, "
+                              f"got {params[negative[0]]}")
         if not isinstance(seeds, list) or not all(type(seed) is int and seed >= 0 for seed in seeds):
             raise ConfigError(f"bad family entry {f!r}: seeds must be non-negative integers")
+        if any(seed >= 2**128 for seed in seeds):  # Philox's key has 128 bits
+            raise ConfigError(f"family {name!r}: 'seeds' must be below 2**128")
         families.append(FamilySpec(name, params, list(seeds)))
     default_checks = ["all"] if families else []
     checks = _resolve_checks(d.get("checks", default_checks))

@@ -179,6 +179,21 @@ def test_verify_names_claims_skipped_on_every_graph(tmp_path, capsys, monkeypatc
     assert out.endswith("all checks passed\n")
 
 
+def test_verify_with_no_checks_says_so(tmp_path, capsys):
+    """A spec with graphs but an empty checks list runs no check: the text
+    report says so where it would say that all checks passed, the JSON
+    report lists no check, and the exit code is 0."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"families": [{"name": "paths", "params": {"n_max": 5}}],
+                                "checks": []}), encoding="utf-8")
+    assert main(["verify", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["graphs checked: 4", "no checks requested"]
+    assert main(["verify", str(spec), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == [] and doc["graph_count"] == 4 and doc["failures"] == []
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_one_exits_2(jobs, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -63,7 +63,6 @@ from domgame import (
 from domgame import strategy
 from domgame.phases import (
     CycleStatus,
-    F_table,
     _F_memo,
     cycle_status,
     open_cycle_count,
@@ -332,24 +331,20 @@ def test_open_flags_from_witness_masks_match_status(drawn, seed):
 
 
 def assert_tables_exact(s):
-    """Every score table on s (one per f shade, and F's under the registry
-    memoized there) is well formed and holds only exact scores: no bucket
-    is empty, the buckets are disjoint, their union is the scored mask, and
-    each bucket's score is the score on the same position with nothing
-    memoized, whether it was carried or scored there."""
+    """Every score table on s (f's under a shade, F's under a registry) is
+    well formed and holds only exact scores: no bucket is empty, the
+    buckets are disjoint, their union is the scored mask, and each bucket's
+    score is the score on the same position with nothing memoized, whether
+    it was carried or scored there."""
     pre = fresh(s)
-    tables = [(table, lambda v, shade=shade: f_decrease(pre, v, shade))
-              for shade, table in s._f_tables.items()]
-    if s.F_memo is not None:
-        reg = s.F_memo[0]
-        tables.append((F_table(s, reg), lambda v: F_decrease(pre, reg, v)))
-    for table, score in tables:
+    for key, table in s.tables.items():
         union = 0
         for dec, mask in table.buckets.items():
             assert mask and not union & mask, dec
             union |= mask
             for v in vertices_of(mask):
-                assert score(v) == dec, (v, dec)
+                want = f_decrease(pre, v, key) if isinstance(key, Color) else F_decrease(pre, key, v)
+                assert want == dec, (key, v, dec)
         assert union == table.scored
 
 

@@ -25,8 +25,8 @@ from domgame import (
     philox_rng,
     white_degree,
 )
-from domgame.phases import F_decrease, F_table, PhaseContext, XCycleRegistry, potential_decrease
-from domgame.residual import ScoreTable, f_table, live_mask, vertices_of
+from domgame.phases import F_decrease, PhaseContext, XCycleRegistry, potential_decrease
+from domgame.residual import ScoreTable, live_mask, score_table, vertices_of
 from oracles import color_partition, colors, retained_edges, snapshot_join, state_from_colors
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
@@ -293,8 +293,8 @@ def test_f_decrease_memo_is_keyed_by_shade():
     live = live_mask(s)
     by_shade = {}
     for shade in (LIGHT, DARK):
-        assert f_table(s, shade).scored == 0  # the other shade's fill left it empty
-        table = f_table(s, shade).fill(live, lambda v, shade=shade: f_decrease(s, v, shade))
+        assert score_table(s, shade).scored == 0  # the other shade's scores left it empty
+        table = score_table(s, shade).add_all({v: f_decrease(s, v, shade) for v in vertices_of(live)})
         fresh = state_from_colors(g, colors(s))
         by_shade[shade] = {v: dec for dec, mask in table.buckets.items() for v in vertices_of(mask)}
         assert by_shade[shade] == {v: f_decrease(fresh, v, shade) for v in legal_moves(s)}
@@ -323,21 +323,28 @@ def test_reaches_adds_each_score_it_computes():
     assert calls == [0, 1, 2, 3] and table.scored == 0b1111 and table.top() == 3
 
 
-def test_fill_scores_each_unscored_vertex_once():
-    calls = []
-
-    def score(v):
-        calls.append(v)
-        return 7 - v
-
-    table = ScoreTable()
-    table.add(1, 6)
-    assert table.fill(0b1011, score) is table
-    assert sorted(calls) == [0, 3]
-    assert table.buckets == {7: 0b0001, 6: 0b0010, 4: 0b1000} and table.scored == 0b1011
-    table.fill(0b1011, score)
-    assert len(calls) == 2
-    assert (table.top(), table.bottom()) == (0, 3)
+def test_score_tables_keep_potentials_apart():
+    """One state keeps one table per potential: the LIGHT and DARK f
+    tables, and the F tables under two registries A and B, asked for A,
+    then B, then A again. A's table is still full when asked for again,
+    and each table holds exactly its own scores, those of a fresh state."""
+    g = gen_cycle(8)
+    s = apply_move(apply_move(init_state(g), 0, DARK), 3, DARK)
+    a, b = XCycleRegistry((tuple(range(8)),)), XCycleRegistry(())
+    live = live_mask(s)
+    fresh = state_from_colors(g, colors(s))
+    want = {shade: {v: f_decrease(fresh, v, shade) for v in legal_moves(s)} for shade in (LIGHT, DARK)}
+    want |= {reg: {v: F_decrease(fresh, reg, v) for v in legal_moves(s)} for reg in (a, b)}
+    assert want[LIGHT] != want[DARK] and want[a] != want[b]  # each pair scores apart
+    for shade in (LIGHT, DARK):
+        score_table(s, shade).add_all(f_decreases(s, live, shade))
+    for reg in (a, b):
+        assert not score_table(s, reg).reaches(99, live, lambda v, reg=reg: F_decrease(s, reg, v))
+    assert score_table(s, a).scored == live
+    assert list(s.tables) == [LIGHT, DARK, a, b]
+    for key, table in s.tables.items():
+        got = {v: dec for dec, mask in table.buckets.items() for v in vertices_of(mask)}
+        assert got == want[key], key
 
 
 def test_scorers_leave_the_tables_empty():
@@ -356,7 +363,7 @@ def test_scorers_leave_the_tables_empty():
             potential_decrease(ctx, s, v)
     for shade in (LIGHT, DARK):
         f_decreases(s, live_mask(s), shade)
-    for table in (f_table(s, LIGHT), f_table(s, DARK), F_table(s, reg)):
+    for table in (score_table(s, LIGHT), score_table(s, DARK), score_table(s, reg)):
         assert table.buckets == {} and table.scored == 0
 
 

@@ -188,7 +188,7 @@ def test_a_move_carries_only_its_shade():
                 for ctx, pre, idx, v, post in strategy._moves(g, first, choose):
                     if ctx.phase == 2:
                         phase2_moves += 1
-                        assert Color.LIGHT_BLUE not in post._f_tables
+                        assert Color.LIGHT_BLUE not in post.tables
     assert phase2_moves > 0
 
 

@@ -413,6 +413,12 @@ def test_bad_specs_raise_config_errors():
                 {"families": [paths], "caps": {"worst_case_n": -1}}):
         with pytest.raises(ConfigError):
             spec_from_json(bad)
+    # values no generator takes: a negative integer parameter, a seed past Philox's 128-bit key
+    with pytest.raises(ConfigError, match="family 'caterpillars': 'max_legs' must be non-negative"):
+        spec_from_json({"families": [{"name": "caterpillars",
+                                      "params": {"spine_max": 3, "max_legs": -1}}]})
+    with pytest.raises(ConfigError, match="family 'trees': 'seeds' must be below 2\\*\\*128"):
+        spec_from_json({"families": [{"name": "trees", "params": {"n_max": 4}, "seeds": [2**200]}]})
     with pytest.raises(ConfigError, match="needs the parameter 'n_max'"):
         spec_from_json({"families": [{"name": "paths", "params": {"n_min": 2}}]})
     # a family that yields no graph is the one check that needs the graphs
@@ -422,6 +428,9 @@ def test_bad_specs_raise_config_errors():
         with pytest.raises(ConfigError, match="yields no graph"):
             corpus_items(spec_from_json(bad))
     assert len(corpus_items(spec_from_json({"families": [{**paths, "seeds": []}]}))) == 3
+    # the largest Philox key still builds its graph
+    top = {"name": "trees", "params": {"n_min": 4, "n_max": 4}, "seeds": [2**128 - 1]}
+    assert len(corpus_items(spec_from_json({"families": [top]}))) == 1
 
 
 def test_corpus_families_generate():
