@@ -75,6 +75,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.cap < 0:
+        raise ConfigError(f"--cap must be a non-negative integer, got {args.cap}")
     if args.cap > DEFAULT_SOLVER_CAP:
         raise ConfigError(f"--cap may lower the solver cap, not raise it: "
                           f"{args.cap} > {DEFAULT_SOLVER_CAP}")

@@ -24,6 +24,8 @@ def philox_rng(seed: int) -> np.random.Generator:
     """Seeded Philox (4x64 counter-based) generator; the package-wide PRNG."""
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if seed >= 2**128:  # Philox's key has 128 bits
+        raise ValueError("seed must be below 2**128")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -119,34 +119,6 @@ def phase2_active(s: ResidualState) -> bool:
         11, live_mask(s), lambda v: f_decrease(s, v, Color.DARK_BLUE))
 
 
-def _end_of_phase2_violation(s: ResidualState, comps: list[int] | None = None) -> str | None:
-    """Structure forced at a correct phase-2 end; returns a description or None.
-
-    When no move drops f by 11 or more: white vertices have at most 2 white
-    neighbors and blue ones at most 3; white-subgraph components are single
-    vertices, single edges, or cycles of length >= 4; and no white vertex
-    whose neighbors are all blue touches a blue vertex with 3 white neighbors.
-    `comps` is _white_components(s) if the caller has it.
-    """
-    violation = _white_degree_violation(s)
-    if violation is not None:
-        return violation
-    for members in _white_components(s) if comps is None else comps:
-        if members.bit_count() <= 2:
-            continue
-        if _white_cycle_order(s, members) is None:
-            return f"white component {vertices_of(members)} is neither P1, P2, nor a cycle"
-        if members.bit_count() == 3:
-            return f"white component {vertices_of(members)} is a 3-cycle"
-    # a white vertex with no white neighbor has only blue neighbors
-    for v in vertices_of(white_mask(s)):
-        if white_degree(s, v) == 0:
-            for w in s.graph.adjacency[v]:
-                if white_degree(s, w) == 3:
-                    return f"edge between all-blue-neighborhood white {v} and 3-white-degree blue {w}"
-    return None
-
-
 def _white_degree_violation(s: ResidualState) -> str | None:
     """A white vertex with more than 2 white neighbors or a blue one with more
     than 3, as a description, else None; phase-2 end and every later state.
@@ -162,53 +134,63 @@ def _white_degree_violation(s: ResidualState) -> str | None:
     return None
 
 
-def _white_components(s: ResidualState) -> list[int]:
-    """Masks of the white subgraph's components, by smallest member."""
+def _phase2_end(s: ResidualState) -> tuple[str | None, tuple[tuple[int, ...], ...]]:
+    """(violation, cycles) at a phase-2 end: a description of the first way
+    s lacks the structure forced there, or None, and the cycle components
+    of the white subgraph in cyclic order, () with a violation.
+
+    When no move drops f by 11 or more: white vertices have at most 2 white
+    neighbors and blue ones at most 3; white-subgraph components are single
+    vertices, single edges, or cycles of length >= 4; and no white vertex
+    whose neighbors are all blue touches a blue vertex with 3 white neighbors.
+    Once the degrees hold, each white component is a path or a cycle, so
+    one walk each way from its smallest member finds it and tells whether
+    it closes; components come in order of that member. A cycle's order
+    starts there and goes on to the member's smaller white neighbor.
+    """
+    violation = _white_degree_violation(s)
+    if violation is not None:
+        return violation, ()
     opens, white = s.graph.open_masks, white_mask(s)
-    comps = []
-    rest = white
+    cycles, rest = [], white
     while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            for u in vertices_of(frontier):
-                reach |= opens[u]
-            frontier = reach & white & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
-def _white_cycle_order(s: ResidualState, members: int) -> tuple[int, ...] | None:
-    """Cyclic vertex order if the white component `members` is a cycle (all
-    its white degrees are 2), else None; it starts at the smallest member
-    and goes on to that member's smaller white neighbor."""
-    opens, white = s.graph.open_masks, white_mask(s)
-    if any((opens[v] & white).bit_count() != 2 for v in vertices_of(members)):
-        return None
-    start = (members & -members).bit_length() - 1
-    nbrs = opens[start] & white
-    order = [start]
-    prev, cur = start, (nbrs & -nbrs).bit_length() - 1
-    while cur != start:
-        order.append(cur)
-        prev, cur = cur, (opens[cur] & white & ~(1 << prev)).bit_length() - 1
-    return tuple(order)
+        start = (rest & -rest).bit_length() - 1
+        members, order, closed = 1 << start, [start], False
+        for cur in vertices_of(opens[start] & white):  # the smaller neighbor first
+            prev = start
+            while cur >= 0 and not members >> cur & 1:  # -1 is past a path's end
+                order.append(cur)
+                members |= 1 << cur
+                prev, cur = cur, (opens[cur] & white & ~(1 << prev)).bit_length() - 1
+            closed |= cur == start
+        rest &= ~members
+        if len(order) <= 2:
+            continue
+        if not closed:
+            return f"white component {vertices_of(members)} is neither P1, P2, nor a cycle", ()
+        if len(order) == 3:
+            return f"white component {vertices_of(members)} is a 3-cycle", ()
+        cycles.append(tuple(order))
+    # a white vertex with no white neighbor has only blue neighbors
+    for v in vertices_of(white):
+        if white_degree(s, v) == 0:
+            for w in s.graph.adjacency[v]:
+                if white_degree(s, w) == 3:
+                    return f"edge between all-blue-neighborhood white {v} and 3-white-degree blue {w}", ()
+    return None, tuple(cycles)
 
 
 def freeze_registry(s: ResidualState) -> XCycleRegistry:
-    """Collect the white subgraph's cycle components and audit the boundary.
+    """The X-cycle registry where phase 2 ends on s: the cycle components
+    of the white subgraph, as _phase2_end finds them.
 
-    Raises ClaimViolationError (with the offending snapshot) if the state
-    does not have the structure forced at a correct phase-2 end.
+    Raises ClaimViolationError (with the offending snapshot) if s does not
+    have the structure forced at a correct phase-2 end.
     """
-    comps = _white_components(s)
-    violation = _end_of_phase2_violation(s, comps)
+    violation, cycles = _phase2_end(s)
     if violation is not None:
         raise ClaimViolationError(f"phase-2 end structure violated: {violation}", s.snapshot())
-    return XCycleRegistry(tuple(_white_cycle_order(s, members)
-                                for members in comps if members.bit_count() >= 3))
+    return XCycleRegistry(cycles)
 
 
 def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:

@@ -35,7 +35,7 @@ from .phases import (
     CycleStatus,
     PhaseContext,
     XCycleRegistry,
-    _end_of_phase2_violation,
+    _phase2_end,
     _white_degree_violation,
     F_decrease,
     cycle_status,
@@ -452,7 +452,7 @@ _CLAIMS = (
     # Cannot fail: the replay's freeze_registry raises ClaimViolationError on
     # this same handoff state first, for any violation this check reports.
     _Claim("END2_STRUCT", "state", lambda b, a: b < 3 <= a,
-           lambda rep, k: _end_of_phase2_violation(rep.states[k]),
+           lambda rep, k: _phase2_end(rep.states[k])[0],
            "game ended before the potential handoff", _counted("handoff state structure holds")),
     _Claim("LATER2", "state", lambda b, a: max(b, a) >= 3,
            lambda rep, k: _later2_violation(rep.states[k]),
@@ -669,22 +669,58 @@ def _check_fields(what: str, d: dict, types: dict[str, tuple[type, ...]]) -> Non
 _INT, _NUM = (int,), (int, float)
 
 
+# A spec is refused before any graph is built past these vertex counts.
+# On one Xeon core under Python 3.11, a 10,000-vertex path builds in
+# 0.02 s, the 998,990 vertices of paths n = 2..1413 in 2.4 s at 142 MB
+# peak RSS. G(n, p) draws once per vertex pair: n = 2,000 at p = 0.3
+# takes 5.5 s and 231 MB on its own.
+MAX_GRAPH_VERTICES = 10_000
+MAX_CORPUS_VERTICES = 1_000_000
+
+
 @dataclass(frozen=True)
 class Family:
     """One corpus family. `params` maps each spec parameter to (accepted
     JSON types, default), a None default marking a required one; `items`
     builds the (label, graph, seeds) list from the seed tuple and every
-    parameter; `gen` is the `domgame gen` form (singular name, positional
-    parameter names, builder from their strings and --seed), or None."""
+    parameter; `size` bounds from the same arguments, building nothing,
+    (the vertices of its largest graph, the vertices of all its graphs);
+    `gen` is the `domgame gen` form (singular name, positional parameter
+    names, builder from their strings and --seed), or None."""
 
     params: dict
     items: Callable[..., list]
+    size: Callable[..., tuple[int, int]]
     gen: tuple | None
 
 
 def _per_size(label: str, build: Callable[[int], Graph]) -> Callable[..., list]:
     return lambda seeds, n_min, n_max: [(f"{label}-{n}", build(n), seeds)
                                         for n in range(n_min, n_max + 1)]
+
+
+def _span(lo: int, hi: int, scale: int = 1, copies: int = 1) -> tuple[int, int]:
+    """(largest, total) vertex counts of `copies` graphs on scale * k
+    vertices for each k in lo..hi."""
+    if hi < lo:
+        return 0, 0
+    return scale * hi, copies * scale * (lo + hi) * (hi - lo + 1) // 2
+
+
+def _once(seeds, n_min, n_max):
+    return _span(n_min, n_max)
+
+
+def _each_seed(seeds, n_min, n_max, p=None):
+    return _span(n_min, n_max, copies=len(seeds))
+
+
+def _labeled_size(seeds, n_min, n_max):
+    """all_labeled's size: n_max must be at most 6, as in
+    enumerate_labeled_graphs, and n counts 2^(n choose 2) candidates."""
+    if n_max > 6:
+        raise ConfigError(f"family 'all_labeled': 'n_max' must be at most 6, got {n_max}")
+    return n_max, sum(n << n * (n - 1) // 2 for n in range(n_min, n_max + 1))
 
 
 def _caterpillars(seeds, spine_min, spine_max, max_legs):
@@ -696,7 +732,7 @@ def _caterpillars(seeds, spine_min, spine_max, max_legs):
             legs = [int(rng.integers(0, max_legs + 1)) for _ in range(spine)]
             if legs == [0]:  # a lone spine vertex needs a leg
                 legs = [1]
-            items.append((f"caterpillar-{spine}-s{seed}", gen_caterpillar(spine, legs), seeds))
+            items.append((f"caterpillar-{spine}-s{seed}", gen_caterpillar(spine, legs), (seed,)))
     return items
 
 
@@ -708,26 +744,29 @@ def _gnp(seeds, n_min, n_max, p):
 
 _SIZES = {"n_min": (_INT, 2), "n_max": (_INT, None)}
 FAMILIES = {
-    "paths": Family(_SIZES, _per_size("path", gen_path),
+    "paths": Family(_SIZES, _per_size("path", gen_path), _once,
                     ("path", ("n",), lambda a, seed: gen_path(int(a[0])))),
-    "cycles": Family({**_SIZES, "n_min": (_INT, 3)}, _per_size("cycle", gen_cycle),
+    "cycles": Family({**_SIZES, "n_min": (_INT, 3)}, _per_size("cycle", gen_cycle), _once,
                      ("cycle", ("n",), lambda a, seed: gen_cycle(int(a[0])))),
-    "stars": Family(_SIZES, _per_size("star", gen_star),
+    "stars": Family(_SIZES, _per_size("star", gen_star), _once,
                     ("star", ("n",), lambda a, seed: gen_star(int(a[0])))),
     "caterpillars": Family(
         {"spine_min": (_INT, 1), "spine_max": (_INT, None), "max_legs": (_INT, 2)}, _caterpillars,
+        lambda seeds, spine_min, spine_max, max_legs:
+            _span(spine_min, spine_max, 1 + max_legs, len(seeds)),
         ("caterpillar", ("spine", "legs"),
          lambda a, seed: gen_caterpillar(int(a[0]), [int(x) for x in a[1].split(",")]))),
     "trees": Family(_SIZES, lambda seeds, n_min, n_max: [
         (f"tree-{n}-s{seed}", gen_random_tree(n, seed), (seed,))
         for n in range(n_min, n_max + 1) for seed in seeds],
-        ("tree", ("n",), lambda a, seed: gen_random_tree(int(a[0]), seed))),
+        _each_seed, ("tree", ("n",), lambda a, seed: gen_random_tree(int(a[0]), seed))),
     "gnp": Family({**_SIZES, "p": (_NUM, 0.3)}, _gnp,
-                  ("gnp", ("n", "p"),
+                  _each_seed, ("gnp", ("n", "p"),
                    lambda a, seed: gen_gnp_isolate_free(int(a[0]), float(a[1]), seed))),
     "all_labeled": Family(_SIZES, lambda seeds, n_min, n_max: [
         (f"all{n}-{i}", g, seeds)
-        for n in range(n_min, n_max + 1) for i, g in enumerate(enumerate_labeled_graphs(n))], None),
+        for n in range(n_min, n_max + 1) for i, g in enumerate(enumerate_labeled_graphs(n))],
+        _labeled_size, None),
 }
 
 
@@ -736,7 +775,10 @@ def spec_from_json(d: dict) -> CorpusSpec:
 
     Every key, type, family name, required parameter, sign, seed and cap
     is checked here (ConfigError), and each family's params come back with
-    defaults filled in. Only a family that yields no graph is left to corpus_items.
+    defaults filled in. So are the sizes, counted by each family's `size`
+    before anything is built: no graph may pass MAX_GRAPH_VERTICES, the
+    corpus may not pass MAX_CORPUS_VERTICES, and all_labeled stops at 6.
+    Only a family that yields no graph is left to corpus_items.
     """
     if not isinstance(d, dict):
         raise ConfigError("corpus spec must be a JSON object")
@@ -744,7 +786,7 @@ def spec_from_json(d: dict) -> CorpusSpec:
     fam_list = d.get("families", [])
     if not isinstance(fam_list, list):
         raise ConfigError("families must be a list")
-    families = []
+    families, total = [], 0
     for f in fam_list:
         if not isinstance(f, dict) or not isinstance(f.get("name"), str):
             raise ConfigError(f"bad family entry {f!r}: needs a JSON object with a string 'name'")
@@ -769,6 +811,14 @@ def spec_from_json(d: dict) -> CorpusSpec:
             raise ConfigError(f"bad family entry {f!r}: seeds must be non-negative integers")
         if any(seed >= 2**128 for seed in seeds):  # Philox's key has 128 bits
             raise ConfigError(f"family {name!r}: 'seeds' must be below 2**128")
+        largest, vertices = FAMILIES[name].size(tuple(seeds), **params)
+        total += vertices
+        if largest > MAX_GRAPH_VERTICES:
+            raise ConfigError(f"family {name!r} would build a graph of {largest} vertices, "
+                              f"past the limit of {MAX_GRAPH_VERTICES}")
+        if total > MAX_CORPUS_VERTICES:
+            raise ConfigError(f"family {name!r} would bring the corpus to {total} vertices, "
+                              f"past the limit of {MAX_CORPUS_VERTICES}")
         families.append(FamilySpec(name, params, list(seeds)))
     default_checks = ["all"] if families else []
     checks = _resolve_checks(d.get("checks", default_checks))

@@ -368,6 +368,53 @@ def snapshot_join(s):
     return "".join(map(tuple.__getitem__, lines, s._color_bytes()))
 
 
+def phase2_end(s):
+    """phases._phase2_end from the definitions, with sets: (the first
+    violation of the phase-2 end structure, or None; the cycle components
+    of the white subgraph, () with a violation). The white degrees come
+    first, in vertex order; then the white components, found by a
+    breadth-first search in order of their smallest member, where one of
+    3 or more vertices must be a cycle (every member has two white
+    neighbors) of length >= 4; then every white vertex with no white
+    neighbor, against its neighbors of white degree 3. A cycle is listed
+    from its smallest member on to that member's smaller neighbor."""
+    g, col = s.graph, colors(s)
+    white = {v for v in range(g.n) if col[v] is Color.WHITE}
+    nbrs = {v: sorted(set(g.adjacency[v]) & white) for v in range(g.n)}
+    for v in range(g.n):
+        if v in white and len(nbrs[v]) > 2:
+            return f"white vertex {v} has {len(nbrs[v])} white neighbors", ()
+        if col[v] in BLUE_SHADES and len(nbrs[v]) > 3:
+            return f"blue vertex {v} has {len(nbrs[v])} white neighbors", ()
+    cycles, seen = [], set()
+    for start in sorted(white):
+        if start in seen:
+            continue
+        comp, queue = {start}, [start]
+        while queue:
+            for w in set(nbrs[queue.pop()]) - comp:
+                comp.add(w)
+                queue.append(w)
+        seen |= comp
+        if len(comp) <= 2:
+            continue
+        if any(len(nbrs[u]) != 2 for u in comp):
+            return f"white component {sorted(comp)} is neither P1, P2, nor a cycle", ()
+        if len(comp) == 3:
+            return f"white component {sorted(comp)} is a 3-cycle", ()
+        order = [start, nbrs[start][0]]
+        while len(order) < len(comp):
+            order.append(next(w for w in nbrs[order[-1]] if w != order[-2]))
+        cycles.append(tuple(order))
+    for v in sorted(white):
+        if not nbrs[v]:
+            for w in g.adjacency[v]:
+                if len(nbrs[w]) == 3:
+                    return (f"edge between all-blue-neighborhood white {v} and "
+                            f"3-white-degree blue {w}"), ()
+    return None, tuple(cycles)
+
+
 def cycle_closed(s, cyc):
     """Whether every edge of the cycle `cyc` (vertices in cyclic order) is
     retained in s, i.e. has a white end."""

@@ -63,6 +63,25 @@ def test_solve_cap_above_default_exits_2(p3_file, capsys):
     assert main(["solve", p3_file, "--cap", str(DEFAULT_SOLVER_CAP)]) == 0
 
 
+def test_solve_negative_cap_exits_2(p3_file, capsys):
+    assert main(["solve", p3_file, "--cap", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --cap must be a non-negative integer, got -1\n"
+    assert captured.out == ""
+
+
+def test_seed_past_philox_key_exits_2(p3_file, tmp_path, capsys):
+    out = tmp_path / "t.g"
+    for argv in (["simulate", p3_file], ["gen", "tree", "5", str(out)]):
+        assert main([*argv, "--seed", str(2**128)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be below 2**128\n"
+        assert captured.out == ""
+        assert main([*argv, "--seed", str(2**128 - 1)]) == 0
+        capsys.readouterr()
+    assert out.exists()
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.g"
     for text, where in [("2 1\n0 0\n", "line 2"), ("2000000 1\n0 1\n", "line 1: n=2000000")]:

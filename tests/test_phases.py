@@ -20,16 +20,20 @@ from domgame import (
     gen_path,
     gen_star,
     init_state,
+    is_over,
+    legal_moves,
     maybe_advance,
     parse_snapshot,
     phase1_active,
     phase2_active,
+    philox_rng,
     play_game,
     shade_for_phase,
     staller_min_decrease,
 )
-from domgame.phases import phase3_active
-from oracles import colors, max_f_decrease
+from domgame.phases import _phase2_end, phase3_active
+from oracles import colors, max_f_decrease, phase2_end
+from test_local_delta import graphs
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
@@ -97,6 +101,23 @@ def test_freeze_rejects_w0_next_to_b3():
     with pytest.raises(ClaimViolationError) as exc:
         freeze_registry(s)
     assert "3-white-degree" in str(exc.value)
+
+
+@given(drawn=graphs(24, 30), seed=st.integers(0, 2**31))
+@settings(max_examples=150, deadline=None)
+def test_phase2_end_matches_its_definition(drawn, seed):
+    """The violation note and the cycles in their exact order, at every
+    state of a game of uniformly random moves with random shades."""
+    _, g, _ = drawn
+    rng = philox_rng(seed)
+    s = init_state(g)
+    while True:
+        assert _phase2_end(s) == phase2_end(s)
+        if is_over(s):
+            return
+        moves = legal_moves(s)
+        shade = (LIGHT, DARK)[int(rng.integers(0, 2))]
+        s = apply_move(s, moves[int(rng.integers(0, len(moves)))], shade)
 
 
 def test_cycle_status_examples():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,7 +35,7 @@ from domgame import (
     write_edge_list,
 )
 from domgame.cli import main as cli_main
-from domgame.verify import FAMILIES
+from domgame.verify import FAMILIES, MAX_CORPUS_VERTICES, MAX_GRAPH_VERTICES
 from transcript_cases import (
     FOOTER_FIELDS,
     HEADER_FIELDS,
@@ -433,6 +434,30 @@ def test_bad_specs_raise_config_errors():
     assert len(corpus_items(spec_from_json({"families": [top]}))) == 1
 
 
+def test_oversized_specs_are_refused_before_building():
+    runaway = {"families": [{"name": "paths", "params": {"n_max": 2000}}], "checks": []}
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="family 'paths' would bring the corpus to 2000999 "):
+        spec_from_json(runaway)
+    assert time.perf_counter() - start < 1
+    # a caterpillar counts spine * (1 + max_legs) vertices
+    with pytest.raises(ConfigError, match="family 'caterpillars' would build a graph of 10002 "):
+        spec_from_json({"families": [{"name": "caterpillars",
+                                      "params": {"spine_min": 3334, "spine_max": 3334}}]})
+    with pytest.raises(ConfigError, match="family 'all_labeled': 'n_max' must be at most 6"):
+        spec_from_json({"families": [{"name": "all_labeled", "params": {"n_max": 7}}]})
+    spec_from_json({"families": [{"name": "all_labeled", "params": {"n_max": 6}}]})
+    # both limits are inclusive, and a family drawn per seed counts each seed
+    top = {"name": "trees", "params": {"n_min": MAX_GRAPH_VERTICES, "n_max": MAX_GRAPH_VERTICES},
+           "seeds": list(range(MAX_CORPUS_VERTICES // MAX_GRAPH_VERTICES))}
+    spec_from_json({"families": [top]})
+    with pytest.raises(ConfigError, match=f"family 'paths' would bring the corpus to "
+                                          f"{MAX_CORPUS_VERTICES + 2} "):
+        spec_from_json({"families": [top, {"name": "paths", "params": {"n_max": 2}}]})
+    with pytest.raises(ConfigError, match="family 'gnp' would build a graph of 10001 "):
+        spec_from_json({"families": [{"name": "gnp", "params": {"n_max": MAX_GRAPH_VERTICES + 1}}]})
+
+
 def test_corpus_families_generate():
     spec = spec_from_json({
         "families": [
@@ -486,6 +511,16 @@ def test_caterpillar_label_names_one_graph():
     wide, narrow = graphs(1), graphs(4)
     assert list(narrow) == ["caterpillar-4-s0", "caterpillar-4-s1"]
     assert all(narrow[label] == wide[label] for label in narrow)
+
+
+def test_caterpillar_is_audited_with_its_own_seed():
+    def report(seeds):
+        spec = spec_from_json({"families": [{"name": "caterpillars", "seeds": seeds,
+                                             "params": {"spine_min": 4, "spine_max": 4}}]})
+        graphs = {gr.label: gr.to_json_dict() for gr in run_corpus(spec).graphs}
+        return graphs["caterpillar-4-s0"]
+
+    assert report([0]) == report([0, 1])
 
 
 def test_jobs_parallel_matches_serial():

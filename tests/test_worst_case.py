@@ -74,14 +74,14 @@ def test_cut_child_keeps_the_phase2_end_audit(monkeypatch):
     through it can be no longer than 1 + |{0}| = 2, so the search cuts
     that child. A planted violation on that state must still raise, as it
     would if every child were played."""
-    audit = phases._end_of_phase2_violation
+    audit = phases._phase2_end
     planted = 0b110  # the dominated set after vertex 2
 
-    def flagged(s, comps=None):
+    def flagged(s):
         if s.graph.n == 3 and s.dominated_mask == planted:
-            return "planted violation"
-        return audit(s, comps)
+            return "planted violation", ()
+        return audit(s)
 
-    monkeypatch.setattr(phases, "_end_of_phase2_violation", flagged)
+    monkeypatch.setattr(phases, "_phase2_end", flagged)
     with pytest.raises(ClaimViolationError, match="planted violation"):
         staller_worst_case(gen_path(3), first="S")
