@@ -15,7 +15,7 @@ even-numbered moves, and the predicates never re-activate a finished phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -29,6 +29,7 @@ from .residual import (
     _weight,
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     f_decrease,
+    f_decreases,
     live_mask,
     piece_kind,
     retained_piece,
@@ -50,49 +51,36 @@ class CycleStatus(Enum):
 class XCycleRegistry:
     """Cycle components of the white subgraph, frozen when phase 3 begins.
 
-    Each entry lists its vertices in cyclic order; entries are pairwise
-    disjoint and each had length >= 4 at freeze time. A registry keys its
-    F table in a state's tables, so it hashes and compares by identity.
+    cycles[i] masks cycle i's members, an induced cycle of G with >= 4
+    vertices at freeze (_phase2_end). The masks are disjoint. A registry
+    keys its F table in a state's tables, so it compares by identity.
     """
 
-    cycles: tuple[tuple[int, ...], ...]
+    cycles: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.cycles)
 
     @cached_property
     def member_mask(self) -> int:
-        return sum(self.cycle_masks)
-
-    @cached_property
-    def cycle_masks(self) -> tuple[int, ...]:
-        """cycle_masks[i] is the mask of cycle i's members."""
-        return tuple(sum(1 << v for v in cyc) for cyc in self.cycles)
+        return sum(self.cycles)
 
     @cached_property
     def cycle_index(self) -> dict[int, int]:
         """The index of each member's cycle."""
-        return {v: i for i, cyc in enumerate(self.cycles) for v in cyc}
-
-    @cached_property
-    def ring_masks(self) -> dict[int, int]:
-        """The mask of each member's two neighbors along its cycle."""
-        return {v: 1 << cyc[i - 1] | 1 << cyc[(i + 1) % len(cyc)]
-                for cyc in self.cycles for i, v in enumerate(cyc)}
+        return {v: i for i, members in enumerate(self.cycles) for v in vertices_of(members)}
 
 
 @dataclass(frozen=True)
 class PhaseContext:
     """Per-game phase machine state, advanced only at even boundaries.
 
-    The registry and the f/F handoff pair exist exactly from the moment
-    phase 3 begins (whatever earlier phases were skipped).
+    The registry exists exactly from the moment phase 3 begins (whatever
+    earlier phases were skipped).
     """
 
     phase: int = 1
     registry: XCycleRegistry | None = None
-    f_at_phase2_end: int | None = None
-    F_at_phase3_start: int | None = None
 
 
 def phase1_active(s: ResidualState) -> bool:
@@ -114,9 +102,13 @@ def phase1_active(s: ResidualState) -> bool:
 
 
 def phase2_active(s: ResidualState) -> bool:
-    """True while some move still drops f by at least 11 (dark shading)."""
-    return score_table(s, Color.DARK_BLUE).reaches(
-        11, live_mask(s), lambda v: f_decrease(s, v, Color.DARK_BLUE))
+    """True while some move still drops f by at least 11 (dark shading).
+    Unless a stored score reaches 11 already, the live vertices not yet
+    scored are scored in one f_decreases pass and added to the table."""
+    table = score_table(s, Color.DARK_BLUE)
+    if max(table.buckets, default=0) < 11:
+        table.add_all(f_decreases(s, live_mask(s) & ~table.scored, Color.DARK_BLUE))
+    return max(table.buckets, default=0) >= 11
 
 
 def _white_degree_violation(s: ResidualState) -> str | None:
@@ -134,10 +126,10 @@ def _white_degree_violation(s: ResidualState) -> str | None:
     return None
 
 
-def _phase2_end(s: ResidualState) -> tuple[str | None, tuple[tuple[int, ...], ...]]:
+def _phase2_end(s: ResidualState) -> tuple[str | None, tuple[int, ...]]:
     """(violation, cycles) at a phase-2 end: a description of the first way
-    s lacks the structure forced there, or None, and the cycle components
-    of the white subgraph in cyclic order, () with a violation.
+    s lacks the structure forced there, or None, and the member masks of
+    the cycle components of the white subgraph, () with a violation.
 
     When no move drops f by 11 or more: white vertices have at most 2 white
     neighbors and blue ones at most 3; white-subgraph components are single
@@ -145,8 +137,8 @@ def _phase2_end(s: ResidualState) -> tuple[str | None, tuple[tuple[int, ...], ..
     whose neighbors are all blue touches a blue vertex with 3 white neighbors.
     Once the degrees hold, each white component is a path or a cycle, so
     one walk each way from its smallest member finds it and tells whether
-    it closes; components come in order of that member. A cycle's order
-    starts there and goes on to the member's smaller white neighbor.
+    it closes; components come in order of that member. Every member of a
+    cycle has exactly two white neighbors, both members, so it is induced.
     """
     violation = _white_degree_violation(s)
     if violation is not None:
@@ -155,22 +147,21 @@ def _phase2_end(s: ResidualState) -> tuple[str | None, tuple[tuple[int, ...], ..
     cycles, rest = [], white
     while rest:
         start = (rest & -rest).bit_length() - 1
-        members, order, closed = 1 << start, [start], False
-        for cur in vertices_of(opens[start] & white):  # the smaller neighbor first
+        members, closed = 1 << start, False
+        for cur in vertices_of(opens[start] & white):
             prev = start
             while cur >= 0 and not members >> cur & 1:  # -1 is past a path's end
-                order.append(cur)
                 members |= 1 << cur
                 prev, cur = cur, (opens[cur] & white & ~(1 << prev)).bit_length() - 1
             closed |= cur == start
         rest &= ~members
-        if len(order) <= 2:
+        if members.bit_count() <= 2:
             continue
         if not closed:
             return f"white component {vertices_of(members)} is neither P1, P2, nor a cycle", ()
-        if len(order) == 3:
+        if members.bit_count() == 3:
             return f"white component {vertices_of(members)} is a 3-cycle", ()
-        cycles.append(tuple(order))
+        cycles.append(members)
     # a white vertex with no white neighbor has only blue neighbors
     for v in vertices_of(white):
         if white_degree(s, v) == 0:
@@ -199,14 +190,14 @@ def cycle_status(reg: XCycleRegistry, i: int, s: ResidualState) -> CycleStatus:
     every member is red or sits in a BWB component. Other: none of these.
 
     A cycle edge stops being retained when both its ends are dominated, so
-    the cycle is closed when no dominated member has a dominated ring
-    neighbor. The witnesses and the BWB mask are the ones memoized with F.
+    the cycle, induced in G, is closed when no two dominated members are
+    adjacent. The witnesses and the BWB mask are the ones memoized with F.
     """
-    members, dom, ring = reg.cycle_masks[i], s.dominated_mask, reg.ring_masks
-    m = members & dom
+    members, opens = reg.cycles[i], s.graph.open_masks
+    ends = m = members & s.dominated_mask
     while m:
         low = m & -m
-        if ring[low.bit_length() - 1] & dom:
+        if opens[low.bit_length() - 1] & ends:
             break
         m ^= low
     else:
@@ -255,13 +246,13 @@ def _witnesses(opens: tuple[int, ...], dom: int, m: int) -> int:
 def _cycles_meeting(reg: XCycleRegistry, m: int) -> list[int]:
     """The member masks of the X-cycles that meet m, a mask of members,
     found through the registry's cycle_index, one lookup per cycle."""
-    index, cycle_masks = reg.cycle_index, reg.cycle_masks
-    cycles = []
+    index, cycles = reg.cycle_index, reg.cycles
+    out = []
     while m:
-        members = cycle_masks[index[(m & -m).bit_length() - 1]]
+        members = cycles[index[(m & -m).bit_length() - 1]]
         m &= ~members
-        cycles.append(members)
-    return cycles
+        out.append(members)
+    return out
 
 
 def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
@@ -272,7 +263,7 @@ def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
 
     An open witness is a dominated member in big with exactly one white
     neighbor, and an X-cycle is open exactly when it holds one. A witness
-    has a dominated ring neighbor, so its cycle is not closed.
+    has a dominated member neighbor, so its cycle is not closed.
     """
     memo = s.F_memo
     if memo is not None and memo[0] is reg:
@@ -372,7 +363,7 @@ def carry_F_decreases(pre: ResidualState, post: ResidualState, v: int,
         return
     g, red = pre.graph, post.red_mask
     full = (1 << g.n) - 1
-    if reg.member_mask >> v & 1 and reg.cycle_masks[reg.cycle_index[v]] | red == full:
+    if reg.member_mask >> v & 1 and reg.cycles[reg.cycle_index[v]] | red == full:
         return
     opens, dom = g.open_masks, pre.dominated_mask
     drop = retained_piece(opens, dom, v, g.n)  # C(v)
@@ -409,19 +400,13 @@ def advance_phases_1_2(ctx: PhaseContext, s: ResidualState) -> tuple[int, XCycle
 def maybe_advance(ctx: PhaseContext, s: ResidualState) -> PhaseContext:
     """Cascade the phase machine; call before move 1 and after even moves.
 
-    Entering phase 3 freezes the X-cycle registry and records the f/F
-    handoff pair used by the completion audit. Skipped phases get length 0.
+    Entering phase 3 freezes the X-cycle registry. Skipped phases get
+    length 0; ctx itself comes back when the phase stays.
     """
     phase, registry = advance_phases_1_2(ctx, s)
-    f2, f3 = ctx.f_at_phase2_end, ctx.F_at_phase3_start
-    if ctx.phase < 3 <= phase:  # phase 2 ended on s
-        f2, f3 = s.f, F_value(s, registry)
     if phase == 3 and not phase3_active(s, registry):
         phase = 4
-    if phase == ctx.phase:
-        return ctx
-    return replace(ctx, phase=phase, registry=registry,
-                   f_at_phase2_end=f2, F_at_phase3_start=f3)
+    return ctx if phase == ctx.phase else PhaseContext(phase, registry)
 
 
 def shade_for_phase(phase: int) -> Color:

@@ -234,18 +234,21 @@ def _record(ctx: PhaseContext, pre: ResidualState, idx: int, v: int,
 
 def _transcript(g: Graph, first: str, dominator_policy: str, staller_policy: str,
                 moves: Iterable[Move]) -> Transcript:
-    """The transcript of a finished game from its moves. step() never
-    advances the phase machine after the last move, so ctx, left at the
-    last move's context, holds the potentials handed over at the switch."""
+    """The transcript of a finished game from its moves. The f/F handoff
+    is read off the pre state of the first move of phase 3 or 4, the state
+    where phase 2 ended; it stays None in a game that never gets there."""
     records, lengths = [], [0, 0, 0, 0]
+    f2 = F2 = None
     for ctx, pre, idx, v, post in moves:
+        if ctx.phase >= 3 and f2 is None:
+            f2, F2 = pre.f, F_value(pre, ctx.registry)
         records.append(_record(ctx, pre, idx, v, post))
         lengths[ctx.phase - 1] += 1
     return Transcript(
         graph_hash=g.graph_hash, n=g.n, m=g.edge_count, first_player=first,
         dominator_policy=dominator_policy, staller_policy=staller_policy,
         records=tuple(records), phase_lengths=tuple(lengths),
-        f_at_phase2_end=ctx.f_at_phase2_end, F_at_phase2_end=ctx.F_at_phase3_start)
+        f_at_phase2_end=f2, F_at_phase2_end=F2)
 
 
 def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") -> Transcript:
@@ -288,9 +291,9 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
     child's step that can raise: a Staller move in phase 1 or 2 is played,
     its scores carried, and phases 1-2 tested on the state after it
     (phases.advance_phases_1_2), so a phase-2 end there is audited on the
-    same states as if the child had been stepped. The phase-3 test, F at
-    the handoff and the new context are skipped: they cannot raise, and
-    the search does not go on from the child. The greedy's moves and
+    same states as if the child had been stepped. The phase-3 test and
+    the new context are skipped: they cannot raise, and the search does
+    not go on from the child. The greedy's moves and
     Staller moves from phase 3 on run no audit in step() and are skipped
     outright. There is no table across nodes; the cutoff would turn its
     values into bounds. Returns (length, witness), the witness being the

@@ -17,6 +17,7 @@ import json
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import ConfigError
 from .graph import (
@@ -673,7 +674,7 @@ _INT, _NUM = (int,), (int, float)
 # On one Xeon core under Python 3.11, a 10,000-vertex path builds in
 # 0.02 s, the 998,990 vertices of paths n = 2..1413 in 2.4 s at 142 MB
 # peak RSS. G(n, p) draws once per vertex pair: n = 2,000 at p = 0.3
-# takes 5.5 s and 231 MB on its own.
+# takes 5.5 s and 231 MB on its own, so gnp's size counts the pairs too.
 MAX_GRAPH_VERTICES = 10_000
 MAX_CORPUS_VERTICES = 1_000_000
 
@@ -684,7 +685,8 @@ class Family:
     JSON types, default), a None default marking a required one; `items`
     builds the (label, graph, seeds) list from the seed tuple and every
     parameter; `size` bounds from the same arguments, building nothing,
-    (the vertices of its largest graph, the vertices of all its graphs);
+    (the vertices of its largest graph, the vertices of all its graphs,
+    plus their vertex pairs for gnp);
     `gen` is the `domgame gen` form (singular name, positional parameter
     names, builder from their strings and --seed), or None."""
 
@@ -711,8 +713,16 @@ def _once(seeds, n_min, n_max):
     return _span(n_min, n_max)
 
 
-def _each_seed(seeds, n_min, n_max, p=None):
+def _each_seed(seeds, n_min, n_max):
     return _span(n_min, n_max, copies=len(seeds))
+
+
+def _gnp_size(seeds, n_min, n_max, p):
+    """gnp's size: a graph on n vertices counts n + n(n - 1)/2, as it
+    draws once per vertex pair."""
+    largest, vertices = _each_seed(seeds, n_min, n_max)
+    pairs = comb(n_max + 1, 3) - comb(n_min, 3) if vertices else 0  # n(n - 1)/2 over n_min..n_max
+    return largest, vertices + len(seeds) * pairs
 
 
 def _labeled_size(seeds, n_min, n_max):
@@ -761,7 +771,7 @@ FAMILIES = {
         for n in range(n_min, n_max + 1) for seed in seeds],
         _each_seed, ("tree", ("n",), lambda a, seed: gen_random_tree(int(a[0]), seed))),
     "gnp": Family({**_SIZES, "p": (_NUM, 0.3)}, _gnp,
-                  _each_seed, ("gnp", ("n", "p"),
+                  _gnp_size, ("gnp", ("n", "p"),
                    lambda a, seed: gen_gnp_isolate_free(int(a[0]), float(a[1]), seed))),
     "all_labeled": Family(_SIZES, lambda seeds, n_min, n_max: [
         (f"all{n}-{i}", g, seeds)

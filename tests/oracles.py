@@ -254,14 +254,15 @@ def _shape_masks(comps):
 
 def _status(reg, i, opens, dom, red, big, bwb):
     """The status of X-cycle i from its definition, read off a state's
-    dominated and red masks and its _shape_masks. A cycle edge stops being
-    retained when both its ends are dominated, so the cycle is closed when
-    no dominated member has a dominated ring neighbor; it is open when
-    some dominated member in big has exactly one white neighbor, and
-    finished when every member is red or in a BWB component. No red
-    vertex is in big."""
-    members = reg.cycle_masks[i]
-    if not any(reg.ring_masks[u] & dom for u in vertices_of(members & dom)):
+    dominated and red masks and its _shape_masks. The cycle's edges are
+    the edges of G among its members, and an edge stops being retained
+    when both its ends are dominated, so the cycle is closed when no two
+    dominated members are adjacent; it is open when some dominated member
+    in big has exactly one white neighbor, and finished when every member
+    is red or in a BWB component. No red vertex is in big."""
+    members = reg.cycles[i]
+    ends = members & dom
+    if not any(opens[u] & ends for u in vertices_of(ends)):
         return CycleStatus.CLOSED
     if any((opens[u] & ~dom).bit_count() == 1 for u in vertices_of(members & dom & big)):
         return CycleStatus.OPEN
@@ -284,7 +285,7 @@ def F_decrease_resplit(s, reg, v):
     dec = s.f - post.f - _penalty(comp.kind) + sum(_penalty(c.kind) for c in pieces)
     opens, pre_masks = s.graph.open_masks, _shape_masks(comps)
     masks = _shape_masks([c for c in comps if c is not comp] + pieces)
-    for i, members in enumerate(reg.cycle_masks):
+    for i, members in enumerate(reg.cycles):
         if members & comp.mask:
             was = _status(reg, i, opens, s.dominated_mask, s.red_mask, *pre_masks)
             status = _status(reg, i, opens, post.dominated_mask, post.red_mask, *masks)
@@ -370,17 +371,16 @@ def snapshot_join(s):
 
 def phase2_end(s):
     """phases._phase2_end from the definitions, with sets: (the first
-    violation of the phase-2 end structure, or None; the cycle components
-    of the white subgraph, () with a violation). The white degrees come
-    first, in vertex order; then the white components, found by a
-    breadth-first search in order of their smallest member, where one of
-    3 or more vertices must be a cycle (every member has two white
-    neighbors) of length >= 4; then every white vertex with no white
-    neighbor, against its neighbors of white degree 3. A cycle is listed
-    from its smallest member on to that member's smaller neighbor."""
+    violation of the phase-2 end structure, or None; the member masks of
+    the cycle components of the white subgraph, () with a violation). The
+    white degrees come first, in vertex order; then the white components,
+    found by a breadth-first search in order of their smallest member,
+    where one of 3 or more vertices must be a cycle (every member has two
+    white neighbors) of length >= 4; then every white vertex with no
+    white neighbor, against its neighbors of white degree 3."""
     g, col = s.graph, colors(s)
     white = {v for v in range(g.n) if col[v] is Color.WHITE}
-    nbrs = {v: sorted(set(g.adjacency[v]) & white) for v in range(g.n)}
+    nbrs = {v: set(g.adjacency[v]) & white for v in range(g.n)}
     for v in range(g.n):
         if v in white and len(nbrs[v]) > 2:
             return f"white vertex {v} has {len(nbrs[v])} white neighbors", ()
@@ -392,7 +392,7 @@ def phase2_end(s):
             continue
         comp, queue = {start}, [start]
         while queue:
-            for w in set(nbrs[queue.pop()]) - comp:
+            for w in nbrs[queue.pop()] - comp:
                 comp.add(w)
                 queue.append(w)
         seen |= comp
@@ -402,10 +402,7 @@ def phase2_end(s):
             return f"white component {sorted(comp)} is neither P1, P2, nor a cycle", ()
         if len(comp) == 3:
             return f"white component {sorted(comp)} is a 3-cycle", ()
-        order = [start, nbrs[start][0]]
-        while len(order) < len(comp):
-            order.append(next(w for w in nbrs[order[-1]] if w != order[-2]))
-        cycles.append(tuple(order))
+        cycles.append(sum(1 << u for u in comp))
     for v in sorted(white):
         if not nbrs[v]:
             for w in g.adjacency[v]:
@@ -415,11 +412,12 @@ def phase2_end(s):
     return None, tuple(cycles)
 
 
-def cycle_closed(s, cyc):
-    """Whether every edge of the cycle `cyc` (vertices in cyclic order) is
-    retained in s, i.e. has a white end."""
+def cycle_closed(s, members):
+    """Whether every edge of G between two vertices of the mask `members`
+    is retained in s, i.e. has a white end."""
     col = colors(s)
-    return all(Color.WHITE in (col[u], col[w]) for u, w in zip(cyc, cyc[1:] + cyc[:1]))
+    return all(Color.WHITE in (col[u], col[w]) for u, w in s.graph.edges
+               if members >> u & 1 and members >> w & 1)
 
 
 def make_staller_random_listing(seed):

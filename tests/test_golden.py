@@ -40,8 +40,17 @@ solve_tree20 runs `domgame solve` on tree20.g, gen_random_tree(20, 7)
 first moves 2 and 0. It was recorded while the solver still computed the
 exact value of every child, before it ran threshold tests on a table of
 bounds.
+
+    python tests/test_golden.py
+
+runs every CASES entry through the installed `domgame` console script
+instead, in a temporary directory, and compares its output bytes with the
+golden file; it exits 1 if one differs or fails.
 """
 
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -70,14 +79,38 @@ CASES = {
 }
 
 
+def case_argv(name):
+    """CASES[name] with its input files resolved under tests/golden/."""
+    return [str(GOLDEN / a) if a.endswith((".g", ".json")) else a for a in CASES[name]]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # a failing verify writes its witnesses here
-    argv = [str(GOLDEN / a) if a.endswith((".g", ".json")) else a for a in CASES[name]]
-    assert main(argv) == 0
+    assert main(case_argv(name)) == 0
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
 def test_verify_reports_match_golden():
     assert dumps(report_cases()) == REPORTS.read_text(encoding="utf-8")
+
+
+def run_console_cases() -> int:
+    """Run each CASES entry through the `domgame` console script on PATH
+    and compare its exit code and output bytes with the golden file;
+    print each case's outcome and return 1 if any differs, else 0."""
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:  # a failing verify writes its witnesses here
+        for name in sorted(CASES):
+            run = subprocess.run(["domgame", *case_argv(name)], cwd=tmp, capture_output=True)
+            ok = run.returncode == 0 and run.stdout == (GOLDEN / f"{name}.json").read_bytes()
+            print(f"{'ok' if ok else 'FAILED'} {name}", flush=True)
+            if not ok:
+                sys.stderr.write(run.stderr.decode(errors="replace"))
+                failed = 1
+    return failed
+
+
+if __name__ == "__main__":
+    sys.exit(run_console_cases())

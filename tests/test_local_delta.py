@@ -88,11 +88,11 @@ LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
 
 def cycle_union(lengths):
-    """(graph, its cycles in cyclic order): disjoint cycles C_k."""
+    """(graph, the member masks of its cycles): disjoint cycles C_k."""
     edges, cycles, off = [], [], 0
     for k in lengths:
         edges.extend((off + i, off + (i + 1) % k) for i in range(k))
-        cycles.append(tuple(range(off, off + k)))
+        cycles.append((1 << k) - 1 << off)
         off += k
     return Graph.from_edges(off, edges), tuple(cycles)
 
@@ -105,11 +105,12 @@ def linked_cycles():
 
 @st.composite
 def graphs(draw, tree_n, cycle_n):
-    """(family, graph, the graph's built-in cycles) with family "tree" (at
-    most tree_n vertices), "gnp", "cycles" (up to 4 disjoint C_k, k >= 4,
-    at most cycle_n vertices in all) or "decorated" (C_k on 0..k-1, k at
-    most cycle_n / 2, with pendant paths hung on its vertices and chords
-    across it)."""
+    """(family, graph, the member masks of the graph's built-in cycles)
+    with family "tree" (at most tree_n vertices), "gnp", "cycles" (up to 4
+    disjoint C_k, k >= 4, at most cycle_n vertices in all) or "decorated"
+    (C_k on 0..k-1, k at most cycle_n / 2, with pendant paths hung on its
+    vertices and chords across it; a registry reads a chord as an edge of
+    the cycle, since it is an edge of G between two members)."""
     family = draw(st.sampled_from(("tree", "gnp", "cycles", "decorated")))
     seed = draw(st.integers(0, 2**31))
     if family == "tree":
@@ -135,7 +136,7 @@ def graphs(draw, tree_n, cycle_n):
         w = (u + draw(st.integers(2, k - 2))) % k
         if all({u, w} != {a, b} for a, b in edges):
             edges.append((u, w))
-    return family, Graph.from_edges(n, edges), (tuple(range(k)),)
+    return family, Graph.from_edges(n, edges), ((1 << k) - 1,)
 
 
 def phased_play(g, seed):
@@ -258,9 +259,9 @@ def test_F_decrease_matches_full_recompute(drawn, seed):
                 assert dec == F_pre - F_value(post, reg)
             assert F_value(s, reg) == F_pre
             shapes = shape_masks_bfs(pre)
-            for i, cyc in enumerate(reg.cycles):
+            for i, members in enumerate(reg.cycles):
                 status = cycle_status(reg, i, s)
-                assert (status is CycleStatus.CLOSED) == cycle_closed(s, cyc)
+                assert (status is CycleStatus.CLOSED) == cycle_closed(s, members)
                 assert status is _status(reg, i, g.open_masks, pre.dominated_mask, pre.red_mask,
                                          *shapes)
         checked += ctx.registry is not None
@@ -324,7 +325,7 @@ def test_open_flags_from_witness_masks_match_status(drawn, seed):
                 assert witness == sum(1 << u for u in vertices_of(reg.member_mask & dom & big)
                                       if (opens[u] & ~dom).bit_count() == 1)
                 statuses = [_status(reg, i, opens, dom, red, big, bwb) for i in range(len(reg))]
-                for i, members in enumerate(reg.cycle_masks):
+                for i, members in enumerate(reg.cycles):
                     assert bool(witness & members) == (statuses[i] is CycleStatus.OPEN)
                     assert cycle_status(reg, i, state) is statuses[i]
                 assert open_cycle_count(state, reg) == statuses.count(CycleStatus.OPEN)

@@ -32,8 +32,9 @@ from domgame import (
     staller_min_decrease,
 )
 from domgame.phases import _phase2_end, phase3_active
+from domgame.residual import vertices_of
 from oracles import colors, max_f_decrease, phase2_end
-from test_local_delta import graphs
+from test_local_delta import graphs, phased_play
 
 LIGHT, DARK = Color.LIGHT_BLUE, Color.DARK_BLUE
 
@@ -74,7 +75,7 @@ def test_freeze_no_cycles():
 def test_freeze_c5():
     reg = freeze_registry(init_state(gen_cycle(5)))
     assert len(reg) == 1
-    assert sorted(reg.cycles[0]) == [0, 1, 2, 3, 4]
+    assert reg.cycles == (0b11111,)
 
 
 def test_freeze_rejects_white_p3():
@@ -106,8 +107,8 @@ def test_freeze_rejects_w0_next_to_b3():
 @given(drawn=graphs(24, 30), seed=st.integers(0, 2**31))
 @settings(max_examples=150, deadline=None)
 def test_phase2_end_matches_its_definition(drawn, seed):
-    """The violation note and the cycles in their exact order, at every
-    state of a game of uniformly random moves with random shades."""
+    """The violation note and the cycles' member masks in their order, at
+    every state of a game of uniformly random moves with random shades."""
     _, g, _ = drawn
     rng = philox_rng(seed)
     s = init_state(g)
@@ -118,6 +119,31 @@ def test_phase2_end_matches_its_definition(drawn, seed):
         moves = legal_moves(s)
         shade = (LIGHT, DARK)[int(rng.integers(0, 2))]
         s = apply_move(s, moves[int(rng.integers(0, len(moves)))], shade)
+
+
+@given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
+@settings(max_examples=150, deadline=None)
+def test_frozen_x_cycles_are_induced_cycles(drawn, seed):
+    """Where a phased game freezes its registry, each X-cycle's members are
+    white, they induce a connected subgraph of G, and each has exactly two
+    G-neighbors among them: the X-cycle is an induced cycle of G, which
+    cycle_status's closed test relies on."""
+    _, g, _ = drawn
+    for s, ctx in phased_play(g, seed):
+        if ctx.registry is not None:
+            break
+    else:
+        return
+    opens = g.open_masks
+    for members in ctx.registry.cycles:
+        assert members & s.dominated_mask == 0
+        assert all((opens[v] & members).bit_count() == 2 for v in vertices_of(members))
+        reached, todo = 0, [vertices_of(members)[0]]
+        while todo:
+            v = todo.pop()
+            reached |= 1 << v
+            todo += vertices_of(opens[v] & members & ~reached)
+        assert reached == members
 
 
 def test_cycle_status_examples():
@@ -170,7 +196,7 @@ def test_F_decrease_examples():
     # component: playing that neighbor drops F by at least 11
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)])
     s = parse_snapshot(g, "0 W\n1 W\n2 W\n3 W\n4 DB\n5 R")
-    reg2 = XCycleRegistry(((0, 1, 2, 3),))
+    reg2 = XCycleRegistry((0b1111,))
     assert F_decrease(s, reg2, 0) >= 11
 
 
@@ -179,9 +205,10 @@ def test_maybe_advance_c4_cascade():
     ctx = maybe_advance(PhaseContext(), s)
     assert ctx.phase == 3
     assert ctx.registry is not None and len(ctx.registry) == 1
-    assert ctx.f_at_phase2_end == 20 and ctx.F_at_phase3_start == 20
     assert all(F_decrease(s, ctx.registry, v) == 12 for v in range(4))
     assert phase3_active(s, ctx.registry)
+    t = play_game(gen_cycle(4), dominator_greedy, staller_min_decrease)
+    assert (t.f_at_phase2_end, t.F_at_phase2_end) == (20, 20)  # read off the opening state
 
 
 def test_maybe_advance_p2_lands_in_phase3():

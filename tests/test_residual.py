@@ -330,7 +330,7 @@ def test_score_tables_keep_potentials_apart():
     and each table holds exactly its own scores, those of a fresh state."""
     g = gen_cycle(8)
     s = apply_move(apply_move(init_state(g), 0, DARK), 3, DARK)
-    a, b = XCycleRegistry((tuple(range(8)),)), XCycleRegistry(())
+    a, b = XCycleRegistry((0xFF,)), XCycleRegistry(())
     live = live_mask(s)
     fresh = state_from_colors(g, colors(s))
     want = {shade: {v: f_decrease(fresh, v, shade) for v in legal_moves(s)} for shade in (LIGHT, DARK)}
@@ -353,7 +353,7 @@ def test_scorers_leave_the_tables_empty():
     tables."""
     g = gen_cycle(8)
     s = apply_move(init_state(g), 0, DARK)
-    reg = XCycleRegistry(((0, 1, 2, 3, 4, 5, 6, 7),))
+    reg = XCycleRegistry((0xFF,))
     contexts = [PhaseContext(phase=p) for p in (1, 2)] + [PhaseContext(phase=3, registry=reg)]
     for v in legal_moves(s):
         for shade in (LIGHT, DARK):

@@ -127,6 +127,7 @@ def test_carry_halves_the_scores_computed(monkeypatch):
         return t, scored[0]
 
     monkeypatch.setattr(strategy, "f_decreases", counted_batch)
+    monkeypatch.setattr(phases, "f_decreases", counted_batch)
     monkeypatch.setattr(phases, "f_decrease", counted_point)
     for seed in (1, 2, 3):
         for g in (gen_random_tree(300, seed), gen_gnp_isolate_free(300, 3 / 300, seed)):

@@ -458,6 +458,29 @@ def test_oversized_specs_are_refused_before_building():
         spec_from_json({"families": [{"name": "gnp", "params": {"n_max": MAX_GRAPH_VERTICES + 1}}]})
 
 
+def test_gnp_counts_its_vertex_pairs():
+    """gnp draws once per vertex pair, so a graph on n vertices counts
+    n + n(n - 1)/2 toward the corpus limit: one G(2000, p) is refused at
+    once, one G(1413, p), 998,991 in all, still passes, and G(1414, p)
+    does not."""
+    def gnp(n_min, n_max, seeds=(0,)):
+        return {"name": "gnp", "params": {"n_min": n_min, "n_max": n_max}, "seeds": list(seeds)}
+
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="family 'gnp' would bring the corpus to 2001000 "):
+        spec_from_json({"families": [gnp(2000, 2000)], "checks": []})
+    assert time.perf_counter() - start < 1
+    spec_from_json({"families": [gnp(1413, 1413)], "checks": []})
+    with pytest.raises(ConfigError, match="to 1000405 "):  # 1414 + 1414 * 1413 / 2
+        spec_from_json({"families": [gnp(1414, 1414)], "checks": []})
+    # each seed counts, and the count adds to the other families'
+    trees = {"name": "trees", "params": {"n_min": MAX_GRAPH_VERTICES, "n_max": MAX_GRAPH_VERTICES},
+             "seeds": list(range(99))}
+    want = 99 * MAX_GRAPH_VERTICES + 2 * sum(n + n * (n - 1) // 2 for n in range(3, 41))
+    with pytest.raises(ConfigError, match=f"family 'gnp' would bring the corpus to {want} "):
+        spec_from_json({"families": [trees, gnp(3, 40, (0, 1))]})
+
+
 def test_corpus_families_generate():
     spec = spec_from_json({
         "families": [
