@@ -40,8 +40,6 @@ from .phases import (
 )
 from .residual import (
     Color,
-    Component,
-    ComponentKind,
     ResidualState,
     apply_move,
     f_decrease,

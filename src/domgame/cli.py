@@ -31,6 +31,7 @@ from .verify import (
     SKIPPED,
     Caps,
     builtin_spec,
+    check_size,
     replay_states,
     run_corpus,
     spec_from_json,
@@ -54,8 +55,22 @@ def _load_graph(path: str):
     return parse_edge_list(Path(path).read_text(encoding="utf-8"))
 
 
-# gen family -> (parameter names, builder from the parameter strings and --seed)
-_GEN = {f.gen[0]: f.gen[1:] for f in FAMILIES.values() if f.gen}
+# gen family -> (corpus family name, parameter names, builder from the
+# parameter strings and --seed)
+_GEN = {f.gen[0]: (name, *f.gen[1:]) for name, f in FAMILIES.items() if f.gen}
+
+
+def _size_params(params: dict[str, str]) -> dict:
+    """The corpus family's `size` parameters for the one graph gen builds,
+    from its parameter strings by name: n_min = n_max = n, or for a
+    caterpillar spine_min = spine_max = spine and its largest leg count as
+    max_legs. Any other parameter (gnp's p) is passed on as it is."""
+    if "spine" in params:
+        spine = int(params["spine"])
+        return {"spine_min": spine, "spine_max": spine,
+                "max_legs": max(int(x) for x in params["legs"].split(","))}
+    n = int(params.pop("n"))
+    return {"n_min": n, "n_max": n, **params}
 
 
 def cmd_gen(args) -> int:
@@ -64,10 +79,11 @@ def cmd_gen(args) -> int:
     fam = args.family
     if fam not in _GEN:
         raise ConfigError(f"unknown family {fam!r} ({', '.join(_GEN)})")
-    names, build = _GEN[fam]
+    name, names, build = _GEN[fam]
     if len(params) != len(names):
         raise ConfigError(f"gen {fam} takes {' '.join(names)} then the output file, "
                           f"got {len(args.params)} arguments")
+    check_size(name, (args.seed,), _size_params(dict(zip(names, params))))
     g = build(params, args.seed)
     Path(out).write_text(write_edge_list(g), encoding="utf-8")
     print(f"wrote {fam} graph n={g.n} m={g.edge_count} to {out}")

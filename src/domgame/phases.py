@@ -22,7 +22,6 @@ from functools import cached_property
 from .errors import ClaimViolationError
 from .residual import (
     Color,
-    ComponentKind,
     ResidualState,
     ScoreTable,
     _masks_after,
@@ -31,7 +30,6 @@ from .residual import (
     f_decrease,
     f_decreases,
     live_mask,
-    piece_kind,
     retained_piece,
     score_table,
     vertices_of,
@@ -216,9 +214,16 @@ def open_cycle_count(s: ResidualState, reg: XCycleRegistry) -> int:
     return _F_memo(s, reg)[1]
 
 
-def _penalty(kind: ComponentKind) -> int:
-    """A component's share of F's discount: 1 for WB+, 3 for BWB."""
-    return 1 if kind is ComponentKind.WB_PLUS else 3 if kind is ComponentKind.BWB else 0
+def _discount(piece: int, dom: int, light: int) -> int:
+    """The share of F's discount of `piece`, a retained-edge piece of
+    non-red vertices under the dominated and light masks dom and light:
+    1 for an order-2 piece that holds a light vertex (a WB+ pair; a white
+    vertex is never light), 3 for an order-3 piece with exactly one white
+    vertex (BWB), and 0 otherwise: the one place a piece is classified."""
+    order = piece.bit_count()
+    if order == 2:
+        return 1 if piece & light else 0
+    return 3 if order == 3 and (piece & ~dom).bit_count() == 1 else 0
 
 
 def F_value(s: ResidualState, reg: XCycleRegistry) -> int:
@@ -259,7 +264,8 @@ def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
     """(F, the number of open X-cycles, the mask big of the components of
     order >= 4, the mask of the BWB components, that of the WB+
     components, the open witnesses), computed from one pass over s's
-    components and kept in s.F_memo with reg until another registry asks.
+    component masks and kept in s.F_memo with reg until another registry
+    asks.
 
     An open witness is a dominated member in big with exactly one white
     neighbor, and an X-cycle is open exactly when it holds one. A witness
@@ -268,15 +274,14 @@ def _F_memo(s: ResidualState, reg: XCycleRegistry) -> tuple:
     memo = s.F_memo
     if memo is not None and memo[0] is reg:
         return memo[1]
-    big = bwb = wb_plus = 0
-    for c in s.components():
-        if c.order >= 4:
-            big |= c.mask
-        elif c.kind is ComponentKind.BWB:
-            bwb |= c.mask
-        elif c.kind is ComponentKind.WB_PLUS:
-            wb_plus |= c.mask
-    dom = s.dominated_mask
+    dom, light = s.dominated_mask, s.light_mask
+    big, by_discount = 0, [0, 0, 0, 0]  # the pieces of order <= 3 by their _discount
+    for piece in s.components():
+        if piece.bit_count() >= 4:
+            big |= piece
+        else:
+            by_discount[_discount(piece, dom, light)] |= piece
+    wb_plus, bwb = by_discount[1], by_discount[3]
     witness = _witnesses(s.graph.open_masks, dom, reg.member_mask & dom & big)
     n_open = len(_cycles_meeting(reg, witness))
     # a WB+ component has 2 vertices and a BWB one 3
@@ -291,14 +296,15 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
 
     The move recolors only vertices of N[newly], newly being the vertices
     it dominates. They all lie in C(v), v's retained-edge component in s,
-    and the components outside C(v) stay as they are. C(v)'s discount is
+    and the components outside C(v) stay as they are. C(v)'s _discount is
     read off the masks memoized with F: 0 when v lies in a component of
     order >= 4, else 1 in a WB+ component, 3 in a BWB one and 0 otherwise.
     An edge the move stops retaining has both ends in N[newly], so every
     non-red piece that C(v) splits into holds a non-red vertex of
     N[newly]. A search from those vertices that stops at 4 vertices thus
-    finds every piece of order <= 3, the only ones with a WB+ or BWB
-    discount; C(v)'s other non-red vertices lie in pieces of order >= 4.
+    finds every piece of order <= 3, the only ones with a discount, which
+    _discount gives; C(v)'s other non-red vertices lie in pieces of order
+    >= 4.
 
     A cycle is open when it holds an open witness (_F_memo). A member
     outside N[newly] and the small pieces keeps its dominated bit, its
@@ -307,8 +313,8 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
     pieces are none after it, and those of N[newly] outside them are
     tested again. So only the X-cycles that meet N[newly] or a small piece
     can change status; _cycles_meeting finds them. The masks after the
-    move and N[newly] come from _masks_after, the pieces and their kinds
-    from residual's retained_piece and piece_kind, and no state is built.
+    move and N[newly] come from _masks_after, the pieces from residual's
+    retained_piece, and no state is built.
     It neither reads nor writes score_table(s, reg), which adds the
     scores it asks for.
     """
@@ -325,7 +331,7 @@ def F_decrease(s: ResidualState, reg: XCycleRegistry, v: int) -> int:
         starts &= ~piece
         if piece.bit_count() < 4:
             small |= piece
-            dec += _penalty(piece_kind(piece, dom, light))
+            dec += _discount(piece, dom, light)
     changed = near | small
     touched = changed & reg.member_mask
     if touched:

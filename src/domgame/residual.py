@@ -4,10 +4,10 @@ A played set splits vertices into white (undominated), blue (dominated but
 still playable: some neighbor is white), and red (unplayable). Blue vertices
 carry a shade fixed when they turn blue: light (weight 4) during the opening
 phase, dark (weight 3) afterwards. Only edges incident to at least one white
-vertex are retained; legal moves, the weight sum f, and component shapes are
+vertex are retained; legal moves, the weight sum f, and the components are
 all read off this state. A red vertex keeps no retained edge and belongs to
 no component: the components are the retained-edge pieces of the non-red
-vertices.
+vertices, each a mask of its members.
 
 The greedy Dominator and the phase tests ask which move drops a potential
 most, or whether some move drops it by a threshold. The scorers are pure;
@@ -19,8 +19,7 @@ a loop over the vertices.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Callable
 
 from .errors import IllegalMoveError
@@ -37,26 +36,6 @@ class Color(IntEnum):
 WEIGHT = (5, 4, 3, 0)  # indexed by Color
 COLOR_CODE = ("W", "LB", "DB", "R")
 BLUE_SHADES = (Color.LIGHT_BLUE, Color.DARK_BLUE)
-
-
-class ComponentKind(Enum):
-    BWB = "BWB"            # one white between two blues
-    WB_PLUS = "WB+"        # white + light blue pair
-    WB_MINUS = "WB-"       # white + dark blue pair
-    WW = "WW"              # two adjacent whites
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class Component:
-    """A retained-edge piece of non-red vertices; its order is at least 2."""
-
-    kind: ComponentKind
-    mask: int
-
-    @property
-    def order(self) -> int:
-        return self.mask.bit_count()
 
 
 class ScoreTable:
@@ -139,19 +118,19 @@ class ResidualState:
     ``dominated_mask`` holds the non-white vertices, ``red_mask`` the red
     ones and ``light_mask`` the light-blue ones; a dark-blue vertex is
     dominated, not red and not light. The weight sum ``f`` is counted from
-    the masks by the one constructor, and the snapshot text is read off
-    them. Components are computed on first use and memoized. ``tables``
-    holds one ScoreTable per potential (score_table): f's keyed by its
-    shade, F's by its X-cycle registry. ``F_memo`` is where phases
-    memoizes F's summary, as (registry, summary). A state apply_move
-    builds keeps the move's N[newly] as ``move_near`` (None on the
-    others). Callers treat instances as values: apply_move returns a new
-    state, and a carry (carry_f_decreases, phases.carry_F_decreases) gives
-    it tables of its own, never changing the old state's.
+    the masks by the one constructor, and the snapshot text and the
+    components (member masks) are read off them. ``tables`` holds one
+    ScoreTable per potential (score_table): f's keyed by its shade, F's by
+    its X-cycle registry. ``F_memo`` is where phases memoizes F's summary,
+    as (registry, summary). A state apply_move builds keeps the move's
+    N[newly] as ``move_near`` (None on the others). Callers treat
+    instances as values: apply_move returns a new state, and a carry
+    (carry_f_decreases, phases.carry_F_decreases) gives it tables of its
+    own, never changing the old state's.
     """
 
     __slots__ = ("graph", "dominated_mask", "red_mask", "light_mask", "f",
-                 "_components", "tables", "F_memo", "move_near")
+                 "tables", "F_memo", "move_near")
 
     def __init__(self, graph: Graph, dominated_mask: int, red_mask: int, light_mask: int):
         self.graph = graph
@@ -159,7 +138,6 @@ class ResidualState:
         self.red_mask = red_mask
         self.light_mask = light_mask
         self.f = _weight(graph.n, dominated_mask, red_mask, light_mask)
-        self._components: tuple[Component, ...] | None = None
         self.tables: dict[object, ScoreTable] = {}
         self.F_memo: tuple | None = None
         self.move_near: int | None = None
@@ -179,23 +157,23 @@ class ResidualState:
         light = int.from_bytes(format(self.light_mask, bits).encode(), "big")
         return (2 * dom + red - light).to_bytes(n, "big")[::-1].translate(_MINUS_TWO_ZEROS)
 
-    def components(self) -> tuple[Component, ...]:
+    def components(self) -> tuple[int, ...]:
         """Components of the non-red vertices over retained edges (those
-        touching a white vertex), by smallest member.
+        touching a white vertex), as member masks by smallest member. Not
+        memoized: phases._F_memo, which keeps what it reads of them, is
+        the one caller.
 
         Every component has order >= 2: the graph is isolate-free, so a
         white vertex keeps its edges and a blue one has a white neighbor.
         """
-        if self._components is None:
-            g, dom, light = self.graph, self.dominated_mask, self.light_mask
-            rest = live_mask(self)
-            comps = []
-            while rest:
-                piece = retained_piece(g.open_masks, dom, (rest & -rest).bit_length() - 1, g.n)
-                rest &= ~piece
-                comps.append(Component(piece_kind(piece, dom, light), piece))
-            self._components = tuple(comps)
-        return self._components
+        opens, dom, n = self.graph.open_masks, self.dominated_mask, self.graph.n
+        rest = live_mask(self)
+        comps = []
+        while rest:
+            piece = retained_piece(opens, dom, (rest & -rest).bit_length() - 1, n)
+            rest &= ~piece
+            comps.append(piece)
+        return tuple(comps)
 
     def _snapshot_bytes(self) -> bytearray:
         """The snapshot text, UTF-8 encoded: the code slots of the template
@@ -291,22 +269,6 @@ def retained_piece(opens: tuple[int, ...], dom: int, start: int, limit: int) -> 
                 break
             frontier |= new
     return piece
-
-
-def piece_kind(mask: int, dom: int, light: int) -> ComponentKind:
-    """Kind of the retained-edge piece `mask` of non-red vertices under the
-    given dominated and light masks; its dominated vertices are blue."""
-    order = mask.bit_count()
-    if order > 3:
-        return ComponentKind.OTHER
-    wc = (mask & ~dom).bit_count()
-    if order == 2:
-        if wc == 2:
-            return ComponentKind.WW
-        return ComponentKind.WB_PLUS if mask & light else ComponentKind.WB_MINUS
-    if order == 3 and wc == 1:
-        return ComponentKind.BWB
-    return ComponentKind.OTHER
 
 
 def init_state(g: Graph) -> ResidualState:

@@ -44,7 +44,6 @@ from .phases import (
 )
 from .residual import (
     Color,
-    ComponentKind,
     ResidualState,
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     live_mask,
@@ -279,13 +278,19 @@ def _xcycle_drop_note(rep: _Replay, k: int) -> str | None:
 
 
 def _nonspecial_blue_leaf(state: ResidualState) -> int | None:
-    special = 0  # vertices of components of order 2 or of kind BWB
-    for comp in state.components():
-        if comp.order == 2 or comp.kind is ComponentKind.BWB:
-            special |= comp.mask
-    for v in vertices_of(state.dominated_mask & ~state.red_mask & ~special):
+    """The smallest blue vertex v with exactly one white neighbor w whose
+    component C(v) neither has order 2 nor is a BWB, else None; decided
+    at v, with no components. v's only retained edge is vw and w keeps
+    all its edges, so C(v) has order 2 exactly when v is w's only
+    neighbor, and is a BWB exactly when w has one other neighbor b, b is
+    dominated, and w is b's only white neighbor."""
+    opens, dom = state.graph.open_masks, state.dominated_mask
+    for v in vertices_of(dom & ~state.red_mask):
         if white_degree(state, v) == 1:
-            return v
+            others = opens[(opens[v] & ~dom).bit_length() - 1] & ~(1 << v)  # w's other neighbors
+            b = others.bit_length() - 1
+            if others and not (others == 1 << b and dom >> b & 1 and white_degree(state, b) == 1):
+                return v
     return None
 
 
@@ -346,10 +351,10 @@ def _ph3_note(rep: _Replay, k: int) -> str | None:
     return None
 
 
-_PHASE4_KINDS = (ComponentKind.WB_MINUS, ComponentKind.WB_PLUS, ComponentKind.BWB)
-
-
 def _end3_note(rep: _Replay, k: int) -> str | None:
+    """Where phase 4 starts: every X-cycle is finished, every blue vertex
+    has one white neighbor, and every white vertex has no white neighbor
+    and at most two blue ones, which are then all its neighbors."""
     state, reg = rep.states[k], rep.registry
     for i in range(len(reg)):
         st = cycle_status(reg, i, state)
@@ -367,9 +372,7 @@ def _end3_note(rep: _Replay, k: int) -> str | None:
         blues = (state.graph.open_masks[v] & blue).bit_count()
         if blues > 2:
             return f"white vertex {v} has {blues} blue neighbors"
-    for comp in state.components():
-        if comp.kind not in _PHASE4_KINDS:
-            return f"component {tuple(vertices_of(comp.mask))} of kind {comp.kind.value} at phase-4 start"
+    # so each component is a white with its one or two blue leaves: a WB+, WB- or BWB
     return None
 
 
@@ -780,6 +783,22 @@ FAMILIES = {
 }
 
 
+def check_size(name: str, seeds: tuple, params: dict, total: int = 0) -> int:
+    """`total` plus the vertices of family `name`'s graphs for these seeds
+    and params, counted by its `size` before anything is built. Raises
+    ConfigError if one graph passes MAX_GRAPH_VERTICES or the sum passes
+    MAX_CORPUS_VERTICES."""
+    largest, vertices = FAMILIES[name].size(seeds, **params)
+    total += vertices
+    if largest > MAX_GRAPH_VERTICES:
+        raise ConfigError(f"family {name!r} would build a graph of {largest} vertices, "
+                          f"past the limit of {MAX_GRAPH_VERTICES}")
+    if total > MAX_CORPUS_VERTICES:
+        raise ConfigError(f"family {name!r} would bring the corpus to {total} vertices, "
+                          f"past the limit of {MAX_CORPUS_VERTICES}")
+    return total
+
+
 def spec_from_json(d: dict) -> CorpusSpec:
     """Parse a corpus spec; the one place that rejects a bad one.
 
@@ -821,14 +840,7 @@ def spec_from_json(d: dict) -> CorpusSpec:
             raise ConfigError(f"bad family entry {f!r}: seeds must be non-negative integers")
         if any(seed >= 2**128 for seed in seeds):  # Philox's key has 128 bits
             raise ConfigError(f"family {name!r}: 'seeds' must be below 2**128")
-        largest, vertices = FAMILIES[name].size(tuple(seeds), **params)
-        total += vertices
-        if largest > MAX_GRAPH_VERTICES:
-            raise ConfigError(f"family {name!r} would build a graph of {largest} vertices, "
-                              f"past the limit of {MAX_GRAPH_VERTICES}")
-        if total > MAX_CORPUS_VERTICES:
-            raise ConfigError(f"family {name!r} would bring the corpus to {total} vertices, "
-                              f"past the limit of {MAX_CORPUS_VERTICES}")
+        total = check_size(name, tuple(seeds), params, total)
         families.append(FamilySpec(name, params, list(seeds)))
     default_checks = ["all"] if families else []
     checks = _resolve_checks(d.get("checks", default_checks))

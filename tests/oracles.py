@@ -18,7 +18,6 @@ from domgame.phases import (
     F_decrease,
     F_value,
     PhaseContext,
-    _penalty,
     maybe_advance,
     shade_for_phase,
 )
@@ -26,7 +25,6 @@ from domgame.residual import (
     BLUE_SHADES,
     COLOR_CODE,
     Color,
-    ComponentKind,
     ResidualState,
     apply_move,
     f_decrease,
@@ -191,7 +189,8 @@ def max_F_decrease(s, reg):
 def components_bfs(s):
     """(kind, mask) of each component of s's non-red vertices over retained
     edges, in order of their smallest member, by a plain breadth-first
-    search over sets, with the kind read off the colors by its definition."""
+    search over sets, with the kind read off the colors by its definition:
+    "WW", "WB+", "WB-", "BWB" or "other"."""
     col = colors(s)
     nbrs = {v: set() for v in range(s.graph.n)}
     for u, w in retained_edges(s):
@@ -210,17 +209,22 @@ def components_bfs(s):
         whites = sum(col[u] is Color.WHITE for u in comp)
         shades = sorted(col[u] for u in comp if col[u] is not Color.WHITE)
         if len(comp) == 2 and whites == 2:
-            kind = ComponentKind.WW
+            kind = "WW"
         elif len(comp) == 2 and shades == [Color.LIGHT_BLUE]:
-            kind = ComponentKind.WB_PLUS
+            kind = "WB+"
         elif len(comp) == 2 and shades == [Color.DARK_BLUE]:
-            kind = ComponentKind.WB_MINUS
+            kind = "WB-"
         elif len(comp) == 3 and whites == 1 and Color.RED not in shades:
-            kind = ComponentKind.BWB
+            kind = "BWB"
         else:
-            kind = ComponentKind.OTHER
+            kind = "other"
         out.append((kind, sum(1 << u for u in comp)))
     return out
+
+
+# A component's share of F = f - (open X-cycles) - (WB+ pairs) - 3 * (BWB
+# components), by its components_bfs kind; the other kinds have none.
+PENALTY = {"WB+": 1, "BWB": 3}
 
 
 def nonspecial_blue_leaf(s):
@@ -231,7 +235,7 @@ def nonspecial_blue_leaf(s):
     special = set()
     for kind, mask in components_bfs(s):
         members = {v for v in range(s.graph.n) if mask >> v & 1}
-        if len(members) == 2 or kind is ComponentKind.BWB:
+        if len(members) == 2 or kind == "BWB":
             special |= members
     for v in range(s.graph.n):
         whites = sum(col[w] is Color.WHITE for w in s.graph.adjacency[v])
@@ -241,14 +245,14 @@ def nonspecial_blue_leaf(s):
 
 
 def _shape_masks(comps):
-    """(vertices in components of order >= 4, vertices in BWB components):
-    all that _status reads of the components."""
+    """(vertices in components of order >= 4, vertices in BWB components)
+    of the components_bfs pairs comps: all that _status reads of them."""
     big = bwb = 0
-    for c in comps:
-        if c.order >= 4:
-            big |= c.mask
-        elif c.kind is ComponentKind.BWB:
-            bwb |= c.mask
+    for kind, mask in comps:
+        if mask.bit_count() >= 4:
+            big |= mask
+        elif kind == "BWB":
+            bwb |= mask
     return big, bwb
 
 
@@ -276,17 +280,19 @@ def F_decrease_resplit(s, reg, v):
     retained-edge component, in the state apply_move builds, and
     classifying again with _status, before and after the move, every
     X-cycle with a member in C(v); the components outside C(v) are s's
-    own. post's components refine s's, so C(v)'s pieces are those of post
-    that meet it."""
+    own. Components and their kinds come from components_bfs and their
+    discounts from PENALTY. post's components refine s's, so C(v)'s
+    pieces are those of post that meet it."""
     post = apply_move(s, v, Color.DARK_BLUE)
-    comps = s.components()
-    comp = next(c for c in comps if c.mask >> v & 1)
-    pieces = [c for c in post.components() if c.mask & comp.mask]
-    dec = s.f - post.f - _penalty(comp.kind) + sum(_penalty(c.kind) for c in pieces)
+    comps = components_bfs(s)
+    comp = next(c for c in comps if c[1] >> v & 1)
+    kind, mask = comp
+    pieces = [c for c in components_bfs(post) if c[1] & mask]
+    dec = s.f - post.f - PENALTY.get(kind, 0) + sum(PENALTY.get(k, 0) for k, _ in pieces)
     opens, pre_masks = s.graph.open_masks, _shape_masks(comps)
     masks = _shape_masks([c for c in comps if c is not comp] + pieces)
     for i, members in enumerate(reg.cycles):
-        if members & comp.mask:
+        if members & mask:
             was = _status(reg, i, opens, s.dominated_mask, s.red_mask, *pre_masks)
             status = _status(reg, i, opens, post.dominated_mask, post.red_mask, *masks)
             dec -= (was is CycleStatus.OPEN) - (status is CycleStatus.OPEN)

@@ -157,6 +157,32 @@ def test_gen_bad_family_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.g").exists()
 
 
+def test_gen_refuses_oversized_graphs_before_building(tmp_path, capsys, monkeypatch):
+    """gen sizes its one graph with the corpus family's size, as verify
+    does, and refuses it past the same limits with the same text, before
+    any generator runs; gnp counts its vertex pairs, so n = 1414 is
+    refused."""
+    import domgame.verify as verify
+
+    def unreachable(*args):
+        raise AssertionError("a generator ran")
+
+    out = tmp_path / "out.g"
+    with monkeypatch.context() as m:
+        for name in ("gen_path", "gen_random_tree", "gen_gnp_isolate_free"):
+            m.setattr(verify, name, unreachable)
+        for params, message in (
+                (["path", "200000000"], "family 'paths' would build a graph of 200000000 vertices"),
+                (["tree", "200000000"], "family 'trees' would build a graph of 200000000 vertices"),
+                (["gnp", "100000", "0.5"], "family 'gnp' would build a graph of 100000 vertices"),
+                (["gnp", "1414", "0.5"], "family 'gnp' would bring the corpus to 1000405 vertices")):
+            assert main(["gen", *params, str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+    assert main(["gen", "path", "10000", str(out)]) == 0
+    assert parse_edge_list(out.read_text(encoding="utf-8")) == gen_path(10000)
+
+
 def test_verify_smoke_exits_0(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "smoke", "--json"]) == 0

@@ -12,7 +12,8 @@ maybe_advance froze, and at every state under the registry of the graph's
 own cycles, which need not match the white subgraph. The games are played
 on random trees, G(n, p), unions of cycles C_k (k >= 4, up to 40) and
 cycles with pendant paths and chords. components() is compared with a
-plain breadth-first search (oracles.components_bfs). f_decreases, the
+plain breadth-first search (oracles.components_bfs), and _discount with
+the penalty of that search's kind. f_decreases, the
 batch scorer, is compared with the oracle move on random sets of live
 vertices, in games from both starts. The open witnesses memoized with F
 are compared with their definition on components_bfs, and the cycles
@@ -34,7 +35,6 @@ from hypothesis import strategies as st
 
 from domgame import (
     Color,
-    ComponentKind,
     F_decrease,
     F_value,
     Graph,
@@ -63,6 +63,7 @@ from domgame import (
 from domgame import strategy
 from domgame.phases import (
     CycleStatus,
+    _discount,
     _F_memo,
     cycle_status,
     open_cycle_count,
@@ -71,6 +72,7 @@ from domgame.phases import (
 from domgame.residual import WEIGHT, live_mask, vertices_of
 from domgame.strategy import opening, step
 from oracles import (
+    PENALTY,
     F_decrease_resplit,
     _status,
     apply_move_full,
@@ -234,7 +236,7 @@ def shape_masks_bfs(s):
     for kind, mask in components_bfs(s):
         if mask.bit_count() >= 4:
             big |= mask
-        elif kind is ComponentKind.BWB:
+        elif kind == "BWB":
             bwb |= mask
     return big, bwb
 
@@ -272,17 +274,22 @@ def test_F_decrease_matches_full_recompute(drawn, seed):
 @given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_components_match_bfs(drawn, seed):
-    """components() equals the breadth-first oracle at every state before a
-    move and at the state after every legal move from it."""
-    def listed(comps):
-        return [(c.kind, c.mask) for c in comps]
+    """components() lists the masks of the breadth-first oracle, in its
+    order, and _discount gives each the penalty of its oracle kind, at
+    every state before a move and at the state after every legal move
+    from it."""
+    def listed(s):
+        return [(_discount(c, s.dominated_mask, s.light_mask), c) for c in s.components()]
+
+    def oracle(s):
+        return [(PENALTY.get(kind, 0), mask) for kind, mask in components_bfs(s)]
 
     _, g, _ = drawn
     for s, ctx in phased_play(g, seed):
-        assert listed(s.components()) == components_bfs(s)
+        assert listed(s) == oracle(s)
         for v in legal_moves(s):
             post = apply_move(s, v, shade_for_phase(ctx.phase))
-            assert listed(post.components()) == components_bfs(post)
+            assert listed(post) == oracle(post)
 
 
 @given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))
@@ -294,11 +301,11 @@ def test_move_on_bwb_turns_it_red(drawn, seed):
     after such a move are all red, so they need not be cleared."""
     _, g, _ = drawn
     for s, _ in phased_play(g, seed):
-        for comp in s.components():
-            if comp.kind is ComponentKind.BWB:
-                for v in vertices_of(comp.mask):
+        for kind, mask in components_bfs(s):
+            if kind == "BWB":
+                for v in vertices_of(mask):
                     for shade in (LIGHT, DARK):
-                        assert apply_move(s, v, shade).red_mask & comp.mask == comp.mask
+                        assert apply_move(s, v, shade).red_mask & mask == mask
 
 
 @given(drawn=graphs(40, 40), seed=st.integers(0, 2**31))

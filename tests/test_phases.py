@@ -236,8 +236,7 @@ def test_registry_exists_exactly_from_phase3():
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**31))
 @settings(max_examples=40)
 def test_F_never_exceeds_f(n, seed):
-    from domgame import ComponentKind
-    from domgame.phases import open_cycle_count
+    from domgame.phases import _discount, open_cycle_count
 
     g = gen_gnp_isolate_free(n, 0.4, seed)
     s = init_state(g)
@@ -250,8 +249,7 @@ def test_F_never_exceeds_f(n, seed):
             F = F_value(s, ctx.registry)
             assert F <= s.f
             penalties = open_cycle_count(s, ctx.registry) + sum(
-                1 for c in s.components()
-                if c.kind in (ComponentKind.WB_PLUS, ComponentKind.BWB))
+                1 for c in s.components() if _discount(c, s.dominated_mask, s.light_mask))
             assert (F == s.f) == (penalties == 0)
         if is_over(s):
             break

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from domgame import (
     Color,
-    ComponentKind,
     Graph,
     IllegalMoveError,
     ResidualState,
@@ -25,7 +24,7 @@ from domgame import (
     philox_rng,
     white_degree,
 )
-from domgame.phases import F_decrease, PhaseContext, XCycleRegistry, potential_decrease
+from domgame.phases import F_decrease, PhaseContext, XCycleRegistry, _discount, potential_decrease
 from domgame.residual import ScoreTable, live_mask, score_table, vertices_of
 from oracles import color_partition, colors, retained_edges, snapshot_join, state_from_colors
 
@@ -202,25 +201,27 @@ def test_parse_snapshot_names_the_inconsistent_color(text, message):
     assert str(err.value) == message
 
 
+def discounts(s):
+    """(members, _discount) of each component of s."""
+    return [(vertices_of(c), _discount(c, s.dominated_mask, s.light_mask)) for c in s.components()]
+
+
 def test_components_bwb_by_definition():
     s = parse_snapshot(gen_path(3), "0 DB\n1 W\n2 LB")
-    comps = s.components()
-    assert [c.kind for c in comps] == [ComponentKind.BWB]
+    assert discounts(s) == [([0, 1, 2], 3)]
 
 
 def test_components_wb_pairs():
     s = parse_snapshot(gen_path(2), "0 W\n1 LB")
-    assert s.components()[0].kind is ComponentKind.WB_PLUS
+    assert discounts(s) == [([0, 1], 1)]  # WB+
     s = parse_snapshot(gen_path(2), "0 W\n1 DB")
-    assert s.components()[0].kind is ComponentKind.WB_MINUS
-    s = init_state(gen_path(2))
-    assert s.components()[0].kind is ComponentKind.WW
+    assert discounts(s) == [([0, 1], 0)]  # WB-
+    assert discounts(init_state(gen_path(2))) == [([0, 1], 0)]  # WW
 
 
 def test_components_p4_after_center():
     s = apply_move(init_state(gen_path(4)), 1, LIGHT)
-    comps = s.components()
-    assert [(vertices_of(c.mask), c.kind) for c in comps] == [([2, 3], ComponentKind.WB_PLUS)]
+    assert discounts(s) == [([2, 3], 1)]
     assert retained_edges(s) == ((2, 3),)
 
 
@@ -242,9 +243,9 @@ def test_component_kinds_stable_under_relabeling(n, seed):
         shade = LIGHT if i % 2 else DARK
         s = apply_move(s, v, shade)
         s_p = apply_move(s_p, perm[v], shade)
-    kinds = sorted(c.kind.value for c in s.components())
-    kinds_p = sorted(c.kind.value for c in s_p.components())
-    assert kinds == kinds_p
+    shapes = sorted((len(members), d) for members, d in discounts(s))
+    shapes_p = sorted((len(members), d) for members, d in discounts(s_p))
+    assert shapes == shapes_p
 
 
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**31))
@@ -280,9 +281,9 @@ def test_components_partition_vertices(n, seed):
     g = small_random_graph(n, seed)
     for s in random_playout(g, seed)[0]:
         comps = s.components()
-        seen = sorted(v for c in comps for v in vertices_of(c.mask))
+        seen = sorted(v for c in comps for v in vertices_of(c))
         assert seen == [v for v, c in enumerate(colors(s)) if c is not Color.RED]
-        assert all(c.order >= 2 for c in comps)
+        assert all(c.bit_count() >= 2 for c in comps)
 
 
 def test_f_decrease_memo_is_keyed_by_shade():

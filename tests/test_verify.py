@@ -36,6 +36,8 @@ from domgame import (
 )
 from domgame.cli import main as cli_main
 from domgame.verify import FAMILIES, MAX_CORPUS_VERTICES, MAX_GRAPH_VERTICES
+from test_local_delta import graphs
+from test_residual import random_playout
 from transcript_cases import (
     FOOTER_FIELDS,
     HEADER_FIELDS,
@@ -654,3 +656,87 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
     # the played move decides, the scan decides either way, and both occur
     # where the precondition holds
     assert {(True, True, True), (True, False, True), (False, False, False)} <= seen
+
+
+def test_end3_struct_fails_by_name(monkeypatch):
+    """With phase 3 cut short (phase3_active always false), phase 4 starts
+    where phase 2 ends, and END3_STRUCT must name the first clause that
+    breaks there. Each case is the smallest found for its note: the
+    Dominator-first games on C4 and P2, and the spider with legs 0-1-4,
+    0-2-3 and 0-5 where Staller opens at the leaf 5, leaving the light
+    blue 0 with the white neighbors 1 and 2. A search over every Staller
+    line on every labeled graph with n <= 6, and on random trees and
+    G(n, p) with n = 7, 8, found no "has k blue neighbors" note."""
+    from oracles import make_scripted_staller
+
+    from domgame import phases
+
+    def end3(g, first, script):
+        staller = make_scripted_staller(script) if script else staller_min_decrease
+        return by_claim(verify_transcript(g, play_game(g, dominator_greedy, staller, first)))["END3_STRUCT"]
+
+    spider = Graph.from_edges(6, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3)])
+    cases = [
+        (gen_cycle(4), "D", (), "X-cycle 0 is closed, not finished, when phase 4 starts"),
+        (gen_path(2), "D", (), "white vertex 0 still has 1 white neighbors"),
+        (spider, "S", (5, 3), "blue vertex 0 still has 2 white neighbors"),
+    ]
+    assert all(end3(g, first, script).ok for g, first, script, _ in cases)
+    monkeypatch.setattr(phases, "phase3_active", lambda s, reg: False)
+    for g, first, script, note in cases:
+        report = end3(g, first, script)
+        assert (report.status, report.detail) == ("fail", note)
+
+
+def end3_vertex_note(s):
+    """_end3_note at s under a registry with no X-cycle: its vertex clauses."""
+    from types import SimpleNamespace
+
+    from domgame.phases import XCycleRegistry
+    from domgame.verify import _end3_note
+
+    return _end3_note(SimpleNamespace(states=[s], registry=XCycleRegistry(())), 0)
+
+
+@given(drawn=graphs(30, 30), seed=st.integers(0, 2**31))
+@settings(max_examples=150, deadline=None)
+def test_end3_vertex_clauses_leave_only_pairs_and_bwb(drawn, seed):
+    """Wherever END3's vertex clauses hold, at any state of a random game
+    with random shades, every component is a WB+, WB- or BWB, by
+    components_bfs: the check on the component kinds that END3 dropped
+    could not fire."""
+    from oracles import components_bfs
+
+    _, g, _ = drawn
+    for s in random_playout(g, seed)[0]:
+        if end3_vertex_note(s) is None:
+            assert {kind for kind, _ in components_bfs(s)} <= {"WB+", "WB-", "BWB"}
+
+
+@given(drawn=graphs(30, 30), seed=st.integers(0, 2**31))
+@settings(max_examples=150, deadline=None)
+def test_nonspecial_blue_leaf_matches_its_definition(drawn, seed):
+    """At every state of a random game with random shades, the blue leaf
+    PH2_LEAF names, decided locally, is the one its definition gives on
+    components_bfs (oracles.nonspecial_blue_leaf)."""
+    from oracles import nonspecial_blue_leaf
+
+    from domgame.verify import _nonspecial_blue_leaf
+
+    _, g, _ = drawn
+    for s in random_playout(g, seed)[0]:
+        assert _nonspecial_blue_leaf(s) == nonspecial_blue_leaf(s)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0 DB\n1 W", None),  # order 2
+    ("0 DB\n1 W\n2 LB", None),  # BWB
+    ("0 W\n1 W\n2 DB", 2),  # W-W-B
+    ("0 DB\n1 W\n2 DB\n3 W", 0),  # 2 has a second white neighbor, so C(0) has order 4
+])
+def test_nonspecial_blue_leaf_snapshots(text, want):
+    from domgame import parse_snapshot
+    from domgame.verify import _nonspecial_blue_leaf
+
+    g = gen_path(len(text.splitlines()))
+    assert _nonspecial_blue_leaf(parse_snapshot(g, text)) == want
