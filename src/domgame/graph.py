@@ -8,9 +8,11 @@ generator keyed by an explicit seed, so a corpus graph is reproducible from
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -45,18 +47,8 @@ class Graph:
             raise ValueError(f"graph needs a positive int vertex count, got {self.n!r}")
         if len(self.adjacency) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        for u, nbrs in enumerate(self.adjacency):
-            if any(type(w) is not int or not 0 <= w < self.n for w in nbrs):
-                raise ValueError(f"vertex {u}: a neighbor id is not an int in 0..{self.n - 1}")
-            if u in nbrs:
-                raise ValueError(f"vertex {u}: self-loop")
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"vertex {u}: parallel edge")
-            if tuple(sorted(nbrs)) != tuple(nbrs):
-                raise ValueError(f"vertex {u}: adjacency not sorted")
-            for w in nbrs:
-                if u not in self.adjacency[w]:
-                    raise ValueError(f"edge {u}-{w} is not symmetric")
+        if not _lists_valid(self.n, self.adjacency):
+            _raise_first_fault(self.n, self.adjacency)  # returns for valid lists that are not tuples
 
     @staticmethod
     def from_edges(n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
@@ -120,6 +112,58 @@ class Graph:
     @cached_property
     def graph_hash(self) -> str:
         return hashlib.sha256(write_edge_list(self).encode()).hexdigest()[:12]
+
+
+def _lists_valid(n: int, adjacency: Sequence[Sequence[int]]) -> bool:
+    """Whether the lists make a simple symmetric graph, in O(n + m): the ids
+    are ints in 0..n-1, each list equals the ascending list of the vertices
+    that list its vertex (so the lists are sorted and every edge is listed
+    at both ends), no list holds its own vertex and none repeats an id."""
+    heads = list(itertools.chain.from_iterable(adjacency))
+    if heads and (set(map(type, heads)) != {int} or min(heads) < 0 or max(heads) >= n):
+        return False
+    back: list[list[int]] = [[] for _ in range(n)]
+    for u, nbrs in enumerate(adjacency):
+        for w in nbrs:
+            back[w].append(u)
+    return (list(map(tuple, back)) == list(adjacency)
+            and not any(map(operator.contains, adjacency, range(n)))
+            and sum(map(len, map(set, adjacency))) == len(heads))
+
+
+def _raise_first_fault(n: int, adjacency: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError for the first fault in vertex order: at each vertex,
+    a fault of its own list, else the first w it lists whose list lacks it
+    (from the first faulty list on, w's list is searched as it stands)."""
+    back: list[list[int]] = [[] for _ in range(n)]  # back[w]: the vertices listing w, below k
+    k, fault = n, None
+    for u, nbrs in enumerate(adjacency):
+        fault = _list_fault(u, nbrs, n)
+        if fault is not None:
+            k = u
+            break
+        for w in nbrs:
+            back[w].append(u)
+    for u in range(k):
+        listed_by = set(back[u])
+        for w in adjacency[u]:
+            if (w not in listed_by) if w < k else (u not in adjacency[w]):
+                raise ValueError(f"edge {u}-{w} is not symmetric")
+    if fault is not None:
+        raise ValueError(fault)
+
+
+def _list_fault(u: int, nbrs: Sequence[int], n: int) -> str | None:
+    """What is wrong with vertex u's neighbor list on its own, or None."""
+    if any(type(w) is not int or not 0 <= w < n for w in nbrs):
+        return f"vertex {u}: a neighbor id is not an int in 0..{n - 1}"
+    if u in nbrs:
+        return f"vertex {u}: self-loop"
+    if len(set(nbrs)) != len(nbrs):
+        return f"vertex {u}: parallel edge"
+    if tuple(sorted(nbrs)) != tuple(nbrs):
+        return f"vertex {u}: adjacency not sorted"
+    return None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -246,29 +290,47 @@ def _tree_edges_from_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+_PAIR_BLOCK = 1 << 16  # uniforms per draw call, unless one row is longer
+
+
 def gen_gnp_isolate_free(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi sample; isolated vertices are repaired in ascending order
-    by attaching one edge to a uniformly random other vertex."""
+    by attaching one edge to a uniformly random other vertex.
+
+    The stream gives one uniform per pair u < v, in lexicographic order (an
+    edge where it is below p), then one draw per repair. The uniforms are
+    drawn a block of whole rows at a time: numpy's Generator.random(k)
+    yields the values of k scalar calls and leaves the stream where they
+    would, so the graph is that of one scalar draw per pair.
+    """
     if n < 2:
         raise ValueError("need at least 2 vertices for an isolate-free graph")
     if not 0 < p <= 1:
         raise ValueError("p must satisfy 0 < p <= 1")
     rng = philox_rng(seed)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
+    row = np.arange(n, dtype=np.int64)
+    first = row * (2 * n - row - 1) // 2  # index of pair (u, u + 1); first[n - 1] is the pair count
+    hits = []
+    u = 0
+    while u < n - 1:
+        end = max(u + 1, int(np.searchsorted(first, first[u] + _PAIR_BLOCK, side="right")) - 1)
+        hits.append(np.flatnonzero(rng.random(int(first[end] - first[u])) < p) + first[u])
+        u = end
+    pair = np.concatenate(hits)
+    low = np.searchsorted(first, pair, side="right") - 1
+    high = pair - first[low] + low + 1
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(low.tolist(), high.tolist()):  # lexicographic order, so every list comes out sorted
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     for v in range(n):
         if not nbrs[v]:
             u = int(rng.integers(0, n - 1))
             if u >= v:
                 u += 1
-            nbrs[v].add(u)
-            nbrs[u].add(v)
-    edges = [(u, v) for u in range(n) for v in nbrs[u] if u < v]
-    return Graph.from_edges(n, edges)
+            nbrs[v].append(u)
+            bisect.insort(nbrs[u], v)
+    return Graph(n, tuple(map(tuple, nbrs)))
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:

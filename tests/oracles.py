@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from domgame.errors import IllegalMoveError
-from domgame.graph import philox_rng
+from domgame.graph import Graph, philox_rng
 from domgame.phases import (
     CycleStatus,
     F_decrease,
@@ -148,6 +148,49 @@ def is_connected(g):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
+
+
+def gnp_per_pair(n, p, seed):
+    """gen_gnp_isolate_free with one scalar rng.random() call per vertex
+    pair u < v, in lexicographic order, then the repairs of isolated
+    vertices in ascending order, each joined to a uniform other vertex."""
+    rng = philox_rng(seed)
+    nbrs = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+    for v in range(n):
+        if not nbrs[v]:
+            u = int(rng.integers(0, n - 1))
+            if u >= v:
+                u += 1
+            nbrs[v].add(u)
+            nbrs[u].add(v)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
+
+
+def check_graph_lists(n, adjacency):
+    """Graph's input check vertex by vertex: raise ValueError at the first
+    vertex whose list has a fault, or that lists w where w's list lacks it
+    (searched in w's list as it stands)."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"graph needs a positive int vertex count, got {n!r}")
+    if len(adjacency) != n:
+        raise ValueError("adjacency length does not match vertex count")
+    for u, nbrs in enumerate(adjacency):
+        if any(type(w) is not int or not 0 <= w < n for w in nbrs):
+            raise ValueError(f"vertex {u}: a neighbor id is not an int in 0..{n - 1}")
+        if u in nbrs:
+            raise ValueError(f"vertex {u}: self-loop")
+        if len(set(nbrs)) != len(nbrs):
+            raise ValueError(f"vertex {u}: parallel edge")
+        if tuple(sorted(nbrs)) != tuple(nbrs):
+            raise ValueError(f"vertex {u}: adjacency not sorted")
+        for w in nbrs:
+            if u not in adjacency[w]:
+                raise ValueError(f"edge {u}-{w} is not symmetric")
 
 
 def tree_edges_from_pruefer_scan(seq, n):

@@ -19,6 +19,14 @@ taken five times (n = 475), a game of 176 phase-3 and 7 phase-4 moves; it
 was recorded, without --trace, before phases 3-4 carried F-scores across
 moves and read cycle status off the open witnesses.
 
+GEN_CASES rebuild five golden graphs with `domgame gen` and compare the
+file it writes with the golden one, so a generator that moved along its
+Philox stream shows up here. gnp10 is gen_gnp_isolate_free(10, 0.35, 2)
+(`domgame gen gnp 10 0.35 gnp10.g --seed 2`) and tree30 is
+gen_random_tree(30, 0) (`domgame gen tree 30 tree30.g --seed 0`); both
+were written with the first golden files, while the G(n, p) sampler still
+made one scalar draw per vertex pair.
+
 verify_reports.json holds the verifier's reports, witnesses included, for
 games on the golden graphs and for the single-field mutations of
 tests/transcript_cases.py; it was recorded by that script before the
@@ -43,9 +51,9 @@ bounds.
 
     python tests/test_golden.py
 
-runs every CASES entry through the installed `domgame` console script
-instead, in a temporary directory, and compares its output bytes with the
-golden file; it exits 1 if one differs or fails.
+runs every CASES and GEN_CASES entry through the installed `domgame`
+console script instead, in a temporary directory, and compares its output
+bytes with the golden file; it exits 1 if one differs or fails.
 """
 
 import subprocess
@@ -78,6 +86,16 @@ CASES = {
     "verify_search12": ["verify", "search12.json", "--json"],
 }
 
+# name -> `domgame gen` arguments that write tests/golden/<name>.g, here
+# written to <name>.g in the working directory
+GEN_CASES = {
+    "gnp10": ["gen", "gnp", "10", "0.35", "gnp10.g", "--seed", "2"],
+    "gnp500": ["gen", "gnp", "500", "0.006", "gnp500.g", "--seed", "2"],
+    "tree20": ["gen", "tree", "20", "tree20.g", "--seed", "7"],
+    "tree30": ["gen", "tree", "30", "tree30.g", "--seed", "0"],
+    "tree1200": ["gen", "tree", "1200", "tree1200.g", "--seed", "11"],
+}
+
 
 def case_argv(name):
     """CASES[name] with its input files resolved under tests/golden/."""
@@ -92,19 +110,34 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("name", sorted(GEN_CASES))
+def test_gen_output_matches_golden(name, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(GEN_CASES[name]) == 0
+    assert (tmp_path / f"{name}.g").read_bytes() == (GOLDEN / f"{name}.g").read_bytes()
+
+
 def test_verify_reports_match_golden():
     assert dumps(report_cases()) == REPORTS.read_text(encoding="utf-8")
 
 
 def run_console_cases() -> int:
-    """Run each CASES entry through the `domgame` console script on PATH
-    and compare its exit code and output bytes with the golden file;
-    print each case's outcome and return 1 if any differs, else 0."""
+    """Run each CASES and GEN_CASES entry through the `domgame` console
+    script on PATH and compare its exit code and output bytes (for gen, the
+    file it writes) with the golden file; print each case's outcome and
+    return 1 if any differs, else 0."""
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:  # a failing verify writes its witnesses here
-        for name in sorted(CASES):
-            run = subprocess.run(["domgame", *case_argv(name)], cwd=tmp, capture_output=True)
-            ok = run.returncode == 0 and run.stdout == (GOLDEN / f"{name}.json").read_bytes()
+        runs = [(name, case_argv(name), f"{name}.json", None) for name in sorted(CASES)]
+        runs += [(f"gen_{name}", GEN_CASES[name], f"{name}.g", Path(tmp, f"{name}.g"))
+                 for name in sorted(GEN_CASES)]
+        for name, argv, golden, written in runs:
+            run = subprocess.run(["domgame", *argv], cwd=tmp, capture_output=True)
+            if written is None:
+                out = run.stdout
+            else:
+                out = written.read_bytes() if written.exists() else None
+            ok = run.returncode == 0 and out == (GOLDEN / golden).read_bytes()
             print(f"{'ok' if ok else 'FAILED'} {name}", flush=True)
             if not ok:
                 sys.stderr.write(run.stderr.decode(errors="replace"))

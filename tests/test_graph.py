@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from domgame import (
@@ -16,7 +16,13 @@ from domgame import (
     write_edge_list,
 )
 from domgame.graph import _tree_edges_from_pruefer, philox_rng
-from oracles import is_connected, isolate_free_labeled_count, tree_edges_from_pruefer_scan
+from oracles import (
+    check_graph_lists,
+    gnp_per_pair,
+    is_connected,
+    isolate_free_labeled_count,
+    tree_edges_from_pruefer_scan,
+)
 
 
 def degree_sequence(g):
@@ -166,6 +172,92 @@ def test_gnp_argument_errors():
         gen_gnp_isolate_free(5, 0.0, 1)
     with pytest.raises(ValueError):
         gen_gnp_isolate_free(5, 0.5, -1)
+
+
+@st.composite
+def gnp_args(draw):
+    """n from 2 to 80, or around the 65,536 uniforms of one draw call (one
+    call up to n = 362, more from 363 on); p drawn, or 1e-3 (isolated
+    vertices to repair), 3/n, 0.5 or 1; seed 0, 2**64 or 2**128 - 1."""
+    n = draw(st.integers(2, 80) | st.sampled_from([300, 362, 363, 500]))
+    p = draw(st.floats(0, 1, exclude_min=True) | st.sampled_from([1e-3, min(1.0, 3 / n), 0.5, 1.0]))
+    return n, p, draw(st.sampled_from([0, 2**64, 2**128 - 1]))
+
+
+@given(args=gnp_args())
+@example(args=(363, 1e-3, 2**128 - 1))
+@example(args=(500, 3 / 500, 2**64))
+@settings(max_examples=80)
+def test_gnp_matches_one_draw_per_pair(args):
+    """Block draws give the graph of one scalar draw per pair."""
+    assert gen_gnp_isolate_free(*args) == gnp_per_pair(*args)
+
+
+FAULTS = ("none", "true", "float", "negative", "out of range", "self-loop", "parallel",
+          "unsorted", "missing reverse")
+
+
+def with_fault(g, u, i, fault):
+    """g's lists with one fault at w = adjacency[u][i]: w replaced by True,
+    by float(w), by -1 or by n; u added to its own list; w repeated; u's
+    list reversed; or u dropped from w's list."""
+    adj = [list(a) for a in g.adjacency]
+    nbrs, w = adj[u], adj[u][i]
+    replace = {"true": True, "float": float(w), "negative": -1, "out of range": g.n}
+    if fault in replace:
+        nbrs[i] = replace[fault]
+    elif fault == "self-loop":
+        nbrs.append(u)
+        nbrs.sort()
+    elif fault == "parallel":
+        nbrs.insert(i, w)
+    elif fault == "unsorted":
+        nbrs.reverse()
+    elif fault == "missing reverse":
+        adj[w].remove(u)
+    return tuple(map(tuple, adj))
+
+
+def check_outcome(check, n, adjacency):
+    """The ValueError message of check(n, adjacency), or None if it accepts."""
+    try:
+        check(n, adjacency)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_graph_check_matches_the_per_vertex_check(data):
+    n = data.draw(st.integers(2, 14))
+    seed = data.draw(st.integers(0, 2**32))
+    g = (gen_random_tree(n, seed) if data.draw(st.booleans())
+         else gen_gnp_isolate_free(n, data.draw(st.floats(0.05, 1.0)), seed))
+    u = data.draw(st.integers(0, n - 1))
+    fault = data.draw(st.sampled_from(FAULTS))
+    assume(fault != "unsorted" or g.degree(u) >= 2)
+    adjacency = with_fault(g, u, data.draw(st.integers(0, g.degree(u) - 1)), fault)
+    expected = check_outcome(check_graph_lists, n, adjacency)
+    assert check_outcome(Graph, n, adjacency) == expected
+    assert (expected is None) == (fault == "none")
+
+
+@pytest.mark.parametrize("adjacency, message", [
+    (((True,), (0, 2), (1,)), "vertex 0: a neighbor id is not an int in 0..2"),
+    (((1,), (0, 2), (1.0,)), "vertex 2: a neighbor id is not an int in 0..2"),  # 1.0 == 1 lists 1
+    (((1,), (0, 2), (3,)), "edge 1-2 is not symmetric"),  # named before vertex 2's own fault
+    (((1,), (0, 1, 2), (1,)), "vertex 1: self-loop"),
+    (((1, 1), (0, 2), (1,)), "vertex 0: parallel edge"),
+    (((1, 1), (0, 0, 2), (1,)), "vertex 0: parallel edge"),  # repeated at both ends
+    (((1,), (2, 0), (1,)), "vertex 1: adjacency not sorted"),
+    (((1, 2), (0, 2), (1,)), "edge 0-2 is not symmetric"),
+    (((1,), (0,), (1,)), "edge 2-1 is not symmetric"),
+])
+def test_graph_check_names_the_first_fault(adjacency, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(3, adjacency)
+    assert str(exc.value) == message
 
 
 def test_enumerate_n2():
