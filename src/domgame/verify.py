@@ -568,10 +568,9 @@ def _bound_reports(g: Graph, solver_cap: int, worst: WorstCases | None) -> list[
     """verify_bounds on worst-case search results computed by the caller."""
     gv = solve_game(g, solver_cap) if g.n <= solver_cap else None
     wc_d, wc_s = (None, None) if worst is None else worst
-    gtext = write_edge_list(g)
 
     def fail(claim: str, note: str) -> ClaimReport:
-        return ClaimReport(claim, FAIL, note, Witness(gtext, note=note))
+        return ClaimReport(claim, FAIL, note, Witness(write_edge_list(g), note=note))
 
     def length_bound(claim: str, bound: int, name: str, value: int | None, length: str,
                      wc: int | None, skip_notes: tuple[str, str]) -> ClaimReport:

@@ -82,6 +82,16 @@ def test_seed_past_philox_key_exits_2(p3_file, tmp_path, capsys):
     assert out.exists()
 
 
+def test_negative_seed_exits_2_for_every_tree_size(tmp_path, capsys):
+    out = tmp_path / "t.g"
+    for n in ("2", "3"):
+        assert main(["gen", "tree", n, str(out), "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be non-negative\n"
+        assert captured.out == ""
+    assert not out.exists()
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.g"
     for text, where in [("2 1\n0 0\n", "line 2"), ("2000000 1\n0 1\n", "line 1: n=2000000")]:

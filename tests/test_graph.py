@@ -119,7 +119,11 @@ def test_caterpillar_argument_errors():
 
 
 def test_random_tree_small_shapes():
-    assert gen_random_tree(2, 99) == gen_path(2)
+    for seed in (0, 7, 99, 2**128 - 1):
+        assert gen_random_tree(2, seed) == gen_path(2)
+    for seed in (-5, 2**128):  # n = 2 draws nothing, but its seed is checked
+        with pytest.raises(ValueError, match="seed must be"):
+            gen_random_tree(2, seed)
     g = gen_random_tree(3, 5)
     assert sorted(degree_sequence(g)) == [1, 1, 2]
 
@@ -287,6 +291,9 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
     assert not Graph.from_edges(3, [(0, 1)]).is_isolate_free()
+    for edges in ([(0, 1.0)], [(-1, 1)], [(1, 1)], [(0, 1), (0, 1)], [(0, 1), (1, 0)]):
+        with pytest.raises(ValueError):  # a float or negative id, a self-loop, an edge twice
+            Graph.from_edges(2, edges)
 
 
 def test_graph_rejects_ids_that_are_not_ints():

@@ -36,6 +36,7 @@ from domgame import (
 )
 from domgame.cli import main as cli_main
 from domgame.verify import FAMILIES, MAX_CORPUS_VERTICES, MAX_GRAPH_VERTICES
+from claim_cases import CASES, search_pool, smallest_failures
 from test_local_delta import graphs
 from test_residual import random_playout
 from transcript_cases import (
@@ -686,6 +687,26 @@ def test_end3_struct_fails_by_name(monkeypatch):
     for g, first, script, note in cases:
         report = end3(g, first, script)
         assert (report.status, report.detail) == ("fail", note)
+
+
+@pytest.mark.parametrize("claim", sorted(CASES))
+def test_claim_fails_by_name(claim):
+    """The smallest game found that breaks the claim reports it failed,
+    with a witness of the graph, the moves and the state where it broke."""
+    case = CASES[claim]
+    g, t = case.graph, case.transcript()
+    report = by_claim(verify_transcript(g, t))[claim]
+    assert (report.status, report.detail) == ("fail", case.note)
+    w = report.witness
+    k = len(w.transcript_prefix)
+    assert (w.graph_text, w.note) == (write_edge_list(g), case.note)
+    assert w.transcript_prefix == tuple(r.to_json_dict() for r in t.records[:k])
+    assert w.snapshot == replay_states(g, t)[k].snapshot()
+
+
+def test_forged_dominator_search_finds_the_pinned_cases():
+    found = smallest_failures(search_pool())
+    assert {claim: found.get(claim) for claim in CASES} == CASES
 
 
 def end3_vertex_note(s):
