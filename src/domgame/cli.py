@@ -28,6 +28,7 @@ from .strategy import (
 )
 from .verify import (
     FAMILIES,
+    MAX_GRAPH_VERTICES,
     SKIPPED,
     Caps,
     builtin_spec,
@@ -113,6 +114,9 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = _load_graph(args.graph_file)
+    if g.n > MAX_GRAPH_VERTICES:  # play grows faster than linearly in n
+        raise ConfigError(f"simulate plays graphs of at most {MAX_GRAPH_VERTICES} vertices, "
+                          f"got {g.n}")
     first = "D" if args.first == "d" else "S"
     if args.staller == "worst":
         _, transcript = staller_worst_case(g, _env_cap(DEFAULT_WORST_CASE_CAP), first)

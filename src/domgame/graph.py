@@ -31,6 +31,13 @@ def philox_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def _check_vertex_count(n: object) -> None:
+    """Raise ValueError unless n is a positive int; a bool is an int
+    subclass, but no vertex count."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"graph needs a positive int vertex count, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with sorted adjacency lists.
@@ -43,8 +50,7 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:  # a bool is an int subclass, but no vertex count
-            raise ValueError(f"graph needs a positive int vertex count, got {self.n!r}")
+        _check_vertex_count(self.n)
         if len(self.adjacency) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         if not _lists_valid(self.n, self.adjacency):
@@ -52,9 +58,11 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
-        """The graph of an edge list. Ids are guarded only so that none can
-        index or wrap around a list; self-loops and repeated edges are left
-        to the check in __post_init__."""
+        """The graph of an edge list. The vertex count is checked before any
+        list is built; ids are guarded only so that none can index or wrap
+        around a list; self-loops and repeated edges are left to the check
+        in __post_init__."""
+        _check_vertex_count(n)
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):

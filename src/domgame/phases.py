@@ -389,27 +389,20 @@ def phase3_active(s: ResidualState, reg: XCycleRegistry) -> bool:
     return score_table(s, reg).reaches(10, live_mask(s), lambda v: F_decrease(s, reg, v))
 
 
-def advance_phases_1_2(ctx: PhaseContext, s: ResidualState) -> tuple[int, XCycleRegistry | None]:
-    """The phase-1/2 part of maybe_advance: (phase, registry) once phases 1
-    and 2 are tested on s. Where phase 2 ends, the registry is frozen, which
-    raises ClaimViolationError if s lacks the phase-2 end structure; from
-    phase 3 on, ctx's pair comes back as it is."""
+def maybe_advance(ctx: PhaseContext, s: ResidualState) -> PhaseContext:
+    """Cascade the phase machine; call before move 1 and after even moves.
+
+    The one code that runs the phase predicates. Entering phase 3 freezes
+    the X-cycle registry, which raises ClaimViolationError if s lacks the
+    phase-2 end structure. Skipped phases get length 0; ctx itself comes
+    back when the phase stays.
+    """
     phase, registry = ctx.phase, ctx.registry
     if phase == 1 and not phase1_active(s):
         phase = 2
     if phase == 2 and not phase2_active(s):
         registry = freeze_registry(s)
         phase = 3
-    return phase, registry
-
-
-def maybe_advance(ctx: PhaseContext, s: ResidualState) -> PhaseContext:
-    """Cascade the phase machine; call before move 1 and after even moves.
-
-    Entering phase 3 freezes the X-cycle registry. Skipped phases get
-    length 0; ctx itself comes back when the phase stays.
-    """
-    phase, registry = advance_phases_1_2(ctx, s)
     if phase == 3 and not phase3_active(s, registry):
         phase = 4
     return ctx if phase == ctx.phase else PhaseContext(phase, registry)

@@ -3,10 +3,11 @@
 A policy is a callable ``policy(ctx, state) -> vertex`` carrying a
 ``policy_name`` attribute. The Dominator of record is the greedy rule;
 Staller policies only need to return legal vertices. The move rule lives in
-opening() and step(); _moves() is the one loop over them, which play_game
-drives with the policies and the verifier's replay with a transcript's
-vertices, and _record()/_transcript() build every record and transcript,
-the worst-case search's witness included.
+opening() and step(), the only code that plays a move. _moves() is the one
+loop over them, which play_game drives with the policies and the verifier's
+replay with a transcript's vertices; the worst-case search steps each child
+it searches and each Staller child it cuts in phases 1-2. _record() and
+_transcript() build every record and transcript, the search's witness too.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .graph import Graph, philox_rng
 from .phases import (
     F_value,
     PhaseContext,
-    advance_phases_1_2,
     carry_F_decreases,
     maybe_advance,
     potential_decrease,
@@ -172,28 +172,23 @@ def step(ctx: PhaseContext, state: ResidualState, idx: int,
          v: int) -> tuple[ResidualState, PhaseContext]:
     """Play v as move idx: (state after it, phase context for the next move).
 
-    New blues are light only in phase 1. The phase machine is evaluated
-    after even-indexed moves that leave the game running, never after the
-    last move. A move hands the state after it the scores of the state
-    before it that it cannot have changed (residual.carry_f_decreases in
-    phases 1-2, phases.carry_F_decreases in 3-4), so the greedy move and
-    the phase tests there score only the vertices near the move anew.
+    Play, replay and the worst-case search all call it. New blues are light
+    only in phase 1. The phase machine is evaluated after even-indexed
+    moves that leave the game running, never after the last move. A move
+    hands the state after it the scores of the state before it that it
+    cannot have changed (residual.carry_f_decreases in phases 1-2,
+    phases.carry_F_decreases in 3-4), so the greedy move and the phase
+    tests there score only the vertices near the move anew.
     """
-    post = _play(ctx, state, v)
-    if idx % 2 == 0 and not is_over(post):
-        ctx = maybe_advance(ctx, post)
-    return post, ctx
-
-
-def _play(ctx: PhaseContext, state: ResidualState, v: int) -> ResidualState:
-    """The state after v, with the scores of step()'s carry."""
     shade = shade_for_phase(ctx.phase)
     post = apply_move(state, v, shade)
     if ctx.phase <= 2:
         carry_f_decreases(state, post, v, shade)
     else:
         carry_F_decreases(state, post, v, ctx.registry)
-    return post
+    if idx % 2 == 0 and not is_over(post):
+        ctx = maybe_advance(ctx, post)
+    return post, ctx
 
 
 def move_decrease(ctx: PhaseContext, pre: ResidualState, post: ResidualState) -> int:
@@ -286,19 +281,16 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
     Every move dominates at least one new (white) vertex, so a line through
     a child has at most `moves made + 1 + |undominated| - |newly|` moves:
     the child's move, then at most one per vertex it leaves undominated. A
-    child whose bound is not above the longest line found so far is cut
-    before it is played. The phase machine still runs the part of the
-    child's step that can raise: a Staller move in phase 1 or 2 is played,
-    its scores carried, and phases 1-2 tested on the state after it
-    (phases.advance_phases_1_2), so a phase-2 end there is audited on the
-    same states as if the child had been stepped. The phase-3 test and
-    the new context are skipped: they cannot raise, and the search does
-    not go on from the child. The greedy's moves and
-    Staller moves from phase 3 on run no audit in step() and are skipped
-    outright. There is no table across nodes; the cutoff would turn its
-    values into bounds. Returns (length, witness), the witness being the
-    first maximizing line in ascending-id order, recorded from the states
-    that line played.
+    child whose bound is not above the longest line found so far is cut:
+    the search goes no further from it. A cut Staller move in phase 1 or 2
+    is still played through step() and its result dropped, so a phase-2
+    end on it is audited (phases.freeze_registry raises on a violation) as
+    on every other child. The greedy's cut moves and cut Staller moves
+    from phase 3 on run no audit in step() and are skipped outright. There
+    is no table across nodes; the cutoff would turn its values into
+    bounds. Returns (length, witness), the witness being the first
+    maximizing line in ascending-id order, recorded from the states that
+    line played.
     """
     if first not in ("D", "S"):
         raise ValueError("first must be 'D' or 'S'")
@@ -322,9 +314,7 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
             seen.add(newly)
             if left - newly.bit_count() <= len(best):  # best grows in this loop
                 if idx % 2 == 0 and ctx.phase <= 2:
-                    post = _play(ctx, state, v)
-                    if not is_over(post):
-                        advance_phases_1_2(ctx, post)
+                    step(ctx, state, idx, v)
                 continue
             nxt, nctx = step(ctx, state, idx, v)
             line.append((ctx, state, idx, v, nxt))

@@ -453,8 +453,8 @@ _CLAIMS = (
            "no phase-1/2 moves", _counted("{checked} moves checked")),
     _budget_claim(1),
     _budget_claim(2),
-    # Cannot fail: the replay's freeze_registry raises ClaimViolationError on
-    # this same handoff state first, for any violation this check reports.
+    # Fails only when the engine's freeze lets a violation through: the
+    # replay's freeze_registry raises on any violation this check reports.
     _Claim("END2_STRUCT", "state", lambda b, a: b < 3 <= a,
            lambda rep, k: _phase2_end(rep.states[k])[0],
            "game ended before the potential handoff", _counted("handoff state structure holds")),

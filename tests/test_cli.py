@@ -146,6 +146,25 @@ def test_simulate_json_is_byte_identical(tmp_path, capsys):
     assert len(doc["snapshots"]) == doc["total_moves"] + 1
 
 
+def test_simulate_refuses_graphs_past_the_vertex_limit(tmp_path, capsys, monkeypatch):
+    """simulate plays graphs up to verify's MAX_GRAPH_VERTICES, the limit
+    of corpus graphs and gen, and refuses a larger file with exit 2 before
+    any move; the limit is lowered here, since a game at the real one
+    takes seconds."""
+    import domgame.cli as cli
+
+    path = tmp_path / "p5.g"
+    path.write_text(write_edge_list(gen_path(5)), encoding="utf-8")
+    monkeypatch.setattr(cli, "MAX_GRAPH_VERTICES", 4)
+    assert main(["simulate", str(path), "--staller", "min"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "simulate plays graphs of at most 4 vertices, got 5" in captured.err
+    monkeypatch.setattr(cli, "MAX_GRAPH_VERTICES", 5)
+    assert main(["simulate", str(path), "--staller", "min"]) == 0
+    assert "final_potential=0" in capsys.readouterr().out
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "out.g"
     assert main(["gen", "path", "7", str(out)]) == 0

@@ -294,6 +294,9 @@ def test_graph_validation():
     for edges in ([(0, 1.0)], [(-1, 1)], [(1, 1)], [(0, 1), (0, 1)], [(0, 1), (1, 0)]):
         with pytest.raises(ValueError):  # a float or negative id, a self-loop, an edge twice
             Graph.from_edges(2, edges)
+    for n in (2.0, None, "3"):
+        with pytest.raises(ValueError, match="graph needs a positive int vertex count"):
+            Graph.from_edges(n, [])
 
 
 def test_graph_rejects_ids_that_are_not_ints():

@@ -687,6 +687,41 @@ def test_end3_struct_fails_by_name(monkeypatch):
     for g, first, script, note in cases:
         report = end3(g, first, script)
         assert (report.status, report.detail) == ("fail", note)
+    # the C4 game's phase 4 then starts with a move that leaves its component non-red
+    c4 = gen_cycle(4)
+    ph4 = by_claim(verify_transcript(c4, play_game(c4, dominator_greedy, staller_min_decrease, "D")))
+    assert (ph4["PH4_MOVES"].status, ph4["PH4_MOVES"].detail) == (
+        "fail", "move 1 left vertex 1 of its component non-red")
+
+
+def test_structural_claims_fail_by_name_under_an_unchecked_freeze(monkeypatch):
+    """With phases 1 and 2 planted inactive and the registry frozen
+    without its phase-2 end check, the Dominator-first game on the star
+    K1,3 reaches the handoff on the all-white opening state, where the
+    center has 3 white neighbors and every leaf hangs on a white support.
+    END2_STRUCT, LATER2 and LIGHTBLUE_STRUCT must each name it at state 0,
+    before any move."""
+    from domgame import gen_star, phases
+    from domgame.phases import XCycleRegistry
+
+    g = gen_star(4)
+    assert all(r.ok for r in verify_transcript(
+        g, play_game(g, dominator_greedy, staller_min_decrease, "D")))
+    monkeypatch.setattr(phases, "phase1_active", lambda s: False)
+    monkeypatch.setattr(phases, "phase2_active", lambda s: False)
+    monkeypatch.setattr(phases, "freeze_registry", lambda s: XCycleRegistry(phases._phase2_end(s)[1]))
+    t = play_game(g, dominator_greedy, staller_min_decrease, "D")
+    reports = by_claim(verify_transcript(g, t))
+    start = replay_states(g, t)[0].snapshot()
+    for claim, note in (
+            ("END2_STRUCT", "white vertex 0 has 3 white neighbors"),
+            ("LATER2", "white vertex 0 has 3 white neighbors"),
+            ("LIGHTBLUE_STRUCT", "white leaf 1: support 0 is WHITE and some 3-path "
+                                 "through it lacks a light blue or red vertex")):
+        report = reports[claim]
+        assert (report.status, report.detail) == ("fail", note)
+        w = report.witness
+        assert (w.move_index, w.snapshot, w.transcript_prefix) == (None, start, ())
 
 
 @pytest.mark.parametrize("claim", sorted(CASES))
