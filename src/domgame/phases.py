@@ -109,12 +109,13 @@ def phase2_active(s: ResidualState) -> bool:
     return max(table.buckets, default=0) >= 11
 
 
-def _white_degree_violation(s: ResidualState) -> str | None:
-    """A white vertex with more than 2 white neighbors or a blue one with more
-    than 3, as a description, else None; phase-2 end and every later state.
-    Red vertices are skipped: they have no white neighbor."""
+def _white_degree_violation(s: ResidualState, within: int = -1) -> str | None:
+    """A white vertex of the mask `within` (every vertex by default) with
+    more than 2 white neighbors or a blue one with more than 3, the
+    smallest first, as a description, else None; phase-2 end and every
+    later state. Red vertices are skipped: they have no white neighbor."""
     dom = s.dominated_mask
-    for v in vertices_of(live_mask(s)):
+    for v in vertices_of(live_mask(s) & within):
         dw = white_degree(s, v)
         if not dom >> v & 1:
             if dw > 2:

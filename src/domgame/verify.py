@@ -9,6 +9,12 @@ minimax solver. Each transcript claim is one entry of a table, and one
 runner walks the replay once for all of them. A recorded field that
 disagrees with the rebuilt one is itself a failure, so mutated transcripts
 are rejected with a replayable witness.
+
+LATER2, LIGHTBLUE_STRUCT and PH2_LEAF's blue leaves are checked by delta:
+in full at a claim's first site, then only at the vertices within _RADIUS
+of a vertex recolored since its last site (_ball). A vertex's verdict reads
+no color farther from it than that, and the claim held at its last site,
+so the checks are exact.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import json
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 from .errors import ConfigError
@@ -45,6 +52,7 @@ from .phases import (
 from .residual import (
     Color,
     ResidualState,
+    _neighborhood,
     apply_move,  # unused: perfbench/tests/test_harness.py expects it bound here
     live_mask,
     retained_piece,
@@ -124,6 +132,9 @@ class _Replay:
     replayed: Transcript    # rebuilt from the replayed moves
     states: list[ResidualState]  # the state after the first k moves, k = 0..len
     registry: XCycleRegistry | None
+    last_site: dict[str, int] = field(default_factory=dict)  # per claim checked by delta (_ball)
+    balls: tuple = ()  # (last site, site, _delta_balls) of the last _ball
+    leaves: int = 0  # _nonspecial_blue_leaves at PH2_LEAF's last site
 
 
 def _replay(g: Graph, t: Transcript) -> _Replay:
@@ -251,15 +262,55 @@ def _ph1_note(rep: _Replay, k: int) -> str | None:
     return None
 
 
-def _later2_violation(state: ResidualState) -> str | None:
-    """LATER2 at one state: the white-degree bounds, and every white vertex
-    with no white neighbor touches a blue one of white-degree 1 or 2."""
-    note = _white_degree_violation(state)
+def _delta_balls(pre: ResidualState, post: ResidualState, radius: int,
+                 balls: list[int] | None = None) -> list[int]:
+    """[N^0[D], N^1[D], ..., N^radius[D]], the vertices within distance 0,
+    1, ..., radius of D, the vertices whose color differs between pre and
+    post; `balls`, a shorter such list of the same two states, is
+    extended in place. D is read off the two states' masks, not off a
+    move, so each ball is exact for any pair of states."""
+    if not balls:
+        balls = [(pre.dominated_mask ^ post.dominated_mask) | (pre.red_mask ^ post.red_mask)
+                 | (pre.light_mask ^ post.light_mask)]
+    while len(balls) <= radius:
+        balls.append(_neighborhood(pre.graph.closed_masks, balls[-1]))
+    return balls
+
+
+# The claims checked by delta, each a conjunction of vertex verdicts (for
+# PH2_LEAF, its blue leaves), and how far from its vertex a verdict reads
+# colors.
+_RADIUS = {"LATER2": 2, "LIGHTBLUE_STRUCT": 2, "PH2_LEAF": 3}
+
+
+def _ball(rep: _Replay, claim: str, k: int) -> int:
+    """Where a claim of _RADIUS is checked at site k: at every vertex (-1)
+    at its first site, else on the ball of its radius between the state
+    at its last site and state k (_delta_balls, shared by the claims).
+    The runner checks a claim only while it holds, so it still holds
+    outside the ball, where no verdict read a changed color."""
+    last = rep.last_site.get(claim)
+    rep.last_site[claim] = k
+    if last is None:
+        return -1
+    radius = _RADIUS[claim]
+    balls = _delta_balls(rep.states[last], rep.states[k], radius,
+                         rep.balls[2] if rep.balls[:2] == (last, k) else None)
+    rep.balls = (last, k, balls)
+    return balls[radius]
+
+
+def _later2_violation(state: ResidualState, within: int = -1) -> str | None:
+    """LATER2 over the vertices of `within` (every vertex by default): the
+    white-degree bounds, and every white vertex with no white neighbor
+    touches a blue one of white-degree 1 or 2. A vertex's verdict reads
+    colors within distance 2 of it."""
+    note = _white_degree_violation(state, within)
     if note:
         return note
     adjacency = state.graph.adjacency
     # a white vertex with no white neighbor has only blue neighbors
-    for v in vertices_of(white_mask(state)):
+    for v in vertices_of(white_mask(state) & within):
         if white_degree(state, v) == 0 and not any(
                 white_degree(state, w) in (1, 2) for w in adjacency[v]):
             return f"vertex {v} has no blue neighbor of white-degree 1 or 2"
@@ -277,42 +328,61 @@ def _xcycle_drop_note(rep: _Replay, k: int) -> str | None:
     return None
 
 
-def _nonspecial_blue_leaf(state: ResidualState) -> int | None:
-    """The smallest blue vertex v with exactly one white neighbor w whose
-    component C(v) neither has order 2 nor is a BWB, else None; decided
-    at v, with no components. v's only retained edge is vw and w keeps
-    all its edges, so C(v) has order 2 exactly when v is w's only
-    neighbor, and is a BWB exactly when w has one other neighbor b, b is
-    dominated, and w is b's only white neighbor."""
+def _nonspecial_blue_leaves(state: ResidualState, within: int = -1) -> int:
+    """The mask of the blue vertices v of `within` (every vertex by default)
+    with exactly one white neighbor w whose component C(v) neither has
+    order 2 nor is a BWB; decided at v, with no components, from colors
+    within distance 3 of v. v's only retained edge is vw and w keeps all
+    its edges, so C(v) has order 2 exactly when v is w's only neighbor,
+    and is a BWB exactly when w has one other neighbor b, b is dominated,
+    and w is b's only white neighbor."""
     opens, dom = state.graph.open_masks, state.dominated_mask
-    for v in vertices_of(dom & ~state.red_mask):
+    leaves = 0
+    for v in vertices_of(dom & ~state.red_mask & within):
         if white_degree(state, v) == 1:
             others = opens[(opens[v] & ~dom).bit_length() - 1] & ~(1 << v)  # w's other neighbors
             b = others.bit_length() - 1
             if others and not (others == 1 << b and dom >> b & 1 and white_degree(state, b) == 1):
-                return v
-    return None
+                leaves |= 1 << v
+    return leaves
 
 
-def _ph2_leaf_holds(rep: _Replay, k: int) -> bool:
+def _nonspecial_blue_leaf(state: ResidualState) -> int | None:
+    """The smallest of the _nonspecial_blue_leaves, else None."""
+    leaves = _nonspecial_blue_leaves(state)
+    return (leaves & -leaves).bit_length() - 1 if leaves else None
+
+
+def _ph2_leaf_holds(rep: _Replay, k: int, first: int = 0) -> bool:
     """Some move at the state before move k drops F by at least 11. The
     move played is tried first: its replayed decrease is its F_decrease
     (phases 3-4 shade dark), so only when it falls short are the others
-    read off the state's F table or scored, up to the first that
+    read off the state's F table or scored, those of the mask `first`
+    and then the rest, each in id order, up to the first that
     qualifies."""
     if rep.replayed.records[k].decrease >= 11:
         return True
     state, reg = rep.states[k], rep.registry
-    return score_table(state, reg).reaches(11, live_mask(state), lambda v: F_decrease(state, reg, v))
+    table, live = score_table(state, reg), live_mask(state)
+    score = partial(F_decrease, state, reg)
+    return table.reaches(11, live & first, score) or table.reaches(11, live, score)
 
 
 def _ph2_leaf_note(rep: _Replay, k: int):
     """Wherever phase 3 still has a blue leaf in a non-special component,
-    some move must drop F by at least 11."""
-    v = _nonspecial_blue_leaf(rep.states[k])
-    if v is None:
+    some move must drop F by at least 11. The leaves are carried from the
+    claim's last site and decided again within distance 3 of a recolored
+    vertex. The moves on the other neighbors of w, the smallest leaf's
+    white neighbor, are scored first: one of them dropped F by 11 at each
+    of the 1,374 sites of the cycles_phase3 and verify_corpus benchmark
+    universes where the played move did not."""
+    state, ball = rep.states[k], _ball(rep, "PH2_LEAF", k)
+    rep.leaves = leaves = rep.leaves & ~ball | _nonspecial_blue_leaves(state, ball)
+    if not leaves:
         return _IDLE
-    if _ph2_leaf_holds(rep, k):
+    v, opens = (leaves & -leaves).bit_length() - 1, state.graph.open_masks
+    w = (opens[v] & ~state.dominated_mask).bit_length() - 1
+    if _ph2_leaf_holds(rep, k, opens[w] & ~(1 << v)):
         return None
     return f"blue leaf {v} in a non-special component but no move drops F by 11"
 
@@ -415,11 +485,13 @@ def _total_note(rep: _Replay, k: int) -> str | None:
     return None
 
 
-def _lightblue_note(rep: _Replay, k: int) -> str | None:
+def _lightblue_violation(state: ResidualState, within: int = -1) -> str | None:
     """From phase 2 on, every retained 3-path ending in a still-white leaf of
     G carries opening-phase evidence: the leaf's support u is light blue, or
     u is white with every other neighbor light blue, or u is dark blue with
-    every other neighbor light blue or red.
+    every other neighbor light blue or red. Checked over the leaves of
+    `within` (every vertex by default); a leaf's verdict reads colors on
+    N[u], within distance 2 of the leaf.
 
     This is the invariant the opening phase's end condition establishes and
     color monotonicity preserves. The bare two-case reading (light support,
@@ -427,9 +499,9 @@ def _lightblue_note(rep: _Replay, k: int) -> str | None:
     support can be dominated later through one of its light neighbors and
     turn dark while the leaf stays white.
     """
-    state, g = rep.states[k], rep.graph
+    g = state.graph
     dom, red, light = state.dominated_mask, state.red_mask, state.light_mask
-    for v in vertices_of(g.leaf_mask & ~dom):
+    for v in vertices_of(g.leaf_mask & ~dom & within):
         u = g.adjacency[v][0]
         others = g.open_masks[u] & ~(1 << v)
         if not dom >> u & 1:
@@ -445,6 +517,15 @@ def _lightblue_note(rep: _Replay, k: int) -> str | None:
     return None
 
 
+def _lightblue_note(rep: _Replay, k: int) -> str | None:
+    """_lightblue_violation at site k over its _ball, which is not needed
+    where no leaf of G is white."""
+    state = rep.states[k]
+    if not state.graph.leaf_mask & ~state.dominated_mask:
+        return None
+    return _lightblue_violation(state, _ball(rep, "LIGHTBLUE_STRUCT", k))
+
+
 # In TRANSCRIPT_CHECKS order. A state site between phases b and a lies in
 # phase 3 or later when max(b, a) >= 3; b < 3 <= a is the f/F handoff,
 # where the X-cycle registry is frozen.
@@ -458,8 +539,13 @@ _CLAIMS = (
     _Claim("END2_STRUCT", "state", lambda b, a: b < 3 <= a,
            lambda rep, k: _phase2_end(rep.states[k])[0],
            "game ended before the potential handoff", _counted("handoff state structure holds")),
+    # Cannot newly fail after its first site, the handoff, where
+    # _phase2_end forces it: white degrees only fall, so the degree bounds
+    # stay true, and a white vertex that loses its last white neighbor u
+    # has u turn blue, with white degree 1 or 2. The check by delta stays
+    # as a cheap check of color monotonicity (test_verify).
     _Claim("LATER2", "state", lambda b, a: max(b, a) >= 3,
-           lambda rep, k: _later2_violation(rep.states[k]),
+           lambda rep, k: _later2_violation(rep.states[k], _ball(rep, "LATER2", k)),
            "phases 3-4 never reached", _counted("{checked} states checked")),
     _Claim("XCYCLE_DROP", "move", lambda ph, nxt: ph >= 3, _xcycle_drop_note,
            "phases 3-4 never reached", _counted("{checked} moves checked")),
@@ -479,6 +565,10 @@ _CLAIMS = (
     _budget_claim(4),
     _Claim("TOTAL_5N", "move", lambda ph, nxt: nxt == 0, _total_note, "no moves",
            lambda rep, *_: "5n={} >= {}, gap={}".format(*_five_n(rep))),
+    # Cannot newly fail after its first site, where phase 1's end forces
+    # it: a white leaf's support is never red, a light vertex stays light
+    # until it turns red, and a white support, whose other neighbors are
+    # then light, turns light blue, or dark blue with them light or red.
     _Claim("LIGHTBLUE_STRUCT", "state", lambda b, a: max(b, a) >= 2, _lightblue_note,
            "game ended inside phase 1", _counted("{checked} states checked")),
 )

@@ -796,3 +796,122 @@ def test_nonspecial_blue_leaf_snapshots(text, want):
 
     g = gen_path(len(text.splitlines()))
     assert _nonspecial_blue_leaf(parse_snapshot(g, text)) == want
+
+
+def recolored(s, changes):
+    """s with each (vertex, color) of changes set, the color white, light
+    blue or dark blue whatever the vertex had, and red recomputed: a
+    dominated vertex is red exactly when its closed neighborhood is."""
+    from domgame.residual import Color, ResidualState
+
+    dom, light = s.dominated_mask, s.light_mask
+    for v, color in changes:
+        bit = 1 << v
+        dom = dom | bit if color else dom & ~bit
+        light = light | bit if color == Color.LIGHT_BLUE else light & ~bit
+    red = sum(1 << v for v, closed in enumerate(s.graph.closed_masks) if closed & ~dom == 0)
+    return ResidualState(s.graph, dom, red, light & ~red)
+
+
+def state_pairs(g, seed):
+    """(s1, s2) pairs: each state s1 of a random game with random shades on
+    g, and s1 with one to four vertices within distance 2 of a random
+    vertex recolored, forward or back, white drawn twice as often as each
+    blue shade; three pairs per state."""
+    from domgame.residual import Color, _neighborhood, vertices_of
+
+    rng = philox_rng(seed)
+    colors = (Color.WHITE, Color.WHITE, Color.LIGHT_BLUE, Color.DARK_BLUE)
+    for s1 in random_playout(g, seed)[0]:
+        for _ in range(3):
+            near = vertices_of(_neighborhood(g.closed_masks, g.closed_masks[int(rng.integers(0, g.n))]))
+            yield s1, recolored(s1, [(near[int(rng.integers(0, len(near)))], colors[int(rng.integers(0, 4))])
+                                     for _ in range(int(rng.integers(1, 5)))])
+
+
+@pytest.mark.parametrize("claim", ["LATER2", "LIGHTBLUE_STRUCT", "PH2_LEAF"])
+def test_delta_checks_equal_full_checks(claim):
+    """The audit checks LATER2 and LIGHTBLUE_STRUCT only within distance 2
+    of D, the vertices recolored since the claim's last site, once they
+    held, and decides PH2_LEAF's blue leaves again only within distance 3
+    of D (verify._RADIUS). On pairs of valid states of trees, G(n, p),
+    cycle unions and decorated cycles with n <= 30 where the claim holds
+    on the first, the ball check on the second equals the full one, note
+    or None; the carried leaves equal the full mask on every pair. The
+    pairs must include second states where the claim fails or the leaves
+    change."""
+    from domgame.verify import (
+        _RADIUS,
+        _delta_balls,
+        _later2_violation,
+        _lightblue_violation,
+        _nonspecial_blue_leaves,
+    )
+
+    check = {"LATER2": _later2_violation, "LIGHTBLUE_STRUCT": _lightblue_violation,
+             "PH2_LEAF": _nonspecial_blue_leaves}[claim]  # PH2_LEAF's: its blue leaves
+    radius = _RADIUS[claim]
+    seen = 0
+
+    @given(drawn=graphs(30, 30), seed=st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def pairs_check(drawn, seed):
+        nonlocal seen
+        for s1, s2 in state_pairs(drawn[1], seed):
+            before, ball, full = check(s1), _delta_balls(s1, s2, radius)[radius], check(s2)
+            if claim == "PH2_LEAF":
+                assert before & ~ball | check(s2, ball) == full
+                seen += full != before
+            elif before is None:
+                assert check(s2, ball) == full
+                seen += full is not None
+
+    pairs_check()
+    assert seen
+
+
+def test_later2_and_lightblue_survive_every_move():
+    """LATER2 and LIGHTBLUE_STRUCT cannot newly fail (verify._CLAIMS): at
+    every state of a random game with random shades where one holds,
+    every legal move in either shade keeps it."""
+    from domgame.residual import BLUE_SHADES, apply_move, legal_moves
+    from domgame.verify import _later2_violation, _lightblue_violation
+
+    kept = dict.fromkeys(("LATER2", "LIGHTBLUE_STRUCT"), 0)
+
+    @given(drawn=graphs(30, 30), seed=st.integers(0, 2**31))
+    @settings(max_examples=150, deadline=None)
+    def check(drawn, seed):
+        for s in random_playout(drawn[1], seed)[0]:
+            for claim, note in (("LATER2", _later2_violation), ("LIGHTBLUE_STRUCT", _lightblue_violation)):
+                if note(s) is None:
+                    for v in legal_moves(s):
+                        for shade in BLUE_SHADES:
+                            assert note(apply_move(s, v, shade)) is None, (claim, s.snapshot(), v)
+                            kept[claim] += 1
+
+    check()
+    assert all(kept.values()), kept
+
+
+def test_phase3_audit_reads_white_degrees_near_the_moves(monkeypatch):
+    """LATER2 and PH2_LEAF's blue leaves are checked by delta, so the audit
+    of a game on C5..C14 x5 (n = 475, 180 phase-3 moves) asks for 4,126
+    white degrees. A full check at every state asked for 96,807."""
+    from domgame import phases, verify
+    from domgame.residual import white_degree
+
+    g = cycle_union(list(range(5, 15)) * 5)
+    t = play_game(g, dominator_greedy, make_staller_random(7), "D")
+    assert t.phase_lengths == (0, 0, 180, 6)
+    calls = 0
+
+    def counted(s, v):
+        nonlocal calls
+        calls += 1
+        return white_degree(s, v)
+
+    monkeypatch.setattr(verify, "white_degree", counted)
+    monkeypatch.setattr(phases, "white_degree", counted)
+    assert all(r.ok for r in verify_transcript(g, t))
+    assert calls <= 6000
