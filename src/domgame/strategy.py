@@ -4,10 +4,10 @@ A policy is a callable ``policy(ctx, state) -> vertex`` carrying a
 ``policy_name`` attribute. The Dominator of record is the greedy rule;
 Staller policies only need to return legal vertices. The move rule lives in
 opening() and step(), the only code that plays a move. _moves() is the one
-loop over them, which play_game drives with the policies and the verifier's
-replay with a transcript's vertices; the worst-case search steps each child
-it searches and each Staller child it cuts in phases 1-2. _record() and
-_transcript() build every record and transcript, the search's witness too.
+loop over them, which play_game and the corpus runner drive with policies
+(_chooser), the verifier's replay with a transcript's vertices; the search
+steps each child it searches and each Staller child it cuts in phases 1-2.
+_record() and _transcript() build every record and transcript.
 """
 
 from __future__ import annotations
@@ -246,13 +246,8 @@ def _transcript(g: Graph, first: str, dominator_policy: str, staller_policy: str
         f_at_phase2_end=f2, F_at_phase2_end=F2)
 
 
-def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") -> Transcript:
-    """Run one full game and return its transcript.
-
-    The moves come from _moves(), the loop the verifier's replay shares;
-    every move goes through step(), which holds the move rule shared with
-    the worst-case search as well.
-    """
+def _chooser(dominator: Policy, staller: Policy) -> Callable[[PhaseContext, ResidualState, int], int]:
+    """_moves()'s choose for a game of two policies, the Dominator's at odd indices."""
     def choose(ctx: PhaseContext, state: ResidualState, idx: int) -> int:
         policy = dominator if idx % 2 == 1 else staller
         v = policy(ctx, state)
@@ -261,8 +256,19 @@ def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") ->
             raise IllegalMoveError(f"policy {name!r} returned illegal vertex {v!r}")
         return v
 
+    return choose
+
+
+def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") -> Transcript:
+    """Run one full game and return its transcript.
+
+    The moves come from _moves(), the loop the verifier's replay shares;
+    every move goes through step(), which holds the move rule shared with
+    the worst-case search as well.
+    """
     return _transcript(g, first, getattr(dominator, "policy_name", "custom"),
-                       getattr(staller, "policy_name", "custom"), _moves(g, first, choose))
+                       getattr(staller, "policy_name", "custom"),
+                       _moves(g, first, _chooser(dominator, staller)))
 
 
 def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,

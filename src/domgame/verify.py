@@ -1,14 +1,13 @@
 """Transcript audits and the corpus runner.
 
-Every inequality of the greedy strategy's bookkeeping is re-checked here by
-replaying a transcript's vertices through strategy's move loop, the one
-play_game runs, and rebuilding its records with the same builder: per-move
-and per-phase potential decreases, end-of-phase structure, X-cycle
-accounting, the telescoped 5n budget, and the exact bounds against the
-minimax solver. Each transcript claim is one entry of a table, and one
-runner walks the replay once for all of them. A recorded field that
-disagrees with the rebuilt one is itself a failure, so mutated transcripts
-are rejected with a replayable witness.
+Every inequality of the greedy strategy's bookkeeping is re-checked here
+along the moves of strategy's move loop: per-move and per-phase potential
+decreases, end-of-phase structure, X-cycle accounting, the telescoped 5n
+budget, and the exact bounds against the minimax solver. Each transcript
+claim is one entry of a table, and one runner walks a game's moves once for
+all of them: the moves run_corpus played, or a transcript's replayed by
+verify_transcript, where a recorded field that disagrees with the rebuilt
+one is a failure, so a mutated transcript gets a replayable witness.
 
 LATER2, LIGHTBLUE_STRUCT and PH2_LEAF's blue leaves are checked by delta:
 in full at a claim's first site, then only at the vertices within _RADIUS
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
@@ -64,14 +63,15 @@ from .residual import (
 from .solver import DEFAULT_SOLVER_CAP, solve_game
 from .strategy import (
     DEFAULT_WORST_CASE_CAP,
+    Move,
     MoveRecord,
     Transcript,
+    _chooser,
     _moves,
     _playable,
     _transcript,
     dominator_greedy,
     make_staller_random,
-    play_game,
     staller_min_decrease,
     staller_worst_case,
 )
@@ -129,7 +129,7 @@ class ClaimReport:
 class _Replay:
     graph: Graph
     transcript: Transcript  # as recorded
-    replayed: Transcript    # rebuilt from the replayed moves
+    replayed: Transcript    # rebuilt from the moves
     states: list[ResidualState]  # the state after the first k moves, k = 0..len
     registry: XCycleRegistry | None
     last_site: dict[str, int] = field(default_factory=dict)  # per claim checked by delta (_ball)
@@ -137,10 +137,10 @@ class _Replay:
     leaves: int = 0  # _nonspecial_blue_leaves at PH2_LEAF's last site
 
 
-def _replay(g: Graph, t: Transcript) -> _Replay:
-    """Ground-truth re-execution of the recorded vertices, with the records
-    rebuilt. Structural problems (bad indices, illegal or missing moves)
-    raise ValueError; the other record fields are NOT trusted here and are
+def _replay(g: Graph, t: Transcript) -> list[Move]:
+    """The moves of a ground-truth re-execution of the recorded vertices.
+    Structural problems (bad indices, illegal or missing moves) raise
+    ValueError; the other record fields are NOT trusted here and are
     compared by the claim runner.
     """
     if not t.records:
@@ -162,14 +162,16 @@ def _replay(g: Graph, t: Transcript) -> _Replay:
     moves = list(_moves(g, t.first_player, choose))
     if next(records, None) is not None:
         raise ValueError("transcript continues after the game ended")
-    replayed = _transcript(g, t.first_player, t.dominator_policy, t.staller_policy, moves)
-    end_ctx, *_, last = moves[-1]
-    return _Replay(g, t, replayed, [pre for _, pre, _, _, _ in moves] + [last], end_ctx.registry)
+    return moves
+
+
+def _states(moves: list[Move]) -> list[ResidualState]:
+    return [pre for _, pre, _, _, _ in moves] + [moves[-1][4]]
 
 
 def replay_states(g: Graph, t: Transcript) -> list[ResidualState]:
     """States along a transcript: initial state, then one per move."""
-    return _replay(g, t).states
+    return _states(_replay(g, t))
 
 
 def _fail(claim: str, rep: _Replay, k: int, note: str,
@@ -345,12 +347,6 @@ def _nonspecial_blue_leaves(state: ResidualState, within: int = -1) -> int:
             if others and not (others == 1 << b and dom >> b & 1 and white_degree(state, b) == 1):
                 leaves |= 1 << v
     return leaves
-
-
-def _nonspecial_blue_leaf(state: ResidualState) -> int | None:
-    """The smallest of the _nonspecial_blue_leaves, else None."""
-    leaves = _nonspecial_blue_leaves(state)
-    return (leaves & -leaves).bit_length() - 1 if leaves else None
 
 
 def _ph2_leaf_holds(rep: _Replay, k: int, first: int = 0) -> bool:
@@ -535,7 +531,7 @@ _CLAIMS = (
     _budget_claim(1),
     _budget_claim(2),
     # Fails only when the engine's freeze lets a violation through: the
-    # replay's freeze_registry raises on any violation this check reports.
+    # move loop's freeze_registry raises on any violation this check reports.
     _Claim("END2_STRUCT", "state", lambda b, a: b < 3 <= a,
            lambda rep, k: _phase2_end(rep.states[k])[0],
            "game ended before the potential handoff", _counted("handoff state structure holds")),
@@ -547,9 +543,11 @@ _CLAIMS = (
     _Claim("LATER2", "state", lambda b, a: max(b, a) >= 3,
            lambda rep, k: _later2_violation(rep.states[k], _ball(rep, "LATER2", k)),
            "phases 3-4 never reached", _counted("{checked} states checked")),
+    # no line of play found breaks it (tests/claim_cases.py); engine faults do (test_verify)
     _Claim("XCYCLE_DROP", "move", lambda ph, nxt: ph >= 3, _xcycle_drop_note,
            "phases 3-4 never reached", _counted("{checked} moves checked")),
-    # before every phase-3 move and before the first phase-4 move
+    # before every phase-3 move and before the first phase-4 move; the state decides it, no
+    # state found breaks it, and an undercounting F_decrease does (test_verify)
     _Claim("PH2_LEAF", "state", lambda b, a: b <= 3 <= a, _ph2_leaf_note,
            "phase 3 never reached",
            _counted("{exercised} of {checked} states exhibited the precondition")),
@@ -562,7 +560,7 @@ _CLAIMS = (
            "phase 4 never reached", _counted("phase-4 start structure holds")),
     _Claim("PH4_MOVES", "move", lambda ph, nxt: ph == 4, _ph4_note,
            "phase 4 is empty", _counted("{checked} moves checked")),
-    _budget_claim(4),
+    _budget_claim(4),  # implied by PH4_MOVES's 8 a move, so engine faults break both (test_verify)
     _Claim("TOTAL_5N", "move", lambda ph, nxt: nxt == 0, _total_note, "no moves",
            lambda rep, *_: "5n={} >= {}, gap={}".format(*_five_n(rep))),
     # Cannot newly fail after its first site, where phase 1's end forces
@@ -579,11 +577,12 @@ _AT_END = tuple(c for c in _CLAIMS if c.on == "end")
 _INTEGRITY_CLAIM = {1: "PH1_MOVES", 2: "PH1_MOVES", 3: "PH2_ST5_PAIR", 4: "PH4_MOVES"}
 
 
-def _audit(rep: _Replay) -> list[ClaimReport]:
-    """Walk the replay once and check every claim at its sites in move
-    order, up to the claim's first failure. Record integrity is checked
-    once per move, for the claim on that phase's moves, before its bound."""
-    records, replayed = rep.transcript.records, rep.replayed.records
+def _audit(moves: list[Move], rebuilt: Transcript, transcript: Transcript) -> list[ClaimReport]:
+    """Walk a game's moves once: each claim at its sites up to its first
+    failure, and once per move, before the bound of that phase's move claim,
+    `transcript` as recorded against `rebuilt` from the moves (_transcript)."""
+    rep = _Replay(moves[0][1].graph, transcript, rebuilt, _states(moves), moves[-1][0].registry)
+    records, replayed = transcript.records, rebuilt.records
     checked = dict.fromkeys(TRANSCRIPT_CHECKS, 0)
     exercised = dict.fromkeys(TRANSCRIPT_CHECKS, 0)
     failed: dict[str, ClaimReport] = {}
@@ -634,7 +633,8 @@ def verify_transcript(g: Graph, t: Transcript) -> list[ClaimReport]:
                          f"dominator_policy={t.dominator_policy!r}")
     if t.graph_hash != g.graph_hash or t.n != g.n or t.m != g.edge_count:
         raise ValueError("transcript does not belong to this graph")
-    return _audit(_replay(g, t))
+    moves = _replay(g, t)
+    return _audit(moves, _transcript(g, t.first_player, t.dominator_policy, t.staller_policy, moves), t)
 
 
 WorstCases = tuple[tuple[int, Transcript], tuple[int, Transcript]]
@@ -812,6 +812,8 @@ def _each_seed(seeds, n_min, n_max):
 def _gnp_size(seeds, n_min, n_max, p):
     """gnp's size: a graph on n vertices counts n + n(n - 1)/2, as it
     draws once per vertex pair."""
+    if not 0 < float(p) <= 1:
+        raise ConfigError(f"family 'gnp': 'p' must be in (0, 1], got {p}")
     largest, vertices = _each_seed(seeds, n_min, n_max)
     pairs = comb(n_max + 1, 3) - comb(n_min, 3) if vertices else 0  # n(n - 1)/2 over n_min..n_max
     return largest, vertices + len(seeds) * pairs
@@ -974,17 +976,18 @@ def corpus_items(spec: CorpusSpec) -> list[tuple[str, Graph, tuple[int, ...]]]:
     return items
 
 
-def _transcripts_for(g: Graph, seeds: tuple[int, ...],
-                     worst: WorstCases | None) -> list[Transcript]:
-    ts: list[Transcript] = []
-    if worst is not None:
-        ts.extend(witness for _, witness in worst)
-    for seed in seeds:
-        ts.append(play_game(g, dominator_greedy, make_staller_random(seed), "D"))
-        ts.append(play_game(g, dominator_greedy, make_staller_random(seed), "S"))
-    ts.append(play_game(g, dominator_greedy, staller_min_decrease, "D"))
-    ts.append(play_game(g, dominator_greedy, staller_min_decrease, "S"))
-    return ts
+def _audits(g: Graph, seeds: tuple[int, ...],
+            worst: WorstCases | None) -> Iterator[tuple[Transcript, list[ClaimReport]]]:
+    """(transcript, reports) of each game audited on g: the worst-case
+    witnesses through verify_transcript, then the random and min-decrease
+    Stallers' games, each start in turn, played once and audited as played."""
+    for _, witness in worst or ():
+        yield witness, verify_transcript(g, witness)
+    games = [(make_staller_random(seed), first) for seed in seeds for first in "DS"]
+    for staller, first in games + [(staller_min_decrease, "D"), (staller_min_decrease, "S")]:
+        moves = list(_moves(g, first, _chooser(dominator_greedy, staller)))
+        t = _transcript(g, first, dominator_greedy.policy_name, staller.policy_name, moves)
+        yield t, _audit(moves, t, t)
 
 
 @dataclass
@@ -1032,14 +1035,14 @@ def _verify_item(label: str, g: Graph, seeds: tuple[int, ...], checks: list[str]
             if r.claim in checks:
                 by_claim.setdefault(r.claim, []).append(r)
     if any(c in TRANSCRIPT_CHECKS for c in checks):
-        for t in _transcripts_for(g, seeds, worst):
+        for t, reports in _audits(g, seeds, worst):
             n_tr += 1
             ratio = t.total_moves / g.n
             if t.first_player == "D":
                 ratio_d = ratio if ratio_d is None else max(ratio_d, ratio)
             else:
                 ratio_s = ratio if ratio_s is None else max(ratio_s, ratio)
-            for r in verify_transcript(g, t):
+            for r in reports:
                 if r.claim in checks:
                     by_claim.setdefault(r.claim, []).append(r)
     collapsed = tuple(_collapse(c, by_claim[c]) for c in CLAIM_IDS if c in by_claim)

@@ -24,9 +24,9 @@ def test_k2_freezes_the_registry_at_the_opening():
     # runs straight into phase 3, before any move is made
     g = gen_path(2)
     t = play_game(g, dominator_greedy, make_staller_random(0), "D")
-    rep = _replay(g, t)
-    assert rep.registry is not None
-    assert rep.replayed.records[0].phase == 3
+    moves = _replay(g, t)
+    assert moves[-1][0].registry is not None
+    assert moves[0][0].phase == 3
     end2 = {r.claim: r for r in verify_transcript(g, t)}["END2_STRUCT"]
     assert end2.status == "pass"
 
@@ -38,8 +38,7 @@ def test_staller_opening_that_ends_the_game():
     t = play_game(g, dominator_greedy, make_scripted_staller([0]), "S")
     assert [(r.index, r.mover, r.vertex, r.phase) for r in t.records] == [(0, "S", 0, 1)]
     assert (t.f_at_phase2_end, t.F_at_phase2_end) == (None, None)
-    rep = _replay(g, t)
-    assert rep.registry is None
+    assert _replay(g, t)[-1][0].registry is None
     assert all(r.ok for r in verify_transcript(g, t))
 
 

@@ -55,6 +55,11 @@ def by_claim(reports):
     return {r.claim: r for r in reports}
 
 
+def lowest(mask):
+    """The smallest vertex of a vertex mask, None for the empty one."""
+    return (mask & -mask).bit_length() - 1 if mask else None
+
+
 def test_p2_transcript_reports():
     g = gen_path(2)
     t = play_game(g, dominator_greedy, staller_min_decrease, "D")
@@ -190,10 +195,11 @@ def test_replay_rebuilds_the_transcript_and_rejects_mutations(game, data):
     """The replay rebuilds a played transcript exactly, and one field
     mutated at a random record (by the rules of transcript_cases) is an
     input error or gets at least one FAIL, each with a witness."""
+    from domgame.strategy import _transcript
     from domgame.verify import _replay
 
     g, t = game
-    assert _replay(g, t).replayed == t
+    assert _transcript(g, t.first_player, t.dominator_policy, t.staller_policy, _replay(g, t)) == t
     name = data.draw(st.sampled_from(RECORD_FIELDS + FOOTER_FIELDS + HEADER_FIELDS))
     bad = mutated(g, t, name, data.draw(st.integers(0, t.total_moves - 1)))
     assume(bad is not None)
@@ -461,6 +467,24 @@ def test_oversized_specs_are_refused_before_building():
         spec_from_json({"families": [{"name": "gnp", "params": {"n_max": MAX_GRAPH_VERTICES + 1}}]})
 
 
+@pytest.mark.parametrize("p, ok", [(0, False), (-0.5, False), (2, False), (float("nan"), False),
+                                   (1, True)])
+def test_gnp_probability_must_lie_in_0_1(p, ok, tmp_path):
+    """spec_from_json and domgame gen gnp refuse a G(n, p) probability
+    outside (0, 1] before any graph is built; p = 1 builds K_n."""
+    spec = {"families": [{"name": "gnp", "params": {"n_min": 4, "n_max": 4, "p": p}}]}
+    out = tmp_path / "g.g"
+    if ok:
+        (_, g, _), = corpus_items(spec_from_json(spec))
+        assert g.edge_count == 6
+        assert cli_main(["gen", "gnp", "4", str(p), str(out)]) == 0
+        return
+    with pytest.raises(ConfigError, match=r"family 'gnp': 'p' must be in \(0, 1\], got "):
+        spec_from_json(spec)
+    assert cli_main(["gen", "gnp", "4", str(p), str(out)]) == 2
+    assert not out.exists()
+
+
 def test_gnp_counts_its_vertex_pairs():
     """gnp draws once per vertex pair, so a graph on n vertices counts
     n + n(n - 1)/2 toward the corpus limit: one G(2000, p) is refused at
@@ -619,6 +643,70 @@ def test_one_worst_case_search_per_start(monkeypatch):
     assert report.graphs[0].transcripts_checked == 2 + 2 + 2
 
 
+@pytest.mark.parametrize("worst_case_n, replays", [(12, 2), (8, 0)])
+def test_run_corpus_plays_each_game_once(monkeypatch, worst_case_n, replays):
+    """run_corpus audits the random- and min-decrease-Staller games from
+    the moves it played, so on C9 with three seeds it replays only the two
+    worst-case witnesses, and nothing when the worst-case cap is below n."""
+    import domgame.verify as verify
+
+    replayed = []
+    replay = verify._replay
+
+    def counted(g, t):
+        replayed.append(t.staller_policy)
+        return replay(g, t)
+
+    monkeypatch.setattr(verify, "_replay", counted)
+    spec = spec_from_json({"families": [{"name": "cycles", "params": {"n_min": 9, "n_max": 9},
+                                         "seeds": [0, 1, 2]}],
+                           "caps": {"worst_case_n": worst_case_n}})
+    report = run_corpus(spec)
+    assert report.ok and len(report.graphs) == 1
+    assert report.graphs[0].transcripts_checked == replays + 2 * 3 + 2
+    assert replayed == ["worst_case"] * replays
+
+
+def test_played_games_audit_as_their_replays(monkeypatch):
+    """run_corpus audits the games it plays from their moves, so the check
+    that the replay made of them, that play is deterministic, is made here:
+    on trees, G(n, p) and cycle unions that reach phases 3 and 4, both
+    starts, against random and min-decrease Stallers, the replay of each
+    audited game rebuilds its transcript record for record, and
+    verify_transcript gives exactly the reports audited from its moves.
+    Under the planted fault of PH2_LEAF's failing case, the failures and
+    their witnesses agree as well."""
+    from domgame import phases, verify
+    from domgame.strategy import _transcript
+    from domgame.verify import _audits, _replay
+
+    graphs = [gen_random_tree(n, n) for n in (7, 12, 20, 33)]
+    graphs += [gen_gnp_isolate_free(n, p, n) for n, p in ((9, 0.3), (14, 0.2), (24, 0.15))]
+    graphs += [cycle_union([5, 6]), cycle_union([4, 7, 9]), cycle_union(list(range(5, 15)))]
+    phases_reached = set()
+
+    def audited(g):
+        for t, reports in _audits(g, (0, 1), None):
+            rebuilt = _transcript(g, t.first_player, t.dominator_policy, t.staller_policy, _replay(g, t))
+            assert rebuilt == t
+            assert verify_transcript(g, t) == reports
+            phases_reached.update(r.phase for r in t.records)
+            yield from reports
+
+    assert all(r.ok for g in graphs for r in audited(g))
+    assert phases_reached == {1, 2, 3, 4}
+    capped = capped_F_decrease(phases.F_decrease)
+    monkeypatch.setattr(phases, "F_decrease", capped)
+    monkeypatch.setattr(verify, "F_decrease", capped)
+    failed = [r for r in audited(gen_cycle(5)) if not r.ok]
+    assert failed and all(r.claim == "PH2_LEAF" and r.witness.snapshot for r in failed)
+
+
+def capped_F_decrease(F_decrease):
+    """F_decrease that reports at most 10."""
+    return lambda s, reg, v: min(F_decrease(s, reg, v), 10)
+
+
 def cycle_union(lengths):
     edges, off = [], 0
     for k in lengths:
@@ -635,7 +723,7 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
     the blue leaf the precondition names is the definition's
     (oracles.nonspecial_blue_leaf)."""
     from oracles import colors, max_F_decrease, nonspecial_blue_leaf, state_from_colors
-    from domgame.verify import _nonspecial_blue_leaf, _ph2_leaf_holds, _replay
+    from domgame.verify import _nonspecial_blue_leaves, _ph2_leaf_holds, _replay, _Replay, _states
 
     graphs = [gen_cycle(n) for n in range(4, 25)]
     rng = philox_rng(5)
@@ -644,14 +732,16 @@ def test_ph2_leaf_verdict_equals_max_F_decrease_scan():
     seen = set()
     for i, g in enumerate(graphs):
         for staller in (staller_min_decrease, make_staller_random(i)):
-            rep = _replay(g, play_game(g, dominator_greedy, staller, "D"))
+            t = play_game(g, dominator_greedy, staller, "D")
+            moves = _replay(g, t)
+            rep = _Replay(g, t, t, _states(moves), moves[-1][0].registry)
             for k, m in enumerate(rep.replayed.records):
                 if m.phase < 3:
                     continue
                 fresh = state_from_colors(g, colors(rep.states[k]))
                 want = max_F_decrease(fresh, rep.registry) >= 11
                 assert _ph2_leaf_holds(rep, k) == want
-                leaf = _nonspecial_blue_leaf(rep.states[k])
+                leaf = lowest(_nonspecial_blue_leaves(rep.states[k]))
                 assert leaf == nonspecial_blue_leaf(fresh)
                 seen.add((leaf is not None, m.decrease >= 11, want))
     # the played move decides, the scan decides either way, and both occur
@@ -724,6 +814,59 @@ def test_structural_claims_fail_by_name_under_an_unchecked_freeze(monkeypatch):
         assert (w.move_index, w.snapshot, w.transcript_prefix) == (None, start, ())
 
 
+@pytest.mark.parametrize("claim", ["AV4", "XCYCLE_DROP", "PH2_LEAF"])
+def test_claim_fails_by_name_under_a_planted_fault(claim, monkeypatch):
+    """No line of play found breaks AV4, XCYCLE_DROP or PH2_LEAF
+    (verify._CLAIMS), so each is broken by a fault planted in the engine,
+    on the smallest game found by a search over every Staller line on
+    paths, cycles and stars with n <= 8, every labeled graph with n <= 5
+    and random trees with n = 6, 7. Without the fault the game holds every
+    claim. With it, the claim names the fault, both where verify_transcript
+    replays the game and where run_corpus audits the moves it played:
+    - AV4: a WB- pair discounted as a WB+, so a phase-4 move on P7 drops F
+      by 7 (and PH4_MOVES fails with it);
+    - XCYCLE_DROP: every X-cycle member frozen as a cycle of its own, so
+      the Staller's move on C5 closes two of them;
+    - PH2_LEAF: F_decrease capped at 10, the value it is bound to in
+      phases and in verify, so no move on C5 seems to drop F by 11."""
+    from oracles import make_scripted_staller
+
+    from domgame import phases, verify
+    from domgame.phases import XCycleRegistry
+    from domgame.residual import vertices_of
+    from domgame.strategy import _chooser, _moves, _transcript
+
+    discount, freeze = phases._discount, phases.freeze_registry
+
+    def any_pair_discounted(piece, dom, light):
+        return 1 if piece.bit_count() == 2 else discount(piece, dom, light)
+
+    def members_frozen_apart(s):
+        return XCycleRegistry(tuple(1 << v for cycle in freeze(s).cycles for v in vertices_of(cycle)))
+
+    capped = capped_F_decrease(phases.F_decrease)
+    g, first, script, faults, note = {
+        "AV4": (gen_path(7), "S", (3, 4), [(phases, "_discount", any_pair_discounted)],
+                "phase-4 total decrease 7 < 8 over 1 moves"),
+        "XCYCLE_DROP": (gen_cycle(5), "D", (2,), [(phases, "freeze_registry", members_frozen_apart)],
+                        "move 2 closed 2 open X-cycles, bound 1"),
+        "PH2_LEAF": (gen_cycle(5), "D", (1,), [(phases, "F_decrease", capped),
+                                               (verify, "F_decrease", capped)],
+                     "blue leaf 1 in a non-special component but no move drops F by 11"),
+    }[claim]
+
+    def reports():
+        moves = list(_moves(g, first, _chooser(dominator_greedy, make_scripted_staller(script))))
+        t = _transcript(g, first, "greedy", "scripted", moves)
+        return [by_claim(verify_transcript(g, t)), by_claim(verify._audit(moves, t, t))]
+
+    assert all(r.ok for audit in reports() for r in audit.values())
+    for module, name, fault in faults:
+        monkeypatch.setattr(module, name, fault)
+    for audit in reports():
+        assert (audit[claim].status, audit[claim].detail) == ("fail", note)
+
+
 @pytest.mark.parametrize("claim", sorted(CASES))
 def test_claim_fails_by_name(claim):
     """The smallest game found that breaks the claim reports it failed,
@@ -777,11 +920,11 @@ def test_nonspecial_blue_leaf_matches_its_definition(drawn, seed):
     components_bfs (oracles.nonspecial_blue_leaf)."""
     from oracles import nonspecial_blue_leaf
 
-    from domgame.verify import _nonspecial_blue_leaf
+    from domgame.verify import _nonspecial_blue_leaves
 
     _, g, _ = drawn
     for s in random_playout(g, seed)[0]:
-        assert _nonspecial_blue_leaf(s) == nonspecial_blue_leaf(s)
+        assert lowest(_nonspecial_blue_leaves(s)) == nonspecial_blue_leaf(s)
 
 
 @pytest.mark.parametrize("text, want", [
@@ -792,10 +935,10 @@ def test_nonspecial_blue_leaf_matches_its_definition(drawn, seed):
 ])
 def test_nonspecial_blue_leaf_snapshots(text, want):
     from domgame import parse_snapshot
-    from domgame.verify import _nonspecial_blue_leaf
+    from domgame.verify import _nonspecial_blue_leaves
 
     g = gen_path(len(text.splitlines()))
-    assert _nonspecial_blue_leaf(parse_snapshot(g, text)) == want
+    assert lowest(_nonspecial_blue_leaves(parse_snapshot(g, text))) == want
 
 
 def recolored(s, changes):
