@@ -61,17 +61,28 @@ def _load_graph(path: str):
 _GEN = {f.gen[0]: (name, *f.gen[1:]) for name, f in FAMILIES.items() if f.gen}
 
 
-def _size_params(params: dict[str, str]) -> dict:
+def _size_params(fam: str, params: dict[str, str]) -> dict:
     """The corpus family's `size` parameters for the one graph gen builds,
-    from its parameter strings by name: n_min = n_max = n, or for a
-    caterpillar spine_min = spine_max = spine and its largest leg count as
-    max_legs. Any other parameter (gnp's p) is passed on as it is."""
+    from its parameter strings by name: n_min = n_max = n (and gnp's p),
+    or for a caterpillar spine_min = spine_max = spine and its largest leg
+    count as max_legs. A string that does not parse is a ConfigError
+    naming the family and the parameter."""
+    def parse(key: str, kind: type, what: str, text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"family {fam!r}: {key!r} must be {what}, "
+                              f"got {params[key]!r}") from None
+
     if "spine" in params:
-        spine = int(params["spine"])
+        spine = parse("spine", int, "an integer", params["spine"])
         return {"spine_min": spine, "spine_max": spine,
-                "max_legs": max(int(x) for x in params["legs"].split(","))}
-    n = int(params.pop("n"))
-    return {"n_min": n, "n_max": n, **params}
+                "max_legs": max(parse("legs", int, "comma-separated integers", x)
+                                for x in params["legs"].split(","))}
+    n = parse("n", int, "an integer", params["n"])
+    if "p" in params:
+        return {"n_min": n, "n_max": n, "p": parse("p", float, "a number", params["p"])}
+    return {"n_min": n, "n_max": n}
 
 
 def cmd_gen(args) -> int:
@@ -84,7 +95,7 @@ def cmd_gen(args) -> int:
     if len(params) != len(names):
         raise ConfigError(f"gen {fam} takes {' '.join(names)} then the output file, "
                           f"got {len(args.params)} arguments")
-    check_size(name, (args.seed,), _size_params(dict(zip(names, params))))
+    check_size(name, (args.seed,), _size_params(fam, dict(zip(names, params))))
     g = build(params, args.seed)
     Path(out).write_text(write_edge_list(g), encoding="utf-8")
     print(f"wrote {fam} graph n={g.n} m={g.edge_count} to {out}")

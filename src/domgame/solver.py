@@ -8,7 +8,11 @@ it stops at the first child that decides it, and its answer is kept as a
 bound in one table of lower and upper bounds (see `game_value`). An exact
 value is the first k, counted up from the lower bound, that passes. By the
 Continuation Principle of Kinnersley, West and Zamani (SIAM J. Discrete
-Math. 2013), Dominator plays only `Graph.maximal_closed`.
+Math. 2013), Dominator plays only `Graph.maximal_closed`. Both players try
+moves by |N[v]|, largest first, then by |N^2[v]|, smallest first, then by
+id, so a test tends to meet its deciding child early. The order sets only
+which bounds get stored; values come from the tests and first moves from
+`solve_game`'s id-ordered loop, so neither depends on it.
 """
 
 from __future__ import annotations
@@ -50,10 +54,19 @@ def _search(g: Graph, memo: bytearray, query):
     """``query(at_most, value)``, where ``at_most(m, dominator_to_move, k)``
     tests value <= k on the table `memo` and ``value`` is the exact value."""
     full = (1 << g.n) - 1
-    keeps = [full ^ c for c in g.closed_masks]  # what a move leaves undominated
+    # Both players try the largest N[v] first, then the smallest N^2[v] (the
+    # vertices within distance 2), then the smallest id. A test's answer
+    # depends only on (mask, side, k), the table holds only true bounds and
+    # solve_game breaks ties in id order, so the order changes which entries
+    # get set, not a value or a first move.
+    closed = g.closed_masks
+    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]),
+                                              sum(1 for c in closed if c & closed[v])))
+    keeps = [full ^ closed[v] for v in order]  # what a move leaves undominated
     # If N[v] lies in N[w], then w is legal wherever v is and leaves less
     # undominated, so by the Continuation Principle it is no worse for Dominator.
-    dominator_keeps = [keeps[v] for v in g.maximal_closed]
+    maximal = set(g.maximal_closed)
+    dominator_keeps = [full ^ closed[v] for v in order if v in maximal]
 
     # Both tests take a non-empty m and a k >= 1 that m's bounds leave open,
     # and read a child's bounds before recursing. An empty child passes

@@ -186,6 +186,23 @@ def test_gen_bad_family_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.g").exists()
 
 
+def test_gen_names_the_family_and_parameter_that_does_not_parse(tmp_path, capsys):
+    out = tmp_path / "x.g"
+    for params, message in (
+            (["gnp", "8", "abc"], "family 'gnp': 'p' must be a number, got 'abc'"),
+            (["gnp", "x", "0.3"], "family 'gnp': 'n' must be an integer, got 'x'"),
+            (["tree", "abc"], "family 'tree': 'n' must be an integer, got 'abc'"),
+            (["path", "1.5"], "family 'path': 'n' must be an integer, got '1.5'"),
+            (["caterpillar", "x", "1"], "family 'caterpillar': 'spine' must be an integer, got 'x'"),
+            (["caterpillar", "3", "1,x"],
+             "family 'caterpillar': 'legs' must be comma-separated integers, got '1,x'")):
+        assert main(["gen", *params, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+    assert not out.exists()
+
+
 def test_gen_refuses_oversized_graphs_before_building(tmp_path, capsys, monkeypatch):
     """gen sizes its one graph with the corpus family's size, as verify
     does, and refuses it past the same limits with the same text, before

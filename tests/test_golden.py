@@ -53,9 +53,11 @@ bounds.
 
 runs every CASES and GEN_CASES entry through the installed `domgame`
 console script instead, in a temporary directory, and compares its output
-bytes with the golden file; it exits 1 if one differs or fails.
+bytes with the golden file; it exits 1 if one differs or fails, and 2
+with a hint if no `domgame` command is on PATH.
 """
 
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -121,11 +123,29 @@ def test_verify_reports_match_golden():
     assert dumps(report_cases()) == REPORTS.read_text(encoding="utf-8")
 
 
+def test_console_cases_need_domgame_on_path(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.setattr(subprocess, "run", unreachable)
+    assert run_console_cases() == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: no `domgame` command on PATH; install this checkout "
+                            "with `pip install -e .`\n")
+    assert captured.out == ""
+
+
 def run_console_cases() -> int:
     """Run each CASES and GEN_CASES entry through the `domgame` console
     script on PATH and compare its exit code and output bytes (for gen, the
     file it writes) with the golden file; print each case's outcome and
-    return 1 if any differs, else 0."""
+    return 1 if any differs, else 0. Without a `domgame` on PATH it prints
+    how to install one and returns 2."""
+    if shutil.which("domgame") is None:
+        print("error: no `domgame` command on PATH; install this checkout with "
+              "`pip install -e .`", file=sys.stderr)
+        return 2
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:  # a failing verify writes its witnesses here
         runs = [(name, case_argv(name), f"{name}.json", None) for name in sorted(CASES)]

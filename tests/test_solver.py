@@ -18,6 +18,7 @@ from domgame import (
     gen_path,
     gen_random_tree,
     gen_star,
+    philox_rng,
     solve_game,
 )
 from oracles import (
@@ -255,6 +256,33 @@ def test_solve_game_matches_unpruned_on_random_graphs(g):
     """Both values and both first moves, ties to the smallest id, where
     the solver past vertex 0 only tests whether a move is strictly better."""
     assert solve_game(g) == solve_game_unpruned(g), g.adjacency
+
+
+def test_ordered_moves_bound_the_work():
+    """The solver's move order (largest N[v] first, then smallest N^2[v])
+    leaves far fewer bounds in the table than id order: gen_random_tree(20,
+    7) sets 2,169 entries (4,198 in id order) and gen_gnp_isolate_free(20,
+    0.2, 7) 936 (1,899); an entry is a non-zero byte of the table."""
+    for g, bound in ((gen_random_tree(20, 7), 3300), (gen_gnp_isolate_free(20, 0.2, 7), 1400)):
+        memo = bytearray(4 << g.n)
+        game_value(g, memo=memo)
+        entries = len(memo) - memo.count(0)
+        assert entries <= bound, (entries, g.adjacency)
+
+
+def test_relabeling_leaves_game_values_alone():
+    """A seeded random relabeling of a tree or G(n, 0.2) with n = 14..18
+    gives the same gamma_g and gamma_g'. The move order follows degrees
+    and ids, so the relabeled solve runs other tests on other masks: a
+    second run where no oracle reaches. First moves may differ, since the
+    smallest-id tie-break is not invariant under relabeling."""
+    for n in range(14, 19):
+        for seed in range(10):
+            for g in (gen_random_tree(n, seed), gen_gnp_isolate_free(n, 0.2, seed)):
+                perm = [int(v) for v in philox_rng(seed).permutation(n)]
+                h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+                a, b = solve_game(g), solve_game(h)
+                assert (a.gamma_g, a.gamma_g_prime) == (b.gamma_g, b.gamma_g_prime), (n, seed)
 
 
 def test_first_moves_with_several_dominating_vertices():
