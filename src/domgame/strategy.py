@@ -271,9 +271,8 @@ def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") ->
                        _moves(g, first, _chooser(dominator, staller)))
 
 
-def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
-                       first: str = "D") -> tuple[int, Transcript]:
-    """Longest game any Staller can force against the greedy Dominator.
+def _worst_line(g: Graph, cap: int, first: str) -> list[Move]:
+    """The longest line any Staller can force against the greedy Dominator.
 
     Exhaustive depth-first branching over Staller moves only (Dominator's
     replies are forced), each move played through step(). Play after a
@@ -294,9 +293,8 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
     on every other child. The greedy's cut moves and cut Staller moves
     from phase 3 on run no audit in step() and are skipped outright. There
     is no table across nodes; the cutoff would turn its values into
-    bounds. Returns (length, witness), the witness being the first
-    maximizing line in ascending-id order, recorded from the states that
-    line played.
+    bounds. Returns the first longest line in ascending-id order, each move
+    as _moves() yields it, with the states that line played.
     """
     if first not in ("D", "S"):
         raise ValueError("first must be 'D' or 'S'")
@@ -331,4 +329,11 @@ def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
             line.pop()
 
     search(*opening(g, first))
-    return len(best), _transcript(g, first, dominator_greedy.policy_name, "worst_case", best)
+    return best
+
+
+def staller_worst_case(g: Graph, cap: int = DEFAULT_WORST_CASE_CAP,
+                       first: str = "D") -> tuple[int, Transcript]:
+    """(length, witness transcript) of the longest game any Staller can force (_worst_line)."""
+    line = _worst_line(g, cap, first)
+    return len(line), _transcript(g, first, dominator_greedy.policy_name, "worst_case", line)

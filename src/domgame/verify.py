@@ -5,8 +5,8 @@ along the moves of strategy's move loop: per-move and per-phase potential
 decreases, end-of-phase structure, X-cycle accounting, the telescoped 5n
 budget, and the exact bounds against the minimax solver. Each transcript
 claim is one entry of a table, and one runner walks a game's moves once for
-all of them: the moves run_corpus played, or a transcript's replayed by
-verify_transcript, where a recorded field that disagrees with the rebuilt
+all of them: the moves run_corpus played or searched, or a transcript's
+replayed by verify_transcript, where a recorded field unlike the rebuilt
 one is a failure, so a mutated transcript gets a replayable witness.
 
 LATER2, LIGHTBLUE_STRUCT and PH2_LEAF's blue leaves are checked by delta:
@@ -70,10 +70,10 @@ from .strategy import (
     _moves,
     _playable,
     _transcript,
+    _worst_line,
     dominator_greedy,
     make_staller_random,
     staller_min_decrease,
-    staller_worst_case,
 )
 
 CLAIM_IDS = (
@@ -637,15 +637,13 @@ def verify_transcript(g: Graph, t: Transcript) -> list[ClaimReport]:
     return _audit(moves, _transcript(g, t.first_player, t.dominator_policy, t.staller_policy, moves), t)
 
 
-WorstCases = tuple[tuple[int, Transcript], tuple[int, Transcript]]
+WorstCases = tuple[list[Move], list[Move]]
 
 
 def _worst_cases(g: Graph, worst_cap: int) -> WorstCases | None:
-    """staller_worst_case with Dominator and with Staller starting, or None
-    when n exceeds the cap."""
-    if g.n > worst_cap:
-        return None
-    return staller_worst_case(g, worst_cap, "D"), staller_worst_case(g, worst_cap, "S")
+    """The worst-case search's longest lines (strategy._worst_line) with
+    Dominator and with Staller starting, or None when n exceeds the cap."""
+    return None if g.n > worst_cap else tuple(_worst_line(g, worst_cap, f) for f in "DS")
 
 
 def verify_bounds(g: Graph, solver_cap: int = DEFAULT_SOLVER_CAP,
@@ -655,9 +653,9 @@ def verify_bounds(g: Graph, solver_cap: int = DEFAULT_SOLVER_CAP,
 
 
 def _bound_reports(g: Graph, solver_cap: int, worst: WorstCases | None) -> list[ClaimReport]:
-    """verify_bounds on worst-case search results computed by the caller."""
+    """verify_bounds on the lengths of worst-case lines searched by the caller."""
     gv = solve_game(g, solver_cap) if g.n <= solver_cap else None
-    wc_d, wc_s = (None, None) if worst is None else worst
+    wc_d, wc_s = (None, None) if worst is None else map(len, worst)
 
     def fail(claim: str, note: str) -> ClaimReport:
         return ClaimReport(claim, FAIL, note, Witness(write_edge_list(g), note=note))
@@ -681,11 +679,11 @@ def _bound_reports(g: Graph, solver_cap: int, worst: WorstCases | None) -> list[
 
     reports = [
         length_bound("BOUND_5N8", 5 * g.n // 8, "gamma_g", gv and gv.gamma_g,
-                     "greedy worst-case length", wc_d and wc_d[0],
+                     "greedy worst-case length", wc_d,
                      ("exact skipped (cap)", "worst-case skipped (cap)")),
         length_bound("BOUND_STALLER_START", (5 * g.n + 2) // 8, "gamma_g'",
                      gv and gv.gamma_g_prime, "greedy worst-case Staller-start length",
-                     wc_s and wc_s[0], ("", "")),
+                     wc_s, ("", "")),
     ]
     if gv is None:
         reports.append(ClaimReport("GAP_GG_GGP", SKIPPED, f"n={g.n} exceeds solver cap"))
@@ -978,11 +976,12 @@ def corpus_items(spec: CorpusSpec) -> list[tuple[str, Graph, tuple[int, ...]]]:
 
 def _audits(g: Graph, seeds: tuple[int, ...],
             worst: WorstCases | None) -> Iterator[tuple[Transcript, list[ClaimReport]]]:
-    """(transcript, reports) of each game audited on g: the worst-case
-    witnesses through verify_transcript, then the random and min-decrease
-    Stallers' games, each start in turn, played once and audited as played."""
-    for _, witness in worst or ():
-        yield witness, verify_transcript(g, witness)
+    """(transcript, reports) of each game audited on g, from its moves as
+    played, none replayed: the worst-case lines the search kept, then the
+    random and min-decrease Stallers' games, each start in turn."""
+    for first, line in zip("DS", worst or ()):
+        t = _transcript(g, first, dominator_greedy.policy_name, "worst_case", line)
+        yield t, _audit(line, t, t)
     games = [(make_staller_random(seed), first) for seed in seeds for first in "DS"]
     for staller, first in games + [(staller_min_decrease, "D"), (staller_min_decrease, "S")]:
         moves = list(_moves(g, first, _chooser(dominator_greedy, staller)))
@@ -1026,8 +1025,7 @@ def _collapse(claim: str, reports: list[ClaimReport]) -> ClaimReport:
 def _verify_item(label: str, g: Graph, seeds: tuple[int, ...], checks: list[str],
                  caps: Caps) -> GraphReport:
     by_claim: dict[str, list[ClaimReport]] = {}
-    ratio_d = ratio_s = None
-    n_tr = 0
+    ratios: dict[str, list[float]] = {"D": [], "S": []}  # audited game lengths over n, per start
     # the bound reports and the transcript audits share one search per start
     worst = _worst_cases(g, caps.worst_case_n) if checks else None
     if any(c in BOUND_CHECKS for c in checks):
@@ -1036,18 +1034,14 @@ def _verify_item(label: str, g: Graph, seeds: tuple[int, ...], checks: list[str]
                 by_claim.setdefault(r.claim, []).append(r)
     if any(c in TRANSCRIPT_CHECKS for c in checks):
         for t, reports in _audits(g, seeds, worst):
-            n_tr += 1
-            ratio = t.total_moves / g.n
-            if t.first_player == "D":
-                ratio_d = ratio if ratio_d is None else max(ratio_d, ratio)
-            else:
-                ratio_s = ratio if ratio_s is None else max(ratio_s, ratio)
+            ratios[t.first_player].append(t.total_moves / g.n)
             for r in reports:
                 if r.claim in checks:
                     by_claim.setdefault(r.claim, []).append(r)
     collapsed = tuple(_collapse(c, by_claim[c]) for c in CLAIM_IDS if c in by_claim)
     return GraphReport(label, g.n, g.edge_count, g.graph_hash, collapsed,
-                       ratio_d, ratio_s, n_tr)
+                       max(ratios["D"], default=None), max(ratios["S"], default=None),
+                       len(ratios["D"]) + len(ratios["S"]))
 
 
 @dataclass

@@ -54,9 +54,12 @@ bounds.
 runs every CASES and GEN_CASES entry through the installed `domgame`
 console script instead, in a temporary directory, and compares its output
 bytes with the golden file; it exits 1 if one differs or fails, and 2
-with a hint if no `domgame` command is on PATH.
+with a hint if no `domgame` command is on PATH. Only the pytest cases
+import domgame and transcript_cases, so the script gives that hint from a
+checkout with no install and no PYTHONPATH as well.
 """
 
+import os
 import shutil
 import subprocess
 import sys
@@ -64,9 +67,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-
-from domgame.cli import main
-from transcript_cases import REPORTS, dumps, report_cases
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -106,6 +106,8 @@ def case_argv(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
+    from domgame.cli import main
+
     monkeypatch.chdir(tmp_path)  # a failing verify writes its witnesses here
     assert main(case_argv(name)) == 0
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
@@ -114,12 +116,16 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(GEN_CASES))
 def test_gen_output_matches_golden(name, monkeypatch, tmp_path):
+    from domgame.cli import main
+
     monkeypatch.chdir(tmp_path)
     assert main(GEN_CASES[name]) == 0
     assert (tmp_path / f"{name}.g").read_bytes() == (GOLDEN / f"{name}.g").read_bytes()
 
 
 def test_verify_reports_match_golden():
+    from transcript_cases import REPORTS, dumps, report_cases
+
     assert dumps(report_cases()) == REPORTS.read_text(encoding="utf-8")
 
 
@@ -134,6 +140,19 @@ def test_console_cases_need_domgame_on_path(monkeypatch, capsys):
     assert captured.err == ("error: no `domgame` command on PATH; install this checkout "
                             "with `pip install -e .`\n")
     assert captured.out == ""
+
+
+def test_console_script_runner_needs_no_install(tmp_path):
+    """The script run with no PYTHONPATH and an empty PATH, as from a
+    checkout with nothing installed, stops at the hint with exit 2, not at
+    an import of domgame."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env["PATH"] = str(tmp_path)
+    run = subprocess.run([sys.executable, str(Path(__file__).resolve())], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == ("error: no `domgame` command on PATH; install this checkout "
+                          "with `pip install -e .`\n")
 
 
 def run_console_cases() -> int:

@@ -287,14 +287,14 @@ def test_exact_value_above_the_greedy_worst_case_fails():
     """The greedy is one Dominator strategy, so the Staller's best reply to
     it lasts at least gamma_g (Dominator starting) or gamma_g' (Staller
     starting): a shorter worst case, forged here, is a failure."""
-    from domgame.verify import _bound_reports
+    from domgame.verify import _bound_reports, _worst_cases
 
     g = gen_path(5)
     gv = solve_game(g)
-    worst = tuple(staller_worst_case(g, first=first) for first in "DS")
+    worst = _worst_cases(g, 12)
     assert all(r.ok for r in _bound_reports(g, DEFAULT_SOLVER_CAP, worst))
-    (_, wit_d), (_, wit_s) = worst
-    forged = ((gv.gamma_g - 1, wit_d), (gv.gamma_g_prime - 1, wit_s))
+    line_d, line_s = worst
+    forged = (line_d[:gv.gamma_g - 1], line_s[:gv.gamma_g_prime - 1])
     rep = by_claim(_bound_reports(g, DEFAULT_SOLVER_CAP, forged))
     assert rep["BOUND_5N8"].status == "fail"
     assert rep["BOUND_5N8"].detail == (
@@ -344,8 +344,9 @@ def test_length_bound_failure_texts(monkeypatch):
     import domgame.verify as verify
 
     g = gen_random_tree(14, 0)
-    (_, wit_d), (_, wit_s) = worst = verify._worst_cases(g, 14)
-    rep = by_claim(verify._bound_reports(g, 10, ((9, wit_d), (10, wit_s))))
+    line_d, line_s = worst = verify._worst_cases(g, 14)
+    # the bounds read only the lines' lengths: forge lines of 9 and 10 moves
+    rep = by_claim(verify._bound_reports(g, 10, ((line_d * 2)[:9], (line_s * 2)[:10])))
     assert rep["BOUND_5N8"].detail == "greedy worst-case length 9 > 8"
     assert rep["BOUND_STALLER_START"].detail == "greedy worst-case Staller-start length 10 > 9"
     monkeypatch.setattr(verify, "solve_game",
@@ -628,13 +629,13 @@ def test_one_worst_case_search_per_start(monkeypatch):
     import domgame.verify as verify
 
     calls = []
-    search = verify.staller_worst_case
+    search = verify._worst_line
 
     def counted(g, cap, first):
         calls.append(first)
         return search(g, cap, first)
 
-    monkeypatch.setattr(verify, "staller_worst_case", counted)
+    monkeypatch.setattr(verify, "_worst_line", counted)
     spec = spec_from_json({"families": [{"name": "trees", "params": {"n_min": 9, "n_max": 9}}]})
     report = run_corpus(spec)
     assert report.ok and len(report.graphs) == 1
@@ -643,11 +644,12 @@ def test_one_worst_case_search_per_start(monkeypatch):
     assert report.graphs[0].transcripts_checked == 2 + 2 + 2
 
 
-@pytest.mark.parametrize("worst_case_n, replays", [(12, 2), (8, 0)])
-def test_run_corpus_plays_each_game_once(monkeypatch, worst_case_n, replays):
+@pytest.mark.parametrize("worst_case_n, witnesses", [(12, 2), (8, 0)])
+def test_run_corpus_plays_each_game_once(monkeypatch, worst_case_n, witnesses):
     """run_corpus audits the random- and min-decrease-Staller games from
-    the moves it played, so on C9 with three seeds it replays only the two
-    worst-case witnesses, and nothing when the worst-case cap is below n."""
+    the moves it played and the worst-case witnesses from the moves the
+    search kept, so on C9 with three seeds it replays nothing, whether the
+    worst-case cap admits the search or is below n."""
     import domgame.verify as verify
 
     replayed = []
@@ -663,8 +665,8 @@ def test_run_corpus_plays_each_game_once(monkeypatch, worst_case_n, replays):
                            "caps": {"worst_case_n": worst_case_n}})
     report = run_corpus(spec)
     assert report.ok and len(report.graphs) == 1
-    assert report.graphs[0].transcripts_checked == replays + 2 * 3 + 2
-    assert replayed == ["worst_case"] * replays
+    assert report.graphs[0].transcripts_checked == witnesses + 2 * 3 + 2
+    assert replayed == []
 
 
 def test_played_games_audit_as_their_replays(monkeypatch):
@@ -677,8 +679,6 @@ def test_played_games_audit_as_their_replays(monkeypatch):
     Under the planted fault of PH2_LEAF's failing case, the failures and
     their witnesses agree as well."""
     from domgame import phases, verify
-    from domgame.strategy import _transcript
-    from domgame.verify import _audits, _replay
 
     graphs = [gen_random_tree(n, n) for n in (7, 12, 20, 33)]
     graphs += [gen_gnp_isolate_free(n, p, n) for n, p in ((9, 0.3), (14, 0.2), (24, 0.15))]
@@ -686,10 +686,7 @@ def test_played_games_audit_as_their_replays(monkeypatch):
     phases_reached = set()
 
     def audited(g):
-        for t, reports in _audits(g, (0, 1), None):
-            rebuilt = _transcript(g, t.first_player, t.dominator_policy, t.staller_policy, _replay(g, t))
-            assert rebuilt == t
-            assert verify_transcript(g, t) == reports
+        for t, reports in audits_as_replayed(g, (0, 1), None):
             phases_reached.update(r.phase for r in t.records)
             yield from reports
 
@@ -700,6 +697,53 @@ def test_played_games_audit_as_their_replays(monkeypatch):
     monkeypatch.setattr(verify, "F_decrease", capped)
     failed = [r for r in audited(gen_cycle(5)) if not r.ok]
     assert failed and all(r.claim == "PH2_LEAF" and r.witness.snapshot for r in failed)
+
+
+def test_worst_case_witnesses_audit_as_their_replays(monkeypatch):
+    """run_corpus audits the worst-case witnesses from the moves the search
+    kept, so the check that the replay made of them, that the search plays
+    deterministically, is made here: on random trees with n = 9..12,
+    G(12, 0.25) and the cycle unions C5 + C6 and C4 + C8, which reach
+    phases 3 and 4, both starts, the replay of each witness rebuilds it
+    record for record, and verify_transcript gives exactly the reports
+    audited from the search's moves. Under the planted fault of PH2_LEAF's
+    failing case, the failures and their witnesses agree as well."""
+    from domgame import phases, verify
+    from domgame.verify import _worst_cases
+
+    graphs = [gen_random_tree(n, n) for n in range(9, 13)]
+    graphs += [gen_gnp_isolate_free(12, 0.25, 12), cycle_union([5, 6]), cycle_union([4, 8])]
+    phases_reached, starts = set(), []
+
+    def audited(g):
+        for t, reports in audits_as_replayed(g, (), _worst_cases(g, 12)):
+            if t.staller_policy == "worst_case":
+                phases_reached.update(r.phase for r in t.records)
+                starts.append(t.first_player)
+                yield from reports
+
+    assert all(r.ok for g in graphs for r in audited(g))
+    assert phases_reached == {1, 2, 3, 4}
+    assert starts == ["D", "S"] * len(graphs)
+    capped = capped_F_decrease(phases.F_decrease)
+    monkeypatch.setattr(phases, "F_decrease", capped)
+    monkeypatch.setattr(verify, "F_decrease", capped)
+    failed = [r for r in audited(gen_cycle(5)) if not r.ok]
+    assert failed and all(r.claim == "PH2_LEAF" and r.witness.snapshot for r in failed)
+
+
+def audits_as_replayed(g, seeds, worst):
+    """verify._audits(g, seeds, worst), each game checked first: the replay
+    of its transcript rebuilds it record for record, and verify_transcript
+    gives exactly the reports audited from its moves."""
+    from domgame.strategy import _transcript
+    from domgame.verify import _audits, _replay
+
+    for t, reports in _audits(g, seeds, worst):
+        rebuilt = _transcript(g, t.first_player, t.dominator_policy, t.staller_policy, _replay(g, t))
+        assert rebuilt == t
+        assert verify_transcript(g, t) == reports
+        yield t, reports
 
 
 def capped_F_decrease(F_decrease):
