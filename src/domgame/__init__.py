@@ -78,7 +78,6 @@ from .verify import (
     Witness,
     builtin_spec,
     corpus_items,
-    replay_states,
     run_corpus,
     spec_from_json,
     verify_bounds,

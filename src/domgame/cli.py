@@ -20,20 +20,22 @@ from .graph import parse_edge_list, write_edge_list
 from .solver import DEFAULT_SOLVER_CAP, solve_game
 from .strategy import (
     DEFAULT_WORST_CASE_CAP,
+    _chooser,
+    _moves,
+    _transcript,
+    _worst_line,
     dominator_greedy,
     make_staller_random,
-    play_game,
     staller_min_decrease,
-    staller_worst_case,
 )
 from .verify import (
     FAMILIES,
     MAX_GRAPH_VERTICES,
     SKIPPED,
     Caps,
+    _states,
     builtin_spec,
     check_size,
-    replay_states,
     run_corpus,
     spec_from_json,
 )
@@ -130,20 +132,23 @@ def cmd_simulate(args) -> int:
                           f"got {g.n}")
     first = "D" if args.first == "d" else "S"
     if args.staller == "worst":
-        _, transcript = staller_worst_case(g, _env_cap(DEFAULT_WORST_CASE_CAP), first)
+        name, moves = "worst_case", _worst_line(g, _env_cap(DEFAULT_WORST_CASE_CAP), first)
     else:
         staller = (make_staller_random(args.seed) if args.staller == "random"
                    else staller_min_decrease)
-        transcript = play_game(g, dominator_greedy, staller, first)
+        name, moves = staller.policy_name, _moves(g, first, _chooser(dominator_greedy, staller))
+    if args.trace:  # the moves keep the states printed after the transcript
+        moves = list(moves)
+    transcript = _transcript(g, first, dominator_greedy.policy_name, name, moves)
     if args.json:
         doc = transcript.to_json_dict()
         if args.trace:
-            doc["snapshots"] = [s.snapshot() for s in replay_states(g, transcript)]
+            doc["snapshots"] = [s.snapshot() for s in _states(moves)]
         print(json.dumps(doc, sort_keys=True))
     else:
         print(transcript.to_text(), end="")
         if args.trace:
-            for i, s in enumerate(replay_states(g, transcript)):
+            for i, s in enumerate(_states(moves)):
                 print(f"# state after {i} moves")
                 print(s.snapshot(), end="")
     return 0

@@ -1,25 +1,19 @@
 """Transcript audits and the corpus runner.
 
-Every inequality of the greedy strategy's bookkeeping is re-checked here
-along the moves of strategy's move loop: per-move and per-phase potential
-decreases, end-of-phase structure, X-cycle accounting, the telescoped 5n
-budget, and the exact bounds against the minimax solver. Each transcript
-claim is one entry of a table, and one runner walks a game's moves once for
-all of them: the moves run_corpus played or searched, or a transcript's
-replayed by verify_transcript, where a recorded field unlike the rebuilt
-one is a failure, so a mutated transcript gets a replayable witness.
-
-LATER2, LIGHTBLUE_STRUCT and PH2_LEAF's blue leaves are checked by delta:
-in full at a claim's first site, then only at the vertices within _RADIUS
-of a vertex recolored since its last site (_ball). A vertex's verdict reads
-no color farther from it than that, and the claim held at its last site,
-so the checks are exact.
+Every claim of CLAIMS is checked here: the bounds once per graph, the
+rest along the moves of strategy's move loop. Each transcript claim is one
+entry of a table, and one runner walks a game's moves once for all of
+them: the moves run_corpus played or searched, or a transcript's replayed
+by verify_transcript, where a recorded field unlike the rebuilt one is a
+failure, so a mutated transcript gets a replayable witness. LATER2,
+LIGHTBLUE_STRUCT and PH2_LEAF are checked by delta (_ball).
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -76,12 +70,49 @@ from .strategy import (
     staller_min_decrease,
 )
 
-CLAIM_IDS = (
-    "PH1_MOVES", "AV1", "AV2", "END2_STRUCT", "LATER2", "XCYCLE_DROP",
-    "PH2_LEAF", "XCYCLE_FINISH", "PH2_ST5_PAIR", "AV3", "END3_STRUCT",
-    "PH4_MOVES", "AV4", "TOTAL_5N", "BOUND_5N8", "BOUND_STALLER_START",
-    "GAP_GG_GGP", "LIGHTBLUE_STRUCT",
-)
+# Each claim id and the inequality it checks, in the paper's terms and in
+# report order; README's Claims table repeats these rows (tests/test_readme.py).
+CLAIMS = {
+    "PH1_MOVES": "in phases 1–2 each Dominator move drops f by at least 11, each Staller move by "
+                 "at least 5, and the Staller-start pre-move by at least 6",
+    "AV1": "phase 1's moves drop f by at least 8 a move in total, 2 less when Staller starts",
+    "AV2": "phase 2's moves drop f by at least 8 a move in total",
+    "END2_STRUCT": "where phase 2 ends, a white vertex has at most 2 white neighbors and a blue "
+                   "one at most 3, white components are vertices, edges or cycles of length at "
+                   "least 4, and no white vertex with only blue neighbors has a blue neighbor with "
+                   "3 white ones",
+    "LATER2": "in phases 3–4 a white vertex has at most 2 white neighbors and a blue one at most "
+              "3, and a white vertex with no white neighbor has a blue neighbor with 1 or 2 white "
+              "ones",
+    "XCYCLE_DROP": "in phases 3–4 a move closes at most one open X-cycle, or, on a blue vertex off "
+                   "the X-cycles, at most as many as its white neighbors",
+    "PH2_LEAF": "before each phase-3 move and the first phase-4 move, if a blue vertex with one "
+                "white neighbor lies in a component neither of order 2 nor a BWB, some move drops "
+                "F by at least 11",
+    "XCYCLE_FINISH": "in phases 3–4 a move that closes an open X-cycle drops F by at least 11 if "
+                     "Dominator's, 6 if Staller's",
+    "PH2_ST5_PAIR": "in phase 3 each Dominator move drops F by at least 10 and each Staller move "
+                    "by at least 5, a Staller drop of 5 is answered by a Dominator drop of at "
+                    "least 11, and the Staller move that ends phase 3 drops at least 6",
+    "AV3": "phase 3's moves drop F by at least 8 a move in total",
+    "END3_STRUCT": "where phase 4 starts, every X-cycle is finished, a blue vertex has at most one "
+                   "white neighbor, and a white vertex has no white neighbor and at most 2 blue "
+                   "ones",
+    "PH4_MOVES": "in phase 4 each move drops F by at least 8, turns its whole component red and "
+                 "recolors no vertex outside it",
+    "AV4": "phase 4's moves drop F by at least 8 a move in total",
+    "TOTAL_5N": "the decreases sum to 5n − (f* − F*), f* and F* being f and F where phase 2 ends, "
+                "and 8 a move, 2 less when Staller starts, plus f* − F* is at most 5n",
+    "BOUND_5N8": "γg ≤ w ≤ ⌊5n/8⌋, w being the longest game any Staller forces on the greedy "
+                 "Dominator when Dominator starts",
+    "BOUND_STALLER_START": "γg′ ≤ w′ ≤ ⌊(5n+2)/8⌋, w′ being the longest game any Staller forces on "
+                           "the greedy Dominator when Staller starts",
+    "GAP_GG_GGP": "|γg − γg′| ≤ 1",
+    "LIGHTBLUE_STRUCT": "from phase 2 on, each white leaf's support is light blue, or white with "
+                        "every other neighbor light blue, or dark blue with every other neighbor "
+                        "light blue or red",
+}
+CLAIM_IDS = tuple(CLAIMS)
 BOUND_CHECKS = ("BOUND_5N8", "BOUND_STALLER_START", "GAP_GG_GGP")
 TRANSCRIPT_CHECKS = tuple(c for c in CLAIM_IDS if c not in BOUND_CHECKS)
 
@@ -169,11 +200,6 @@ def _states(moves: list[Move]) -> list[ResidualState]:
     return [pre for _, pre, _, _, _ in moves] + [moves[-1][4]]
 
 
-def replay_states(g: Graph, t: Transcript) -> list[ResidualState]:
-    """States along a transcript: initial state, then one per move."""
-    return _states(_replay(g, t))
-
-
 def _fail(claim: str, rep: _Replay, k: int, note: str,
           move_index: int | None = None) -> ClaimReport:
     """A failure witnessed by the state after the first k moves."""
@@ -242,7 +268,6 @@ def _budget(rep: _Replay, phase: int) -> tuple[int, int, int]:
 
 
 def _budget_claim(phase: int) -> _Claim:
-    """AV<phase>: the phase's moves drop the potential by 8 each on average."""
     def check(rep: _Replay, k: int) -> str | None:
         got, required, p = _budget(rep, phase)
         if got < required:
@@ -255,8 +280,6 @@ def _budget_claim(phase: int) -> _Claim:
 
 
 def _ph1_note(rep: _Replay, k: int) -> str | None:
-    """Phases 1-2: Dominator moves drop f by >= 11, Staller by >= 5 (the
-    Staller-start pre-move by >= 6)."""
     m = rep.replayed.records[k]
     bound = 11 if m.mover == "D" else (6 if m.index == 0 else 5)
     if m.decrease < bound:
@@ -303,10 +326,8 @@ def _ball(rep: _Replay, claim: str, k: int) -> int:
 
 
 def _later2_violation(state: ResidualState, within: int = -1) -> str | None:
-    """LATER2 over the vertices of `within` (every vertex by default): the
-    white-degree bounds, and every white vertex with no white neighbor
-    touches a blue one of white-degree 1 or 2. A vertex's verdict reads
-    colors within distance 2 of it."""
+    """LATER2 over the vertices of `within` (every vertex by default); a
+    vertex's verdict reads colors within distance 2 of it."""
     note = _white_degree_violation(state, within)
     if note:
         return note
@@ -365,13 +386,12 @@ def _ph2_leaf_holds(rep: _Replay, k: int, first: int = 0) -> bool:
 
 
 def _ph2_leaf_note(rep: _Replay, k: int):
-    """Wherever phase 3 still has a blue leaf in a non-special component,
-    some move must drop F by at least 11. The leaves are carried from the
-    claim's last site and decided again within distance 3 of a recolored
-    vertex. The moves on the other neighbors of w, the smallest leaf's
-    white neighbor, are scored first: one of them dropped F by 11 at each
-    of the 1,374 sites of the cycles_phase3 and verify_corpus benchmark
-    universes where the played move did not."""
+    """The leaves are carried from the claim's last site and decided again
+    within distance 3 of a recolored vertex. The moves on the other
+    neighbors of w, the smallest leaf's white neighbor, are scored first:
+    one of them dropped F by 11 at each of the 1,374 sites of the
+    cycles_phase3 and verify_corpus benchmark universes where the played
+    move did not."""
     state, ball = rep.states[k], _ball(rep, "PH2_LEAF", k)
     rep.leaves = leaves = rep.leaves & ~ball | _nonspecial_blue_leaves(state, ball)
     if not leaves:
@@ -394,9 +414,6 @@ def _xcycle_finish_note(rep: _Replay, k: int):
 
 
 def _ph3_note(rep: _Replay, k: int) -> str | None:
-    """Phase 3: Dominator >= 10, Staller >= 5; any Staller move of exactly 5
-    is answered by a Dominator move of >= 11; a Staller move ending the
-    phase managed at least 6."""
     records = rep.replayed.records
     m = records[k]
     if m.mover == "D":
@@ -418,9 +435,6 @@ def _ph3_note(rep: _Replay, k: int) -> str | None:
 
 
 def _end3_note(rep: _Replay, k: int) -> str | None:
-    """Where phase 4 starts: every X-cycle is finished, every blue vertex
-    has one white neighbor, and every white vertex has no white neighbor
-    and at most two blue ones, which are then all its neighbors."""
     state, reg = rep.states[k], rep.registry
     for i in range(len(reg)):
         st = cycle_status(reg, i, state)
@@ -482,19 +496,11 @@ def _total_note(rep: _Replay, k: int) -> str | None:
 
 
 def _lightblue_violation(state: ResidualState, within: int = -1) -> str | None:
-    """From phase 2 on, every retained 3-path ending in a still-white leaf of
-    G carries opening-phase evidence: the leaf's support u is light blue, or
-    u is white with every other neighbor light blue, or u is dark blue with
-    every other neighbor light blue or red. Checked over the leaves of
-    `within` (every vertex by default); a leaf's verdict reads colors on
-    N[u], within distance 2 of the leaf.
-
-    This is the invariant the opening phase's end condition establishes and
-    color monotonicity preserves. The bare two-case reading (light support,
-    or white support with all-light surround) is falsifiable: a white
-    support can be dominated later through one of its light neighbors and
-    turn dark while the leaf stays white.
-    """
+    """LIGHTBLUE_STRUCT over the leaves of `within` (every vertex by
+    default); a leaf's verdict reads colors on N[u], within distance 2 of
+    the leaf, u its support. The dark-blue case is needed: a white support
+    can be dominated later through a light neighbor and turn dark while the
+    leaf stays white."""
     g = state.graph
     dom, red, light = state.dominated_mask, state.red_mask, state.light_mask
     for v in vertices_of(g.leaf_mask & ~dom & within):
@@ -546,8 +552,7 @@ _CLAIMS = (
     # no line of play found breaks it (tests/claim_cases.py); engine faults do (test_verify)
     _Claim("XCYCLE_DROP", "move", lambda ph, nxt: ph >= 3, _xcycle_drop_note,
            "phases 3-4 never reached", _counted("{checked} moves checked")),
-    # before every phase-3 move and before the first phase-4 move; the state decides it, no
-    # state found breaks it, and an undercounting F_decrease does (test_verify)
+    # no state found breaks it; an undercounting F_decrease does (test_verify)
     _Claim("PH2_LEAF", "state", lambda b, a: b <= 3 <= a, _ph2_leaf_note,
            "phase 3 never reached",
            _counted("{exercised} of {checked} states exhibited the precondition")),
@@ -688,8 +693,7 @@ def _bound_reports(g: Graph, solver_cap: int, worst: WorstCases | None) -> list[
     if gv is None:
         reports.append(ClaimReport("GAP_GG_GGP", SKIPPED, f"n={g.n} exceeds solver cap"))
     elif abs(gv.gamma_g - gv.gamma_g_prime) > 1:
-        reports.append(fail("GAP_GG_GGP",
-                            f"|{gv.gamma_g} - {gv.gamma_g_prime}| > 1"))
+        reports.append(fail("GAP_GG_GGP", f"|{gv.gamma_g} - {gv.gamma_g_prime}| > 1"))
     else:
         reports.append(ClaimReport("GAP_GG_GGP", PASS,
                                    f"gamma_g={gv.gamma_g}, gamma_g'={gv.gamma_g_prime}"))
@@ -1015,10 +1019,7 @@ def _collapse(claim: str, reports: list[ClaimReport]) -> ClaimReport:
     best = min(reports, key=lambda r: _STATUS_RANK[r.status])
     if len(reports) == 1:
         return best
-    tallies = {}
-    for r in reports:
-        tallies[r.status] = tallies.get(r.status, 0) + 1
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(tallies.items()))
+    summary = ", ".join(f"{k}={v}" for k, v in sorted(Counter(r.status for r in reports).items()))
     return ClaimReport(claim, best.status, f"{summary}; {best.detail}", best.witness)
 
 
@@ -1026,8 +1027,8 @@ def _verify_item(label: str, g: Graph, seeds: tuple[int, ...], checks: list[str]
                  caps: Caps) -> GraphReport:
     by_claim: dict[str, list[ClaimReport]] = {}
     ratios: dict[str, list[float]] = {"D": [], "S": []}  # audited game lengths over n, per start
-    # the bound reports and the transcript audits share one search per start
-    worst = _worst_cases(g, caps.worst_case_n) if checks else None
+    # one search per start, shared by the checks that read it: all but GAP_GG_GGP
+    worst = _worst_cases(g, caps.worst_case_n) if set(checks) - {"GAP_GG_GGP"} else None
     if any(c in BOUND_CHECKS for c in checks):
         for r in _bound_reports(g, caps.solver_n, worst):
             if r.claim in checks:
@@ -1066,12 +1067,8 @@ class AggregateReport:
         return out
 
     def worst_ratio(self, first: str = "D") -> tuple[float, str] | None:
-        best = None
-        for gr in self.graphs:
-            ratio = gr.ratio_d if first == "D" else gr.ratio_s
-            if ratio is not None and (best is None or ratio > best[0]):
-                best = (ratio, gr.label)
-        return best
+        ratios = ((gr.ratio_d if first == "D" else gr.ratio_s, gr.label) for gr in self.graphs)
+        return max((r for r in ratios if r[0] is not None), key=lambda r: r[0], default=None)
 
     def to_json_dict(self) -> dict:
         wd, ws = self.worst_ratio("D"), self.worst_ratio("S")
@@ -1091,12 +1088,8 @@ class AggregateReport:
     def to_csv(self) -> str:
         lines = ["label,n,m,hash,transcripts,ratio_d,ratio_s,pass,fail,vacuous,skipped,first_failure"]
         for gr in self.graphs:
-            tally = {PASS: 0, FAIL: 0, VACUOUS: 0, SKIPPED: 0}
-            first_fail = ""
-            for r in gr.reports:
-                tally[r.status] += 1
-                if r.status == FAIL and not first_fail:
-                    first_fail = r.claim
+            tally = Counter(r.status for r in gr.reports)
+            first_fail = next((r.claim for r in gr.reports if r.status == FAIL), "")
             rd = "" if gr.ratio_d is None else f"{gr.ratio_d:.4f}"
             rs = "" if gr.ratio_s is None else f"{gr.ratio_s:.4f}"
             lines.append(f"{gr.label},{gr.n},{gr.m},{gr.graph_hash},{gr.transcripts_checked},"

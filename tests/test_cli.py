@@ -146,6 +146,34 @@ def test_simulate_json_is_byte_identical(tmp_path, capsys):
     assert len(doc["snapshots"]) == doc["total_moves"] + 1
 
 
+@pytest.mark.parametrize("staller", ["random", "min", "worst"])
+def test_simulate_trace_prints_the_states_it_played(tmp_path, capsys, monkeypatch, staller):
+    """simulate --trace prints the states of the moves it played, with no
+    replay, and they are the states a replay of its transcript gives, in
+    the JSON and in the text form."""
+    import domgame.verify as verify
+    from domgame import (dominator_greedy, gen_random_tree, make_staller_random, play_game,
+                         staller_min_decrease, staller_worst_case)
+
+    g = gen_random_tree(10, 3)
+    path = tmp_path / "t.g"
+    path.write_text(write_edge_list(g), encoding="utf-8")
+    if staller == "worst":
+        t = staller_worst_case(g, 12, "S")[1]
+    else:
+        policy = make_staller_random(0) if staller == "random" else staller_min_decrease
+        t = play_game(g, dominator_greedy, policy, "S")
+    states = verify._states(verify._replay(g, t))
+    monkeypatch.setattr(verify, "_replay", lambda *args: pytest.fail("simulate replayed"))
+    argv = ["simulate", str(path), "--staller", staller, "--first", "s", "--trace"]
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        **t.to_json_dict(), "snapshots": [s.snapshot() for s in states]}
+    assert main(argv) == 0
+    assert capsys.readouterr().out == t.to_text() + "".join(
+        f"# state after {i} moves\n{s.snapshot()}" for i, s in enumerate(states))
+
+
 def test_simulate_refuses_graphs_past_the_vertex_limit(tmp_path, capsys, monkeypatch):
     """simulate plays graphs up to verify's MAX_GRAPH_VERTICES, the limit
     of corpus graphs and gen, and refuses a larger file with exit 2 before

@@ -24,7 +24,6 @@ from domgame import (
     parse_edge_list,
     philox_rng,
     play_game,
-    replay_states,
     run_corpus,
     solve_game,
     spec_from_json,
@@ -35,7 +34,7 @@ from domgame import (
     write_edge_list,
 )
 from domgame.cli import main as cli_main
-from domgame.verify import FAMILIES, MAX_CORPUS_VERTICES, MAX_GRAPH_VERTICES
+from domgame.verify import FAMILIES, MAX_CORPUS_VERTICES, MAX_GRAPH_VERTICES, _replay, _states
 from claim_cases import CASES, search_pool, smallest_failures
 from test_local_delta import graphs
 from test_residual import random_playout
@@ -268,7 +267,7 @@ def test_truncated_transcript_is_input_error():
 def test_replay_states_walk():
     g = gen_path(4)
     t = play_game(g, dominator_greedy, staller_min_decrease, "D")
-    states = replay_states(g, t)
+    states = _states(_replay(g, t))
     assert len(states) == t.total_moves + 1
     assert states[0].f == 20 and states[-1].f == 0
 
@@ -669,6 +668,28 @@ def test_run_corpus_plays_each_game_once(monkeypatch, worst_case_n, witnesses):
     assert replayed == []
 
 
+def test_gap_only_spec_runs_no_worst_case_search(monkeypatch):
+    """GAP_GG_GGP reads only the exact values, so a spec that asks for it
+    alone runs no worst-case search, and its reports are those of "all"."""
+    import domgame.verify as verify
+
+    searches = []
+    search = verify._worst_line
+
+    def counted(g, cap, first):
+        searches.append(first)
+        return search(g, cap, first)
+
+    monkeypatch.setattr(verify, "_worst_line", counted)
+    families = [{"name": "trees", "params": {"n_min": 8, "n_max": 12}}]
+    gap = run_corpus(spec_from_json({"families": families, "checks": ["GAP_GG_GGP"]}))
+    assert searches == []
+    full = run_corpus(spec_from_json({"families": families, "checks": ["all"]}))
+    assert searches == ["D", "S"] * 5
+    assert [gr.reports for gr in gap.graphs] == [
+        tuple(r for r in gr.reports if r.claim == "GAP_GG_GGP") for gr in full.graphs]
+
+
 def test_played_games_audit_as_their_replays(monkeypatch):
     """run_corpus audits the games it plays from their moves, so the check
     that the replay made of them, that play is deterministic, is made here:
@@ -846,7 +867,7 @@ def test_structural_claims_fail_by_name_under_an_unchecked_freeze(monkeypatch):
     monkeypatch.setattr(phases, "freeze_registry", lambda s: XCycleRegistry(phases._phase2_end(s)[1]))
     t = play_game(g, dominator_greedy, staller_min_decrease, "D")
     reports = by_claim(verify_transcript(g, t))
-    start = replay_states(g, t)[0].snapshot()
+    start = _states(_replay(g, t))[0].snapshot()
     for claim, note in (
             ("END2_STRUCT", "white vertex 0 has 3 white neighbors"),
             ("LATER2", "white vertex 0 has 3 white neighbors"),
@@ -923,7 +944,7 @@ def test_claim_fails_by_name(claim):
     k = len(w.transcript_prefix)
     assert (w.graph_text, w.note) == (write_edge_list(g), case.note)
     assert w.transcript_prefix == tuple(r.to_json_dict() for r in t.records[:k])
-    assert w.snapshot == replay_states(g, t)[k].snapshot()
+    assert w.snapshot == _states(_replay(g, t))[k].snapshot()
 
 
 def test_forged_dominator_search_finds_the_pinned_cases():

@@ -16,11 +16,11 @@ from domgame import (
     make_staller_random,
     parse_edge_list,
     play_game,
-    replay_states,
     staller_min_decrease,
     staller_worst_case,
     verify_transcript,
 )
+from domgame.verify import _replay
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = GOLDEN / "verify_reports.json"
@@ -65,7 +65,7 @@ def _other_vertex(g, t, pos):
     """A playable vertex at record pos whose newly dominated set differs
     from the played one's, or None. A swap that dominates the same new
     vertices gives an equivalent, valid transcript."""
-    state = replay_states(g, t)[pos]
+    state = _replay(g, t)[pos][1]
     played = t.records[pos].vertex
     new = g.closed_masks[played] & ~state.dominated_mask
     for v in range(g.n):
