@@ -8,6 +8,14 @@ loop over them, which play_game and the corpus runner drive with policies
 (_chooser), the verifier's replay with a transcript's vertices; the search
 steps each child it searches and each Staller child it cuts in phases 1-2.
 _record() and _transcript() build every record and transcript.
+
+opening() and step() take an optional table of positions, a dict that the
+corpus runner makes for one graph and hands to every line it plays or
+searches there, so that those lines share the states they reach with the
+scores, F summaries and phase tests cached on them. step() keys a position
+by the dominated, red and light masks after the move, the phase and the
+X-cycle registry the move was played in, and the mover (step's docstring
+says why that key is exact); opening() keys it by the first player.
 """
 
 from __future__ import annotations
@@ -153,23 +161,28 @@ def make_staller_random(seed: int) -> Policy:
     return staller_random
 
 
-def opening(g: Graph, first: str) -> tuple[ResidualState, PhaseContext, int]:
+def opening(g: Graph, first: str,
+            positions: dict | None = None) -> tuple[ResidualState, PhaseContext, int]:
     """(state, phase context, index) before the first move of a game.
 
     Dominator moves at odd indices: with first="S" the opening move has
     index 0 and is played in phase 1; with first="D" the phase machine is
-    evaluated before move 1.
+    evaluated before move 1. With a table of positions (step) the games
+    of one start share their opening, kept there under `first`.
     """
     if first not in ("D", "S"):
         raise ValueError("first must be 'D' or 'S'")
+    if positions is not None and first in positions:
+        return positions[first]
     state = init_state(g)
-    if first == "S":
-        return state, PhaseContext(), 0
-    return state, maybe_advance(PhaseContext(), state), 1
+    ctx, idx = (PhaseContext(), 0) if first == "S" else (maybe_advance(PhaseContext(), state), 1)
+    if positions is not None:
+        positions[first] = state, ctx, idx
+    return state, ctx, idx
 
 
-def step(ctx: PhaseContext, state: ResidualState, idx: int,
-         v: int) -> tuple[ResidualState, PhaseContext]:
+def step(ctx: PhaseContext, state: ResidualState, idx: int, v: int,
+         positions: dict | None = None) -> tuple[ResidualState, PhaseContext]:
     """Play v as move idx: (state after it, phase context for the next move).
 
     Play, replay and the worst-case search all call it. New blues are light
@@ -179,15 +192,33 @@ def step(ctx: PhaseContext, state: ResidualState, idx: int,
     cannot have changed (residual.carry_f_decreases in phases 1-2,
     phases.carry_F_decreases in 3-4), so the greedy move and the phase
     tests there score only the vertices near the move anew.
+
+    With a table of positions, the result is kept under the key (dominated,
+    red and light masks after the move, ctx.phase, ctx.registry, idx & 1)
+    and a move that reaches a kept key returns the kept pair instead. The
+    hit is exact, since the result depends on that key alone: the phase
+    machine reads the masks after the move and ctx's phase and registry,
+    and runs only after a Staller move (even idx); what a state holds
+    beyond its masks (its tables and F_memo) caches pure functions of
+    them; and the freeze audit a hit skips already ran on the same
+    position in the same phase and registry. The key holds ctx's two
+    fields rather than ctx, whose dataclass hash costs more.
     """
     shade = shade_for_phase(ctx.phase)
     post = apply_move(state, v, shade)
+    if positions is not None:
+        key = (post.dominated_mask, post.red_mask, post.light_mask, ctx.phase, ctx.registry, idx & 1)
+        known = positions.get(key)
+        if known is not None:
+            return known
     if ctx.phase <= 2:
         carry_f_decreases(state, post, v, shade)
     else:
         carry_F_decreases(state, post, v, ctx.registry)
     if idx % 2 == 0 and not is_over(post):
         ctx = maybe_advance(ctx, post)
+    if positions is not None:
+        positions[key] = post, ctx
     return post, ctx
 
 
@@ -207,15 +238,15 @@ def _playable(state: ResidualState, v: object) -> bool:
     return type(v) is int and 0 <= v < state.graph.n and not state.red_mask >> v & 1
 
 
-def _moves(g: Graph, first: str,
-           choose: Callable[[PhaseContext, ResidualState, int], int]) -> Iterator[Move]:
+def _moves(g: Graph, first: str, choose: Callable[[PhaseContext, ResidualState, int], int],
+           positions: dict | None = None) -> Iterator[Move]:
     """The one move loop: from opening(), choose(ctx, state, idx) names each
     move, step() plays it, and (ctx, state, idx, v, post) is yielded until
-    the game is over."""
-    state, ctx, idx = opening(g, first)
+    the game is over. positions is step()'s table of positions."""
+    state, ctx, idx = opening(g, first, positions=positions)
     while not is_over(state):
         v = choose(ctx, state, idx)
-        post, next_ctx = step(ctx, state, idx, v)
+        post, next_ctx = step(ctx, state, idx, v, positions=positions)
         yield ctx, state, idx, v, post
         state, ctx, idx = post, next_ctx, idx + 1
 
@@ -271,7 +302,7 @@ def play_game(g: Graph, dominator: Policy, staller: Policy, first: str = "D") ->
                        _moves(g, first, _chooser(dominator, staller)))
 
 
-def _worst_line(g: Graph, cap: int, first: str) -> list[Move]:
+def _worst_line(g: Graph, cap: int, first: str, positions: dict | None = None) -> list[Move]:
     """The longest line any Staller can force against the greedy Dominator.
 
     Exhaustive depth-first branching over Staller moves only (Dominator's
@@ -292,9 +323,12 @@ def _worst_line(g: Graph, cap: int, first: str) -> list[Move]:
     end on it is audited (phases.freeze_registry raises on a violation) as
     on every other child. The greedy's cut moves and cut Staller moves
     from phase 3 on run no audit in step() and are skipped outright. There
-    is no table across nodes; the cutoff would turn its values into
-    bounds. Returns the first longest line in ascending-id order, each move
-    as _moves() yields it, with the states that line played.
+    is no table of values across nodes; the cutoff would turn its values
+    into bounds. step()'s table of positions, when given, shares the
+    positions themselves: a node that two Staller lines reach is built,
+    scored and audited once. Returns the first longest line in
+    ascending-id order, each move as _moves() yields it, with the states
+    that line played.
     """
     if first not in ("D", "S"):
         raise ValueError("first must be 'D' or 'S'")
@@ -318,9 +352,9 @@ def _worst_line(g: Graph, cap: int, first: str) -> list[Move]:
             seen.add(newly)
             if left - newly.bit_count() <= len(best):  # best grows in this loop
                 if idx % 2 == 0 and ctx.phase <= 2:
-                    step(ctx, state, idx, v)
+                    step(ctx, state, idx, v, positions=positions)
                 continue
-            nxt, nctx = step(ctx, state, idx, v)
+            nxt, nctx = step(ctx, state, idx, v, positions=positions)
             line.append((ctx, state, idx, v, nxt))
             if is_over(nxt):
                 best = line.copy()
@@ -328,7 +362,7 @@ def _worst_line(g: Graph, cap: int, first: str) -> list[Move]:
                 search(nxt, nctx, idx + 1)
             line.pop()
 
-    search(*opening(g, first))
+    search(*opening(g, first, positions=positions))
     return best
 
 

@@ -645,10 +645,12 @@ def verify_transcript(g: Graph, t: Transcript) -> list[ClaimReport]:
 WorstCases = tuple[list[Move], list[Move]]
 
 
-def _worst_cases(g: Graph, worst_cap: int) -> WorstCases | None:
+def _worst_cases(g: Graph, worst_cap: int, positions: dict | None = None) -> WorstCases | None:
     """The worst-case search's longest lines (strategy._worst_line) with
-    Dominator and with Staller starting, or None when n exceeds the cap."""
-    return None if g.n > worst_cap else tuple(_worst_line(g, worst_cap, f) for f in "DS")
+    Dominator and with Staller starting, or None when n exceeds the cap;
+    positions is strategy.step's table of positions."""
+    return None if g.n > worst_cap else tuple(
+        _worst_line(g, worst_cap, f, positions=positions) for f in "DS")
 
 
 def verify_bounds(g: Graph, solver_cap: int = DEFAULT_SOLVER_CAP,
@@ -978,17 +980,18 @@ def corpus_items(spec: CorpusSpec) -> list[tuple[str, Graph, tuple[int, ...]]]:
     return items
 
 
-def _audits(g: Graph, seeds: tuple[int, ...],
-            worst: WorstCases | None) -> Iterator[tuple[Transcript, list[ClaimReport]]]:
+def _audits(g: Graph, seeds: tuple[int, ...], worst: WorstCases | None,
+            positions: dict | None = None) -> Iterator[tuple[Transcript, list[ClaimReport]]]:
     """(transcript, reports) of each game audited on g, from its moves as
     played, none replayed: the worst-case lines the search kept, then the
-    random and min-decrease Stallers' games, each start in turn."""
+    random and min-decrease Stallers' games, each start in turn, played
+    through strategy.step's table of positions."""
     for first, line in zip("DS", worst or ()):
         t = _transcript(g, first, dominator_greedy.policy_name, "worst_case", line)
         yield t, _audit(line, t, t)
     games = [(make_staller_random(seed), first) for seed in seeds for first in "DS"]
     for staller, first in games + [(staller_min_decrease, "D"), (staller_min_decrease, "S")]:
-        moves = list(_moves(g, first, _chooser(dominator_greedy, staller)))
+        moves = list(_moves(g, first, _chooser(dominator_greedy, staller), positions=positions))
         t = _transcript(g, first, dominator_greedy.policy_name, staller.policy_name, moves)
         yield t, _audit(moves, t, t)
 
@@ -1027,14 +1030,18 @@ def _verify_item(label: str, g: Graph, seeds: tuple[int, ...], checks: list[str]
                  caps: Caps) -> GraphReport:
     by_claim: dict[str, list[ClaimReport]] = {}
     ratios: dict[str, list[float]] = {"D": [], "S": []}  # audited game lengths over n, per start
+    # every line played or searched on g shares the positions it reaches
+    # (strategy.step); the table lives for this graph only
+    positions: dict = {}
     # one search per start, shared by the checks that read it: all but GAP_GG_GGP
-    worst = _worst_cases(g, caps.worst_case_n) if set(checks) - {"GAP_GG_GGP"} else None
+    worst = (_worst_cases(g, caps.worst_case_n, positions=positions)
+             if set(checks) - {"GAP_GG_GGP"} else None)
     if any(c in BOUND_CHECKS for c in checks):
         for r in _bound_reports(g, caps.solver_n, worst):
             if r.claim in checks:
                 by_claim.setdefault(r.claim, []).append(r)
     if any(c in TRANSCRIPT_CHECKS for c in checks):
-        for t, reports in _audits(g, seeds, worst):
+        for t, reports in _audits(g, seeds, worst, positions=positions):
             ratios[t.first_player].append(t.total_moves / g.n)
             for r in reports:
                 if r.claim in checks:

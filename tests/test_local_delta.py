@@ -423,8 +423,8 @@ def test_worst_case_search_carries_exact_scores(family, n, seed, first):
     g = search_graph(family, n, seed)
     nodes = {}
 
-    def recording_step(ctx, state, idx, v):
-        post, next_ctx = step(ctx, state, idx, v)
+    def recording_step(ctx, state, idx, v, positions=None):
+        post, next_ctx = step(ctx, state, idx, v, positions=positions)
         nodes.setdefault(id(state), (ctx, state, idx))
         nodes.setdefault(id(post), (next_ctx, post, idx + 1))
         return post, next_ctx

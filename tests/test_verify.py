@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -630,9 +631,9 @@ def test_one_worst_case_search_per_start(monkeypatch):
     calls = []
     search = verify._worst_line
 
-    def counted(g, cap, first):
+    def counted(g, cap, first, positions=None):
         calls.append(first)
-        return search(g, cap, first)
+        return search(g, cap, first, positions=positions)
 
     monkeypatch.setattr(verify, "_worst_line", counted)
     spec = spec_from_json({"families": [{"name": "trees", "params": {"n_min": 9, "n_max": 9}}]})
@@ -676,9 +677,9 @@ def test_gap_only_spec_runs_no_worst_case_search(monkeypatch):
     searches = []
     search = verify._worst_line
 
-    def counted(g, cap, first):
+    def counted(g, cap, first, positions=None):
         searches.append(first)
-        return search(g, cap, first)
+        return search(g, cap, first, positions=positions)
 
     monkeypatch.setattr(verify, "_worst_line", counted)
     families = [{"name": "trees", "params": {"n_min": 8, "n_max": 12}}]
@@ -688,6 +689,133 @@ def test_gap_only_spec_runs_no_worst_case_search(monkeypatch):
     assert searches == ["D", "S"] * 5
     assert [gr.reports for gr in gap.graphs] == [
         tuple(r for r in gr.reports if r.claim == "GAP_GG_GGP") for gr in full.graphs]
+
+
+POSITION_FAMILIES = [
+    {"name": "trees", "params": {"n_min": 8, "n_max": 12}},
+    {"name": "gnp", "params": {"n_min": 10, "n_max": 12, "p": 0.25}},
+    {"name": "gnp", "params": {"n_min": 10, "n_max": 12, "p": 0.5}},
+    {"name": "caterpillars", "params": {"spine_min": 3, "spine_max": 4}},
+    {"name": "cycles", "params": {"n_min": 10, "n_max": 10}},
+    {"name": "cycles", "params": {"n_min": 12, "n_max": 12}},
+]
+
+
+def position_corpus(monkeypatch):
+    """A spec whose run_corpus verifies, both starts, trees with n = 8..12,
+    G(n, 0.25) and G(n, 0.5) with n = 10..12, caterpillars, C10, C12 and
+    cycle unions that reach phases 3 and 4 (C5 + C6 + C7 past the search's
+    cap, so only its games run). corpus_items is patched to hand out the
+    same Graph objects on every call."""
+    from domgame import verify
+
+    spec = spec_from_json({"families": POSITION_FAMILIES})
+    unions = ([4, 4], [5, 6], [4, 8], [4, 4, 4], [5, 6, 7])
+    items = corpus_items(spec) + [(f"union-{k}", cycle_union(k), (0,)) for k in unions]
+    monkeypatch.setattr(verify, "corpus_items", lambda spec: items)
+    return spec
+
+
+def lines_with_own_tables(monkeypatch, table):
+    """Make run_corpus give each search and each game its own table of
+    positions, table() (None: no table), instead of one per graph."""
+    from domgame import strategy, verify
+
+    monkeypatch.setattr(verify, "_worst_line", lambda g, cap, first, positions=None:
+                        strategy._worst_line(g, cap, first, positions=table()))
+    monkeypatch.setattr(verify, "_moves", lambda g, first, choose, positions=None:
+                        strategy._moves(g, first, choose, positions=table()))
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_lines_of_a_graph_share_positions_without_changing_a_report(monkeypatch, planted):
+    """run_corpus hands the two searches and every game of a graph one
+    table of positions (strategy.step). The report, witnesses included,
+    is the one of a fresh table per line and of no table at all. Under the
+    planted fault of PH2_LEAF's failing case the same failures come out."""
+    from domgame import phases, strategy, verify
+
+    spec = position_corpus(monkeypatch)
+    if planted:
+        capped = capped_F_decrease(phases.F_decrease)
+        monkeypatch.setattr(phases, "F_decrease", capped)
+        monkeypatch.setattr(verify, "F_decrease", capped)
+    reached = set()
+    advance = strategy.maybe_advance
+
+    def recorded(ctx, s):
+        out = advance(ctx, s)
+        reached.add(out.phase)
+        return out
+
+    monkeypatch.setattr(strategy, "maybe_advance", recorded)
+    shared = run_corpus(spec)
+    assert {3, 4} <= reached
+    if planted:
+        assert "PH2_LEAF" in {r.claim for _, r in shared.failures}
+    else:
+        assert shared.ok
+    for table in (dict, lambda: None):
+        lines_with_own_tables(monkeypatch, table)
+        assert run_corpus(spec).to_json() == shared.to_json()
+
+
+def test_no_table_of_positions_outlives_its_graph(monkeypatch):
+    """Two run_corpus calls on one spec, whose items are the same Graph
+    objects, do the same work and give the same report: the table of
+    positions lives for one graph's verification, and nothing that a
+    later call could reuse is kept on the graph, in a module or across
+    calls."""
+    from domgame import phases, strategy
+
+    spec = position_corpus(monkeypatch)
+    calls = Counter()
+    for module, name in ((strategy, "apply_move"), (strategy, "maybe_advance"),
+                         (phases, "F_decrease")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        runs.append((run_corpus(spec).to_json(), dict(calls)))
+    assert runs[0] == runs[1]
+    assert all(runs[0][1].values())
+
+
+def test_each_phase2_end_is_frozen_once_per_graph(monkeypatch):
+    """Within one graph's verification, phases.freeze_registry runs at most
+    once per position (dominated, red and light masks) and phase it is
+    entered from, although the searches and games reach the same phase-2
+    ends again and again: a repeat is a hit in the table of positions."""
+    from domgame import phases, strategy, verify
+
+    spec = position_corpus(monkeypatch)
+    label, at, freezes = [], [], Counter()
+    item, advance, freeze = verify._verify_item, strategy.maybe_advance, phases.freeze_registry
+
+    def verified(*args):
+        label[:] = [args[0]]
+        return item(*args)
+
+    def advancing(ctx, s):
+        at.append((label[0], s.dominated_mask, s.red_mask, s.light_mask, ctx.phase))
+        try:
+            return advance(ctx, s)
+        finally:
+            at.pop()
+
+    def freezing(s):
+        freezes[at[-1]] += 1
+        return freeze(s)
+
+    monkeypatch.setattr(verify, "_verify_item", verified)
+    monkeypatch.setattr(strategy, "maybe_advance", advancing)
+    monkeypatch.setattr(phases, "freeze_registry", freezing)
+    assert run_corpus(spec).ok
+    assert freezes and max(freezes.values()) == 1
 
 
 def test_played_games_audit_as_their_replays(monkeypatch):
@@ -950,6 +1078,46 @@ def test_claim_fails_by_name(claim):
 def test_forged_dominator_search_finds_the_pinned_cases():
     found = smallest_failures(search_pool())
     assert {claim: found.get(claim) for claim in CASES} == CASES
+
+
+def claim_outcomes(reports):
+    """Each claim's status and, for a failure, the index of the move and
+    the length of the prefix its witness names; the notes and snapshots
+    name vertices and are left out."""
+    return [(r.claim, r.status, r.witness and (r.witness.move_index, len(r.witness.transcript_prefix)))
+            for r in reports]
+
+
+def test_relabeling_leaves_claim_statuses_and_failing_moves_alone():
+    """A metamorphic relation, where no oracle reaches: the forged
+    Dominator's line (p = 0.5) against a random Staller, mapped through a
+    seeded relabeling and replayed on the relabeled graph, audits to the
+    same status for each claim and the same failing move. The mapped line
+    is still audited as a greedy line, since the verifier does not audit
+    tie-breaks. Trees and G(n, 0.3) with n = 8..16 and unions of three
+    cycles with 15-20 vertices, both starts."""
+    from claim_cases import forged_dominator
+    from oracles import make_scripted_staller
+
+    graphs = [g for n in range(8, 17) for g in (gen_random_tree(n, n), gen_gnp_isolate_free(n, 0.3, n))]
+    rng = philox_rng(20)
+    for n in range(15, 21):
+        a = int(rng.integers(4, n - 7))
+        b = int(rng.integers(4, n - a - 3))
+        graphs.append(cycle_union([a, b, n - a - b]))
+    failing = games = 0
+    for i, g in enumerate(graphs):
+        perm = [int(v) for v in philox_rng(i).permutation(g.n)]
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        for first in "DS":
+            for seed in range(20):
+                t = play_game(g, forged_dominator(seed, 0.5), make_staller_random(seed), first)
+                line = make_scripted_staller([perm[r.vertex] for r in t.records], t.dominator_policy)
+                outcomes = claim_outcomes(verify_transcript(g, t))
+                assert claim_outcomes(verify_transcript(h, play_game(h, line, line, first))) == outcomes
+                games += 1
+                failing += any(status == "fail" for _, status, _ in outcomes)
+    assert 0 < failing < games
 
 
 def end3_vertex_note(s):
